@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 model error (with a machine-parsable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -33,6 +34,13 @@ def _load(path: str):
     for w in model.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return model
+
+
+def _output(path: str | None):
+    """The --out file opened for writing, or stdout when there is none."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,9 +146,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         traj = ode_mod.integrate(
             sys_, x0, args.t_end, rtol=args.rtol, atol=args.atol, grid=args.grid
         )
-        ode_mod.write_trajectory_csv(
-            args.out if args.out else sys.stdout, sys_.names, traj
-        )
+        with _output(args.out) as fh:
+            ode_mod.write_trajectory_csv(fh, sys_.names, traj)
         return 0
 
     if args.command == "ssa":
@@ -155,7 +162,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         for r in runs:
             for w in r.warnings:
                 print(f"warning: run {r.run_id}: {w}", file=sys.stderr)
-        ssa_mod.write_runs_csv(args.out if args.out else sys.stdout, dm, runs)
+        with _output(args.out) as fh:
+            ssa_mod.write_runs_csv(fh, dm, runs)
         return 0
 
     raise AssertionError(args.command)

@@ -5,16 +5,33 @@ commutativity of | and +, Nil identity, scope extrusion/minimization,
 garbage collection of unused binders, and alpha-renaming.  Named invocations
 are opaque: they are never unfolded here, only in the transition system.
 
+The normal form is prenex.  Every restriction and parallel composition of a
+term is pulled out into one binder list over its choice and invocation
+atoms; atoms linked by shared bound locations form one prime, written with a
+single `new` over its parts.  Choices sort their guards, and guard bodies
+are normalized recursively.
+
 Canonical bound locations are written ℓ0, ℓ1, ... (non-ASCII on purpose:
 the parser cannot produce them, so they never collide with user names).
-The number of a binder equals the count of enclosing bound locations, so
-structurally identical subterms serialize identically wherever they occur.
+Numbering starts at one above the largest free ℓ index of the term, so a
+free ℓ is never captured.  A prime's binders take the next numbers in
+canonical order; a guard's received locations follow them, and the guard's
+body is numbered from there.
+
+The canonical order of a prime's binders comes from individualization-
+refinement (McKay & Piperno, Practical graph isomorphism II, 2014).  Binders
+are coloured by how the atoms use them, and the colours are refined until
+stable.  A cell of tied binders is split by trying each of them first; the
+least serialization over all orders reached wins.  A binder is not tried
+when swapping it with one already tried leaves the atoms unchanged, so k
+interchangeable binders cost k leaves, not k!.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Iterator
 
 from .terms import (
     NIL,
@@ -28,48 +45,34 @@ from .terms import (
     free_locations,
 )
 
-_MAX_ROUNDS = 32
-
 
 # --- serialization -----------------------------------------------------------
 
 
 def serialize(t: Species) -> str:
     """Deterministic serialization; the canonical-form total-order key."""
-    return _ser(t, mask=False, bound=frozenset())
-
-
-def _ser(t: Species, mask: bool, bound: frozenset[str]) -> str:
-    def loc(name: str) -> str:
-        if mask and name in bound:
-            return "?"
-        return name
-
     if isinstance(t, Nil):
         return "0"
     if isinstance(t, Call):
         if t.args:
-            return f"{t.name}({','.join(loc(a) for a in t.args)})"
+            return f"{t.name}({','.join(t.args)})"
         return t.name
     if isinstance(t, Sum):
-        return " + ".join(_ser_prefix(g, mask, bound) for g in t.guards)
+        return " + ".join(_ser_prefix(g) for g in t.guards)
     if isinstance(t, Par):
-        return "(" + " | ".join(_ser(p, mask, bound) for p in t.parts) + ")"
+        return "(" + " | ".join(serialize(p) for p in t.parts) + ")"
     if isinstance(t, New):
-        inner = _ser(t.body, mask, bound | set(t.binders))
-        names = ",".join("?" if mask else b for b in t.binders)
-        return f"(new {names} in {inner})"
+        return f"(new {','.join(t.binders)} in {serialize(t.body)})"
     raise TypeError(t)
 
 
-def _ser_prefix(g: Prefix, mask: bool, bound: frozenset[str]) -> str:
+def _ser_prefix(g: Prefix) -> str:
     s = g.site
     if g.location is not None:
-        s += "@" + ("?" if mask and g.location in bound else g.location)
+        s += "@" + g.location
     if g.receives:
-        s += "(" + ",".join("?" if mask else r for r in g.receives) + ")"
-    body_bound = bound | set(g.receives)
-    body = _ser(g.body, mask, body_bound)
+        s += "(" + ",".join(g.receives) + ")"
+    body = serialize(g.body)
     if isinstance(g.body, (Nil, Call)) or (
         isinstance(g.body, Sum) and len(g.body.guards) == 1
     ):
@@ -82,32 +85,17 @@ def _ser_prefix(g: Prefix, mask: bool, bound: frozenset[str]) -> str:
 
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
-    t = _freshen(t)
-    t = _snf(t)
-    t = _renumber(_sort(t, masked=True))
-    seen: dict[str, int] = {}
-    states: list[Species] = []
-    for _ in range(_MAX_ROUNDS):
-        key = serialize(t)
-        if key in seen:
-            cycle = states[seen[key]:]
-            return min(cycle, key=serialize)
-        seen[key] = len(states)
-        states.append(t)
-        t2 = _renumber(_sort(t, masked=False))
-        if serialize(t2) == key:
-            return t
-        t = t2
-    return min(states, key=serialize)
+    free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
+    return _canon(_freshen(t), {}, max(free_l, default=-1) + 1)
 
 
 def primes(t: Species) -> list[Species]:
-    """The unique bag of prime factors, each in canonical form, sorted."""
+    """The unique bag of prime factors of t's normal form, sorted."""
     n = normalize(t)
     if isinstance(n, Nil):
         return []
     if isinstance(n, Par):
-        return sorted((normalize(p) for p in n.parts), key=serialize)
+        return list(n.parts)
     return [n]
 
 
@@ -117,7 +105,7 @@ def embed(t: Species) -> Counter:
 
 
 def is_prime(t: Species) -> bool:
-    return len(primes(t)) == 1 and not isinstance(normalize(t), Nil)
+    return len(primes(t)) == 1
 
 
 # --- binder freshening -------------------------------------------------------
@@ -151,198 +139,126 @@ def _freshen(t: Species) -> Species:
     return go(t, {})
 
 
-# --- structural rules: flattening, Nil identity, scope minimization ----------
+# --- prenex form: atoms, binders and primes ----------------------------------
 
 
-def _snf(t: Species) -> Species:
-    if isinstance(t, (Nil, Call)):
-        return t
-    if isinstance(t, Sum):
-        guards = tuple(
-            Prefix(g.site, g.location, g.receives, _snf(g.body)) for g in t.guards
-        )
-        return Sum(guards) if guards else NIL
-    if isinstance(t, Par):
-        parts: list[Species] = []
-        for p in t.parts:
-            q = _snf(p)
-            if isinstance(q, Nil):
-                continue
-            if isinstance(q, Par):
-                parts.extend(q.parts)
-            else:
-                parts.append(q)
-        if not parts:
-            return NIL
-        if len(parts) == 1:
-            return parts[0]
-        return Par(tuple(parts))
+def _flatten(t: Species, binders: set[str], atoms: list[Species]) -> None:
+    """Collect the restricted names and the Sum/Call atoms of a fresh term."""
     if isinstance(t, New):
-        body = _snf(t.body)
-        binders = t.binders
-        while isinstance(body, New):  # collapse nested restrictions
-            binders = binders + body.binders
-            body = body.body
-        free = free_locations(body)
-        kept = tuple(b for b in binders if b in free)
-        if not kept:
-            return body
-        return _distribute_new(kept, body)
-    raise TypeError(t)
-
-
-def _distribute_new(binders: tuple[str, ...], body: Species) -> Species:
-    """Minimize restriction scope over the parallel components of body.
-
-    Components are grouped by the connected components of the graph linking
-    parts that share a restricted location; this grouping is what makes the
-    prime decomposition fall out of the canonical form.
-    """
-    if not isinstance(body, Par):
-        return New(binders, body)
-    parts = body.parts
-    uses = [free_locations(p) & set(binders) for p in parts]
-    parent = list(range(len(parts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[str, int] = {}
-    for i, used in enumerate(uses):
-        for b in used:
-            if b in owner:
-                ri, rj = find(i), find(owner[b])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                owner[b] = i
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(parts)):
-        groups.setdefault(find(i), []).append(i)
-
-    out: list[Species] = []
-    for members in groups.values():
-        used = set().union(*(uses[i] for i in members))
-        ordered = tuple(b for b in binders if b in used)
-        if len(members) == 1:
-            inner: Species = parts[members[0]]
-        else:
-            inner = Par(tuple(parts[i] for i in members))
-        if ordered:
-            # re-run _snf in case the group is a single part that is
-            # itself a restriction (collapses into one binder list)
-            out.append(_snf(New(ordered, inner)) if isinstance(inner, New) else New(ordered, inner))
-        else:
-            out.append(inner)
-    if len(out) == 1:
-        return out[0]
-    flat: list[Species] = []
-    for p in out:
-        if isinstance(p, Par):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return Par(tuple(flat))
-
-
-# --- ordering and binder numbering -------------------------------------------
-
-
-def _bound_names(t: Species) -> set[str]:
-    out: set[str] = set()
-
-    def go(t: Species) -> None:
-        if isinstance(t, Sum):
-            for g in t.guards:
-                out.update(g.receives)
-                go(g.body)
-        elif isinstance(t, Par):
-            for p in t.parts:
-                go(p)
-        elif isinstance(t, New):
-            out.update(t.binders)
-            go(t.body)
-
-    go(t)
-    return out
-
-
-def _sort(t: Species, masked: bool) -> Species:
-    bound = frozenset(_bound_names(t)) if masked else frozenset()
-
-    def key(x: Species) -> str:
-        return _ser(x, mask=masked, bound=bound)
-
-    def go(t: Species) -> Species:
-        if isinstance(t, (Nil, Call)):
-            return t
-        if isinstance(t, Sum):
-            guards = [Prefix(g.site, g.location, g.receives, go(g.body)) for g in t.guards]
-            guards.sort(key=lambda g: _ser_prefix(g, masked, bound))
-            return Sum(tuple(guards))
-        if isinstance(t, Par):
-            parts = sorted((go(p) for p in t.parts), key=key)
-            return Par(tuple(parts))
-        if isinstance(t, New):
-            return New(t.binders, go(t.body))
-        raise TypeError(t)
-
-    return go(t)
-
-
-def _first_uses(t: Species, targets: set[str], shadow: set[str], acc: list[str]) -> None:
-    """Collect targets in order of first free occurrence (serialization order)."""
-
-    def hit(name: str) -> None:
-        if name in targets and name not in shadow and name not in acc:
-            acc.append(name)
-
-    if isinstance(t, Call):
-        for a in t.args:
-            hit(a)
-    elif isinstance(t, Sum):
-        for g in t.guards:
-            if g.location is not None:
-                hit(g.location)
-            _first_uses(g.body, targets, shadow | set(g.receives), acc)
+        binders.update(t.binders)
+        _flatten(t.body, binders, atoms)
     elif isinstance(t, Par):
         for p in t.parts:
-            _first_uses(p, targets, shadow, acc)
-    elif isinstance(t, New):
-        _first_uses(t.body, targets, shadow | set(t.binders), acc)
+            _flatten(p, binders, atoms)
+    elif isinstance(t, Call) or (isinstance(t, Sum) and t.guards):
+        atoms.append(t)
 
 
-def _renumber(t: Species) -> Species:
-    """Assign canonical names ℓ<d> to binders, d = enclosing binder count."""
+def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
+    """Normal form of a fresh term whose free names are renamed by env.
 
-    def go(t: Species, env: dict[str, str], depth: int) -> Species:
-        if isinstance(t, Nil):
-            return t
-        if isinstance(t, Call):
-            return Call(t.name, tuple(env.get(a, a) for a in t.args))
-        if isinstance(t, Sum):
-            return Sum(tuple(go_prefix(g, env, depth) for g in t.guards))
-        if isinstance(t, Par):
-            return Par(tuple(go(p, env, depth) for p in t.parts))
-        if isinstance(t, New):
-            order: list[str] = []
-            _first_uses(t.body, set(t.binders), set(), order)
-            for b in t.binders:  # defensive: unused binders keep binder order
-                if b not in order:
-                    order.append(b)
-            names = tuple(f"ℓ{depth + i}" for i in range(len(order)))
-            env2 = {**env, **dict(zip(order, names))}
-            return New(names, go(t.body, env2, depth + len(order)))
-        raise TypeError(t)
+    Bound locations are numbered from ℓ<depth>; every free ℓ index of the
+    renamed term is below depth.
+    """
+    binders: set[str] = set()
+    atoms: list[Species] = []
+    _flatten(t, binders, atoms)
+    # connected components of the atoms, linked by the bound names they share
+    uses = [free_locations(a) & binders for a in atoms]
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, used in enumerate(uses):
+        names, members = set(used), [i]
+        for g in [g for g in groups if g[0] & used]:
+            groups.remove(g)
+            names |= g[0]
+            members += g[1]
+        groups.append((names, members))
 
-    def go_prefix(g: Prefix, env: dict[str, str], depth: int) -> Prefix:
-        loc = g.location if g.location is None else env.get(g.location, g.location)
+    out = sorted(
+        (
+            _prime([atoms[i] for i in members], [uses[i] for i in members], env, depth)
+            for _, members in groups
+        ),
+        key=serialize,
+    )
+    if not out:
+        return NIL
+    return out[0] if len(out) == 1 else Par(tuple(out))
+
+
+def _atom(a: Species, env: dict[str, str], depth: int) -> Species:
+    """Canonical form of one atom: guards sorted, bodies normalized."""
+    if isinstance(a, Call):
+        return Call(a.name, tuple(env.get(x, x) for x in a.args))
+    guards = []
+    for g in a.guards:
         names = tuple(f"ℓ{depth + i}" for i in range(len(g.receives)))
-        env2 = {**env, **dict(zip(g.receives, names))}
-        return Prefix(g.site, loc, names, go(g.body, env2, depth + len(names)))
+        inner = {**env, **dict(zip(g.receives, names))}
+        body = _canon(g.body, inner, depth + len(names))
+        guards.append(Prefix(g.site, env.get(g.location, g.location), names, body))
+    return Sum(tuple(sorted(guards, key=_ser_prefix)))
 
-    return go(t, {}, 0)
+
+# --- canonical labelling of a prime's binders --------------------------------
+
+
+def _prime(
+    atoms: list[Species], uses: list[frozenset[str]], env: dict[str, str], depth: int
+) -> Species:
+    """One prime: a single `new` over atoms, binders canonically labelled."""
+    binders = sorted(set().union(*uses))
+    if not binders:
+        return _atom(atoms[0], env, depth)
+    inner = depth + len(binders)
+
+    def key(i: int, sub: dict[str, str]) -> str:
+        return serialize(_atom(atoms[i], {**env, **sub}, inner))
+
+    # how atom i uses binder b: the atom with b marked '!', other binders '?'
+    edge = {
+        (i, b): key(i, {c: "!" if c == b else "?" for c in used})
+        for i, used in enumerate(uses)
+        for b in used
+    }
+    occurs = {b: [i for i, used in enumerate(uses) if b in used] for b in binders}
+
+    def refine(colour: dict[str, int]) -> dict[str, int]:
+        """Colour refinement of binders through the atoms they share."""
+        while True:
+            sig = {
+                b: (
+                    colour[b],
+                    *sorted(
+                        (edge[i, b], tuple(sorted((colour[c], edge[i, c]) for c in uses[i])))
+                        for i in occurs[b]
+                    ),
+                )
+                for b in binders
+            }
+            ranks = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+            refined = {b: ranks[sig[b]] for b in binders}
+            if len(ranks) == len(set(colour.values())):
+                return refined
+            colour = refined
+
+    def swap_fixes(u: str, v: str) -> bool:
+        """Whether exchanging binders u and v maps the atom bag to itself."""
+        hit = [i for i, used in enumerate(uses) if u in used or v in used]
+        return Counter(key(i, {}) for i in hit) == Counter(key(i, {u: v, v: u}) for i in hit)
+
+    def leaves(colour: dict[str, int]) -> Iterator[Species]:
+        tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
+        if tied is None:  # discrete: colours are 0..n-1
+            env2 = {**env, **{b: f"ℓ{depth + colour[b]}" for b in binders}}
+            parts = sorted((_atom(a, env2, inner) for a in atoms), key=serialize)
+            names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
+            yield New(names, parts[0] if len(parts) == 1 else Par(tuple(parts)))
+            return
+        tried: list[str] = []
+        for v in (b for b in binders if colour[b] == tied):
+            if any(swap_fixes(u, v) for u in tried):
+                continue
+            tried.append(v)
+            yield from leaves(refine({b: 2 * c + (b != v) for b, c in colour.items()}))
+
+    return min(leaves(refine({b: 0 for b in binders})), key=serialize)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -255,17 +255,10 @@ def _tex_escape(s: str) -> str:
     return out
 
 
-def write_trajectory_csv(path_or_file, names: list[str], traj: Trajectory) -> None:
+def write_trajectory_csv(fh: TextIO, names: list[str], traj: Trajectory) -> None:
     import csv
 
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", *names])
-        for ti, row in zip(traj.t, traj.y):
-            w.writerow([repr(float(ti)), *[repr(float(v)) for v in row]])
-
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["t", *names])
+    for ti, row in zip(traj.t, traj.y):
+        w.writerow([repr(float(ti)), *[repr(float(v)) for v in row]])

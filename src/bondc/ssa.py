@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -165,18 +165,11 @@ def mean_std(runs: list[SsaRun]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return runs[0].t, stack.mean(axis=0), stack.std(axis=0, ddof=1)
 
 
-def write_runs_csv(path_or_file, model: DiscreteModel, runs: list[SsaRun]) -> None:
+def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:
     import csv
 
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["run", "t", *model.names])
-        for r in runs:
-            for ti, row in zip(r.t, r.levels):
-                w.writerow([r.run_id, repr(float(ti)), *[int(v) for v in row]])
-
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["run", "t", *model.names])
+    for r in runs:
+        for ti, row in zip(r.t, r.levels):
+            w.writerow([r.run_id, repr(float(ti)), *[int(v) for v in row]])

@@ -226,20 +226,10 @@ class Model:
     laws: dict[str, KineticLaw]
     affinity: tuple[AffinityEntry, ...]
     mixture: tuple[tuple[float, str], ...]  # (concentration, species name)
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list, compare=False)
 
     def law(self, name: str) -> KineticLaw:
         return self.laws[name]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        return (
-            self.species == other.species
-            and self.laws == other.laws
-            and self.affinity == other.affinity
-            and self.mixture == other.mixture
-        )
 
 
 def validate_model(m: Model) -> None:

@@ -109,20 +109,27 @@ def test_simulate_stdout_csv(capsys):
     assert float(first[0]) == 0.0 and float(first[1]) == 10.0
 
 
-def test_simulate_out_file(tmp_path, capsys):
-    dest = tmp_path / "traj.csv"
+@pytest.mark.parametrize(
+    "command, options, header",
+    [
+        ("simulate", ["--t-end", "1.0"], "t,S,E,P"),
+        ("ssa", ["--h", "0.5", "--t-end", "1.0", "--seed", "42"], "run,t,S,E,P"),
+    ],
+    ids=["simulate", "ssa"],
+)
+def test_simulate_out_file(tmp_path, capsys, command, options, header):
+    dest = tmp_path / "out.csv"
     code, out, err = run(
         capsys,
-        "simulate",
+        command,
         str(MODELS / "mm.bond"),
-        "--t-end",
-        "1.0",
+        *options,
         "--out",
         str(dest),
     )
     assert code == 0
     assert out == ""
-    assert dest.read_text().splitlines()[0] == "t,S,E,P"
+    assert dest.read_text().splitlines()[0] == header
 
 
 def test_ssa_stdout_csv(capsys):

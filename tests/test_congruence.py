@@ -1,9 +1,21 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from bondc.congruence import embed, is_prime, normalize, primes, serialize
-from bondc.terms import AMBIENT, NIL, Call, New, Par, Prefix, Sum
+from bondc.terms import (
+    AMBIENT,
+    NIL,
+    Call,
+    New,
+    Par,
+    Prefix,
+    Sum,
+    free_locations,
+    rename_locations,
+)
 
 
 def guard(site, loc=AMBIENT, receives=(), body=NIL):
@@ -191,3 +203,76 @@ def test_par_permutation_invariance_random(seed):
         shuffled = parts[:]
         rng.shuffle(shuffled)
         assert normalize(Par(tuple(parts))) == normalize(Par(tuple(shuffled)))
+
+
+# --- canonical labelling ------------------------------------------------------
+
+
+def test_free_canonical_name_is_not_captured():
+    # the body is open over ℓ0, which must stay free and distinct from x
+    n = normalize(New(("x",), Call("A", ("x", "ℓ0"))))
+    assert "ℓ0" in free_locations(n)
+    assert n != normalize(New(("x",), Call("A", ("x", "x"))))
+
+
+def test_triangle_with_doubled_edge_has_one_normal_form():
+    def P(a, b):
+        return Call("P", (a, b))
+
+    parts = [P("x", "y"), P("y", "z"), P("z", "x"), P("x", "y")]
+    forms = {
+        serialize(normalize(New(binders, Par(order))))
+        for order in itertools.permutations(parts)
+        for binders in itertools.permutations("xyz")
+    }
+    assert len(forms) == 1
+
+
+GRAPH_NAMES = ["x0", "x1", "x2", "x3", "x4"]
+
+
+def random_graph_atom(rng: random.Random, names: list[str]):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Call("P", (rng.choice(names), rng.choice(names)))
+    if kind == 1:
+        return Call("Q", (rng.choice(names),))
+    if kind == 2:
+        return S(*(guard("a", rng.choice(names)) for _ in range(rng.randrange(2, 4))))
+    # a receive with a restriction under it, linked back to an outer name
+    inner = Par((Call("P", ("y", "z")), Call("P", ("z", rng.choice(names)))))
+    return S(guard("r", rng.choice(names), ("y",), New(("z",), inner)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_terms_have_one_normal_form(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(15):
+        names = GRAPH_NAMES[: rng.randrange(2, 6)]
+        atoms = [random_graph_atom(rng, names) for _ in range(rng.randrange(2, 8))]
+        forms = set()
+        for _ in range(6):
+            renamed = names[:]
+            rng.shuffle(renamed)
+            parts = [rename_locations(a, dict(zip(names, renamed))) for a in atoms]
+            rng.shuffle(parts)
+            binders = names[:]
+            rng.shuffle(binders)
+            # split the binders over nested restrictions
+            t = Par(tuple(parts))
+            while binders:
+                k = rng.randrange(1, len(binders) + 1)
+                t, binders = New(tuple(binders[:k]), t), binders[k:]
+            n = normalize(t)
+            assert normalize(n) == n, serialize(t)
+            forms.add(serialize(n))
+        assert len(forms) == 1, forms
+
+
+def test_interchangeable_binders_do_not_branch_factorially():
+    ls = tuple(f"l{i}" for i in range(1, 8))
+    star = New(ls, Par((S(*(guard("a", l) for l in ls)), *(Call("B", (l,)) for l in ls))))
+    start = time.perf_counter()
+    n = normalize(star)
+    assert time.perf_counter() - start < 0.25
+    assert is_prime(n)

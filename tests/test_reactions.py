@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -304,3 +305,32 @@ def test_named_species_stay_opaque_in_mixture():
     index = reachable_primes(m)
     x0 = initial_mixture(m, index)
     assert sorted(zip(index.names, x0)) == [("X", 2.0), ("b.0", 0.0)]
+
+
+def scaffold_source(k):
+    """k sites on one scaffold, each binding and releasing its own ligand."""
+    sites = " | ".join(f"Site{i}(l)" for i in range(k))
+    lines = [f"species Sc = new l in ({sites});"]
+    affinity, mixture = [], ["1 Sc"]
+    for i in range(k):
+        lines += [
+            f"species Site{i}(l) = a{i}(m).Bound{i}(l, m);",
+            f"species Bound{i}(l, m) = u{i}@m.Site{i}(l);",
+            f"species L{i} = l{i}(m).Lb{i}(m);",
+            f"species Lb{i}(m) = v{i}@m.L{i};",
+        ]
+        affinity += [f"a{i} || l{i} at MA(1.0);", f"u{i} & v{i} at MA(0.5);"]
+        mixture.append(f"1 L{i}")
+    lines += ["affinity {", *affinity, "}", f"mixture {{ {', '.join(mixture)} }}"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_scaffold_family_counts(k):
+    # 2^k occupancy states, k free ligands and the Sc call itself; per
+    # state and site one bind or one unbind, plus Sc's k bindings
+    rs = build_reaction_system(parse_model(scaffold_source(k)))
+    assert len(rs.prime_names) == 2**k + k + 1
+    assert len(rs.reactions) == k * 2**k + k
+    lone = [n for n in rs.prime_names if re.fullmatch(r"\(new \S+ in Lb\d+\(\S+\)\)", n)]
+    assert lone == []
