@@ -74,6 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rtol", type=float, default=1e-6)
     p.add_argument("--atol", type=float, default=1e-9)
     p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--cap", type=int, default=512)
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("ssa", help="stochastic (Gillespie) trajectories as CSV")
@@ -83,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--sample-dt", type=float)
+    p.add_argument("--cap", type=int, default=512)
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     args = ap.parse_args(argv)
@@ -115,7 +117,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.species:
             if args.species not in model.species:
                 raise ModelError(f"unknown species '{args.species}'")
-            sources = [Call(args.species, ())]
+            sources = [Call(args.species, model.species[args.species].params)]
         else:
             sources = [Call(name, ()) for name, sd in model.species.items() if not sd.params]
         for src in sources:
@@ -140,7 +142,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         model = _load(args.file)
-        rs = build_reaction_system(model)
+        rs = build_reaction_system(model, cap=args.cap)
         sys_ = ode_mod.build_odes(rs)
         x0 = initial_mixture(model, rs.index)
         traj = ode_mod.integrate(
@@ -152,7 +154,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "ssa":
         model = _load(args.file)
-        rs = build_reaction_system(model)
+        rs = build_reaction_system(model, cap=args.cap)
         dm = ssa_mod.discretize(rs, args.h)
         x0 = initial_mixture(model, rs.index)
         n0 = ssa_mod.initial_levels(x0, args.h)

@@ -1,7 +1,16 @@
 """Mixture-level semantics: reachable primes and reaction extraction.
 
 Reactions are found by matching each affinity pattern's clusters against the
-ambient transitions of the reachable primes, slot by slot.  The rate of a
+ambient transitions of the reachable primes, slot by slot.  The transition
+system is pruned to the model's clusters (see ``transitions``), and a match
+index groups each prime's ambient transitions by cluster: they are computed
+and sorted once, when the prime is first matched.  The reachable-prime
+fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986): an affinity entry
+re-evaluates only the tuples holding a prime found since its last
+evaluation, since the others' products are already indexed.  Each tuple's
+products are memoized, so extraction does not colocate, commit or normalize
+again.  Tuples are visited in the same order either way, so prime numbering
+does not depend on any of this.  The rate of a
 matched tuple is the kinetic law applied to the total cluster concentrations,
 divided by those concentrations and multiplied back by each participant's own
 contribution; a slot whose cluster is matched by a single (prime, transition)
@@ -16,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .congruence import primes, serialize
@@ -34,13 +43,34 @@ class UnboundedError(RuntimeError):
         )
 
 
+class Match(NamedTuple):
+    """One matched slot: a prime's ambient transition and its multiplicity."""
+
+    prime: int
+    pos: int  # position among the prime's ambient transitions, sorted by repr
+    tr: Transition
+    mult: int
+
+
 @dataclass
 class PrimeIndex:
-    """Reachable canonical primes in deterministic discovery order."""
+    """Reachable canonical primes in deterministic discovery order.
+
+    For one transition system at a time, it also keeps the match index and
+    the products of the matched tuples evaluated so far.
+    """
 
     primes: list[Species] = field(default_factory=list)
     names: list[str] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)
+    _ts: Optional[TransitionSystem] = field(default=None, repr=False, compare=False)
+    _by_cluster: dict[Cluster, list[Match]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _n_matched: int = field(default=0, repr=False, compare=False)
+    _products: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add(self, p: Species) -> tuple[int, bool]:
         key = serialize(p)
@@ -59,9 +89,32 @@ class PrimeIndex:
     def __len__(self) -> int:
         return len(self.primes)
 
+    def matches(self, ts: TransitionSystem) -> dict[Cluster, list[Match]]:
+        """Every prime's ambient transitions under ``ts``, grouped by cluster.
 
-# one matched slot: (prime index, its transition, multiplicity of that entry)
-Match = tuple[int, Transition, int]
+        Each list runs in prime order, and within a prime in ``repr`` order.
+        Only primes added since the last call are matched afresh.
+        """
+        if ts is not self._ts:
+            self._ts, self._by_cluster, self._n_matched, self._products = ts, {}, 0, {}
+        for i in range(self._n_matched, len(self.primes)):
+            ranked = sorted(ts.ambient(self.primes[i]).items(), key=lambda kv: repr(kv[0]))
+            for pos, (tr, m) in enumerate(ranked):
+                self._by_cluster.setdefault(tr.cluster, []).append(Match(i, pos, tr, m))
+        self._n_matched = len(self.primes)
+        return self._by_cluster
+
+    def products(self, combo: tuple[Match, ...]) -> tuple[int, ...]:
+        """Indices of the primes a tuple from ``matches`` produces, adding new ones."""
+        key = tuple((mt.prime, mt.pos) for mt in combo)
+        hit = self._products.get(key)
+        if hit is None:
+            target = None
+            for mt in combo:
+                target = mt.tr.target if target is None else colocate(target, mt.tr.target)
+            hit = tuple(self.add(p)[0] for p in primes(commit(target)))
+            self._products[key] = hit
+        return hit
 
 
 @dataclass(frozen=True)
@@ -100,29 +153,17 @@ def initial_mixture(model: Model, index: PrimeIndex) -> list[float]:
     return x
 
 
-def _slot_matches(
-    ts: TransitionSystem, index: PrimeIndex, cluster: Cluster
-) -> list[Match]:
-    out: list[Match] = []
-    for i, p in enumerate(index.primes):
-        for tr, m in sorted(ts.ambient(p).items(), key=lambda kv: repr(kv[0])):
-            if tr.cluster == cluster:
-                out.append((i, tr, m))
-    return out
-
-
-def _tuple_products(matches: tuple[Match, ...]) -> list[Species]:
-    target = None
-    for _, tr, _ in matches:
-        target = tr.target if target is None else colocate(target, tr.target)
-    return primes(commit(target))
+def _model_transitions(model: Model) -> TransitionSystem:
+    """The transition system pruned to the model's affinity clusters."""
+    clusters = [c for entry in model.affinity for c in entry.pattern]
+    return TransitionSystem(model.species, clusters=clusters)
 
 
 def reachable_primes(
     model: Model, cap: int = 512, ts: Optional[TransitionSystem] = None
 ) -> PrimeIndex:
     """Least fixpoint of the initial primes under all affinity reactions."""
-    ts = ts or TransitionSystem(model.species)
+    ts = ts or _model_transitions(model)
     index = PrimeIndex()
     for conc, name in model.mixture:
         for p in primes(Call(name, ())):
@@ -130,20 +171,25 @@ def reachable_primes(
     if len(index) > cap:
         raise UnboundedError(cap)
 
+    # prime count when each entry was last evaluated: tuples of older primes
+    # only were evaluated then, so their products are indexed already
+    seen = [0] * len(model.affinity)
     changed = True
     while changed:
         changed = False
-        for entry in model.affinity:
-            slot_lists = [_slot_matches(ts, index, c) for c in entry.pattern]
-            if any(not ms for ms in slot_lists):
-                continue
+        for e, entry in enumerate(model.affinity):
+            by_cluster = index.matches(ts)
+            old, seen[e] = seen[e], len(index)
+            slot_lists = [by_cluster.get(c, []) for c in entry.pattern]
             for combo in itertools.product(*slot_lists):
-                for p in _tuple_products(combo):
-                    _, new = index.add(p)
-                    if new:
-                        changed = True
-                        if len(index) > cap:
-                            raise UnboundedError(cap)
+                if all(mt.prime < old for mt in combo):
+                    continue
+                n = len(index)
+                index.products(combo)
+                if len(index) > n:
+                    changed = True
+                    if len(index) > cap:
+                        raise UnboundedError(cap)
     return index
 
 
@@ -151,12 +197,11 @@ def cluster_concentrations(
     ts: TransitionSystem, index: PrimeIndex
 ) -> dict[Cluster, ex.Expr]:
     """Per-cluster total concentration as a linear form over prime variables."""
-    acc: dict[Cluster, Counter] = {}
-    for i, p in enumerate(index.primes):
-        for tr, m in ts.ambient(p).items():
-            acc.setdefault(tr.cluster, Counter())[i] += m
     out: dict[Cluster, ex.Expr] = {}
-    for cluster, coeffs in acc.items():
+    for cluster, ms in index.matches(ts).items():
+        coeffs: Counter = Counter()
+        for mt in ms:
+            coeffs[mt.prime] += mt.mult
         out[cluster] = ex.total(
             ex.mul(ex.const(mult), ex.Var(index.names[i]))
             for i, mult in sorted(coeffs.items())
@@ -175,7 +220,8 @@ def extract_reactions(
     index: PrimeIndex,
     ts: Optional[TransitionSystem] = None,
 ) -> ReactionSystem:
-    ts = ts or TransitionSystem(model.species)
+    ts = ts or _model_transitions(model)
+    by_cluster = index.matches(ts)
     conc = cluster_concentrations(ts, index)
     reactions: list[Reaction] = []
     merged: dict[tuple[tuple[int, ...], tuple[int, ...], str], int] = {}
@@ -183,7 +229,7 @@ def extract_reactions(
     for entry in model.affinity:
         law = model.laws[entry.law_name]
         prov = _entry_provenance(entry)
-        slot_lists = [_slot_matches(ts, index, c) for c in entry.pattern]
+        slot_lists = [by_cluster.get(c, []) for c in entry.pattern]
         if any(not ms for ms in slot_lists):
             model.warnings.append(f"affinity entry '{prov}' matches no species")
             continue
@@ -193,10 +239,8 @@ def extract_reactions(
         a_exprs = [conc[c] for c in entry.pattern]
 
         for combo in itertools.product(*slot_lists):
-            reactants = tuple(sorted(i for i, _, _ in combo))
-            products = tuple(
-                sorted(index.index_of(p) for p in _tuple_products(combo))
-            )
+            reactants = tuple(sorted(mt.prime for mt in combo))
+            products = tuple(sorted(index.products(combo)))
             rate = _tuple_rate(law, entry.law_params, combo, slot_lists, a_exprs, index)
             if sym != 1:
                 rate = ex.mul(ex.const(1.0 / sym), rate)
@@ -225,20 +269,20 @@ def _tuple_rate(
         # mass action: f(a_1..a_m)/prod(a_j) == k, so every slot reduces to
         # its own participant's contribution and the rate is a monomial
         factors: list[ex.Expr] = [ex.const(params[0])]
-        for i, _, mult in combo:
-            factors.append(ex.mul(ex.const(mult), ex.Var(index.names[i])))
+        for mt in combo:
+            factors.append(ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime])))
         return ex.prod(factors)
     rate = law.apply(params, a_exprs)
-    for j, (i, _, mult) in enumerate(combo):
+    for j, mt in enumerate(combo):
         if len(slot_lists[j]) == 1:
             continue  # sole match: (mult * x_i) / a_j == 1 exactly
-        share = ex.mul(ex.const(mult), ex.Var(index.names[i]))
+        share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
         rate = ex.mul(rate, ex.div(share, a_exprs[j]))
     return rate
 
 
 def build_reaction_system(model: Model, cap: int = 512) -> ReactionSystem:
-    ts = TransitionSystem(model.species)
+    ts = _model_transitions(model)
     index = reachable_primes(model, cap=cap, ts=ts)
     return extract_reactions(model, index, ts=ts)
 

@@ -6,14 +6,21 @@ not-yet-created bound locations).  Transitions at the same named location
 combine across parallel components; a restriction turns internal multi-site
 combinations at its location into ambient transitions, and discards the
 single-site ones (a bound site cannot react with the outside on its own).
+
+Given the affinity clusters, a system computes only the transitions that can
+still take part in a reaction.  A transition's site bag only grows (by Com at
+a shared location) until it surfaces at ambient, where a pattern slot must
+match it exactly.  So a guard whose site lies in no cluster is dropped, and
+Com grows a combination part by part only while its bag is a sub-bag of some
+cluster: its cost follows the combinations that fit, not 2^parts.  Without
+clusters the system computes the full table.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .congruence import normalize, serialize
 from .terms import (
@@ -83,12 +90,35 @@ def commit(f: Abstraction) -> Species:
 
 
 class TransitionSystem:
-    """Memoized transition computation over a fixed set of definitions."""
+    """Memoized transition computation over a fixed set of definitions.
 
-    def __init__(self, defs: Mapping[str, SpeciesDef], depth_limit: int = 64):
+    ``clusters``, the affinity patterns' clusters, prunes every transition
+    that no pattern slot can ever match; ``None`` keeps the full table.
+    """
+
+    def __init__(
+        self,
+        defs: Mapping[str, SpeciesDef],
+        depth_limit: int = 64,
+        clusters: Optional[Iterable[Cluster]] = None,
+    ):
         self.defs = defs
         self.depth_limit = depth_limit
         self._cache: dict[str, Counter] = {}
+        # site -> the distinct clusters holding it, as multisets
+        self._by_site: Optional[dict[str, list[Counter]]] = None
+        if clusters is not None:
+            self._by_site = {}
+            for c in dict.fromkeys(clusters):
+                for site in set(c):
+                    self._by_site.setdefault(site, []).append(Counter(c))
+
+    def _fits(self, sites: Counter) -> bool:
+        """Whether a site bag is a sub-bag of some cluster (always, unpruned)."""
+        if self._by_site is None:
+            return True
+        site = next(iter(sites))
+        return any(sites <= c for c in self._by_site.get(site, ()))
 
     def transitions(self, t: Species) -> Counter:
         key = serialize(t)
@@ -109,6 +139,8 @@ class TransitionSystem:
             return out
         if isinstance(t, Sum):
             for g in t.guards:
+                if not self._fits(Counter((g.site,))):
+                    continue
                 target = canonical_abstraction(Abstraction(g.receives, g.body))
                 out[Transition((g.site,), g.location, target)] += 1
             return out
@@ -152,7 +184,22 @@ class TransitionSystem:
                 out[Transition(tr.cluster, tr.location, with_rest(tr.target, {i}))] += m
 
         # Com: combine one transition each from >= 2 parts at a shared
-        # named location (never at ambient, never twice from one part)
+        # named location (never at ambient, never twice from one part),
+        # extending a combination only while its site bag fits a cluster
+        def grow(loc, per_part, start, used, sites, mult, target):
+            for i in range(start, n):
+                for tr, m in per_part[i]:
+                    bag = sites + Counter(tr.cluster)
+                    if not self._fits(bag):
+                        continue
+                    tgt = colocate(target, tr.target) if used else tr.target
+                    if used:
+                        tr_out = Transition(
+                            tuple(sorted(bag.elements())), loc, with_rest(tgt, {*used, i})
+                        )
+                        out[tr_out] += mult * m
+                    grow(loc, per_part, i + 1, (*used, i), bag, mult * m, tgt)
+
         locs = sorted(
             {tr.location for trs in sub for tr in trs if tr.location is not None}
         )
@@ -160,19 +207,7 @@ class TransitionSystem:
             per_part = [
                 [(tr, m) for tr, m in trs.items() if tr.location == loc] for trs in sub
             ]
-            for combo in itertools.product(*[[None, *pp] for pp in per_part]):
-                chosen = [(i, tr, m) for i, pair in enumerate(combo) if pair for tr, m in [pair]]
-                if len(chosen) < 2:
-                    continue
-                sites: list[str] = []
-                mult = 1
-                target: Optional[Abstraction] = None
-                for _, tr, m in chosen:
-                    sites.extend(tr.cluster)
-                    mult *= m
-                    target = tr.target if target is None else colocate(target, tr.target)
-                target = with_rest(target, {i for i, _, _ in chosen})
-                out[Transition(tuple(sorted(sites)), loc, target)] += mult
+            grow(loc, per_part, 0, (), Counter(), 1, None)
         return out
 
 

@@ -61,6 +61,15 @@ def test_transitions_filtered(capsys):
     assert out.count("\n") == 1 and "p" in out
 
 
+def test_transitions_species_with_parameters(capsys):
+    code, out, err = run(
+        capsys, "transitions", str(MODELS / "inhibitor.bond"), "--species", "SiteB"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "SiteB(l)  --[b']@l-->  ()SiteB(l)  x1"
+    assert all(line.startswith("SiteB(l)  --[") for line in out.splitlines())
+
+
 def test_transitions_unknown_species(capsys):
     code, out, err = run(
         capsys, "transitions", str(MODELS / "mm.bond"), "--species", "Zed"
@@ -130,6 +139,22 @@ def test_simulate_out_file(tmp_path, capsys, command, options, header):
     assert code == 0
     assert out == ""
     assert dest.read_text().splitlines()[0] == header
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("simulate", ["--t-end", "1.0"]),
+        ("ssa", ["--h", "0.5", "--t-end", "1.0", "--seed", "42"]),
+    ],
+    ids=["simulate", "ssa"],
+)
+def test_simulate_cap_exceeded(capsys, command, options):
+    code, out, err = run(
+        capsys, command, str(MODELS / "enzyme.bond"), *options, "--cap", "1"
+    )
+    assert code == 1
+    assert err.startswith("error[UNBOUNDED]:")
 
 
 def test_ssa_stdout_csv(capsys):

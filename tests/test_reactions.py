@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from bondc.reactions import (
     extract_reactions,
     initial_mixture,
     reachable_primes,
+    reaction_system_json,
 )
 from bondc.terms import AMBIENT
 from bondc.transitions import TransitionSystem, colocate, commit
@@ -334,3 +336,76 @@ def test_scaffold_family_counts(k):
     assert len(rs.reactions) == k * 2**k + k
     lone = [n for n in rs.prime_names if re.fullmatch(r"\(new \S+ in Lb\d+\(\S+\)\)", n)]
     assert lone == []
+
+
+def witness_source(k):
+    """k co-located sites w_i@l under one new l; only w0 & w1 react."""
+    sites = " | ".join(f"W{i}(l)" for i in range(k))
+    lines = [f"species X = new l in ({sites});"]
+    lines += [f"species W{i}(l) = w{i}@l.W{i}(l);" for i in range(k)]
+    lines += ["affinity { w0 & w1 at MA(1.0); }", "mixture { 1 X }"]
+    return "\n".join(lines)
+
+
+def bank_source(k):
+    """k substrates sharing one enzyme with k sites: 3k + 1 primes."""
+    lines = ["species E = " + " + ".join(f"e{i}(l).Eb{i}(l)" for i in range(k)) + ";"]
+    affinity, mixture = [], ["1 E"]
+    for i in range(k):
+        lines += [
+            f"species Eb{i}(l) = x{i}@l.E;",
+            f"species S{i} = s{i}(l).(r{i}@l.S{i} + c{i}@l.P{i});",
+            f"species P{i} = p{i}.0;",
+        ]
+        affinity += [
+            f"s{i} || e{i} at MA(1.0);",
+            f"r{i} & x{i} at MA(0.5);",
+            f"c{i} & x{i} at MA(0.3);",
+            f"p{i} at MA(0.1);",
+        ]
+        mixture.append(f"5 S{i}")
+    lines += ["affinity {", *affinity, "}", f"mixture {{ {', '.join(mixture)} }}"]
+    return "\n".join(lines)
+
+
+def test_witness_k12_compiles_fast():
+    # only w0 & w1 is a pattern, so Com never builds the other 2^12 - 14
+    # site combinations
+    t0 = time.perf_counter()
+    rs = build_reaction_system(parse_model(witness_source(12)))
+    assert time.perf_counter() - t0 < 1.0
+    # X and its unfolding, each turning into the unfolding
+    assert len(rs.prime_names) == 2
+    assert len(rs.reactions) == 2
+
+
+def test_ambient_computed_once_per_prime(monkeypatch):
+    calls = Counter()
+    ambient = TransitionSystem.ambient
+
+    def counting(self, t):
+        calls[serialize(t)] += 1
+        return ambient(self, t)
+
+    monkeypatch.setattr(TransitionSystem, "ambient", counting)
+    rs = build_reaction_system(parse_model(bank_source(10)))
+    assert len(rs.prime_names) == 31 and len(rs.reactions) == 40
+    assert calls == Counter(rs.prime_names)
+
+
+CORPUS = ["mm.bond", "enzyme.bond", "dimer.bond", "trimer.bond", "monomer_twosite.bond",
+          "pingpong.bond", "inhibitor.bond", "kuznetsov.bond"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [pytest.param(lambda k=k: scaffold_source(k), id=f"scaffold-k={k}") for k in range(1, 5)],
+)
+def test_pruned_network_equals_unpruned(source):
+    text = source()
+    pruned = reaction_system_json(build_reaction_system(parse_model(text)))
+    m = parse_model(text)
+    ts = TransitionSystem(m.species)
+    full = reaction_system_json(extract_reactions(m, reachable_primes(m, ts=ts), ts=ts))
+    assert pruned == full

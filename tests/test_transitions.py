@@ -1,6 +1,10 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from bondc.congruence import normalize, primes, serialize
+from bondc.parser import parse_model
 from bondc.terms import (
     AMBIENT,
     NIL,
@@ -20,6 +24,8 @@ from bondc.transitions import (
     commit,
     restrict_abstraction,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def guard(site, loc=AMBIENT, receives=(), body=NIL):
@@ -184,6 +190,38 @@ def test_transitions_invariant_under_normalize():
     ts = TransitionSystem({})
     t = Par((S(guard("b", "l"), guard("a")), New(("m",), S(guard("c", "m")))))
     assert ts.transitions(t) == ts.transitions(normalize(t))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mm.bond", "enzyme.bond", "dimer.bond", "trimer.bond", "monomer_twosite.bond",
+     "pingpong.bond", "inhibitor.bond", "kuznetsov.bond"],
+)
+def test_pruned_table_is_the_fitting_part_of_the_full_table(name):
+    # a transition survives pruning iff its site bag is a sub-bag of some
+    # affinity cluster, with its full multiplicity
+    model = parse_model((MODELS / name).read_text())
+    clusters = [c for entry in model.affinity for c in entry.pattern]
+    full = TransitionSystem(model.species)
+    pruned = TransitionSystem(model.species, clusters=clusters)
+    for sd in model.species.values():
+        src = Call(sd.name, sd.params)
+        want = Counter({
+            tr: m for tr, m in full.transitions(src).items()
+            if any(Counter(tr.cluster) <= Counter(c) for c in clusters)
+        })
+        assert pruned.transitions(src) == want
+
+
+def test_pruned_com_skips_combinations_that_fit_no_cluster():
+    # eight co-located sites, one two-site cluster: the full table has
+    # 2^8 - 8 - 1 combinations at l, the pruned one only w0 & w1
+    parts = tuple(S(guard(f"w{i}", "l")) for i in range(8))
+    t = Par(parts)
+    full = TransitionSystem({}).transitions(t)
+    pruned = TransitionSystem({}, clusters=[("w0", "w1")]).transitions(t)
+    assert sum(len(tr.cluster) >= 2 for tr in full) == 2**8 - 8 - 1
+    assert sorted(tr.cluster for tr in pruned) == [("w0",), ("w0", "w1"), ("w1",)]
 
 
 # --- abstraction algebra -------------------------------------------------------
