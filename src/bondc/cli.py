@@ -43,6 +43,23 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _checked(cast, ok, what: str):
+    """An argparse type: ``cast`` of the text, which must satisfy ``ok``."""
+
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := cast(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0.0 < v < float("inf"), "a positive number")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="bondc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -52,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("primes", help="list reachable prime species")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--cap", type=_COUNT, default=512)
 
     p = sub.add_parser("transitions", help="print the species transition table")
     p.add_argument("file")
@@ -61,30 +78,30 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("crn", help="emit the extracted reaction network")
     p.add_argument("file")
     p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--cap", type=_COUNT, default=512)
 
     p = sub.add_parser("odes", help="emit the extracted ODE system")
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "latex", "json"], default="text")
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--cap", type=_COUNT, default=512)
 
     p = sub.add_parser("simulate", help="deterministic (ODE) trajectory as CSV")
     p.add_argument("file")
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-6)
-    p.add_argument("--atol", type=float, default=1e-9)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--t-end", type=_POSITIVE, required=True)
+    p.add_argument("--rtol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--atol", type=_POSITIVE, default=1e-9)
+    p.add_argument("--grid", type=_COUNT, default=200)
+    p.add_argument("--cap", type=_COUNT, default=512)
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("ssa", help="stochastic (Gillespie) trajectories as CSV")
     p.add_argument("file")
-    p.add_argument("--h", type=float, required=True, help="concentration per level")
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--sample-dt", type=float)
-    p.add_argument("--cap", type=int, default=512)
+    p.add_argument("--h", type=_POSITIVE, required=True, help="concentration per level")
+    p.add_argument("--t-end", type=_POSITIVE, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
+    p.add_argument("--runs", type=_COUNT, default=1)
+    p.add_argument("--sample-dt", type=_POSITIVE)
+    p.add_argument("--cap", type=_COUNT, default=512)
     p.add_argument("--out", help="output CSV path (default: stdout)")
 
     args = ap.parse_args(argv)

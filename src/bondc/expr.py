@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 
 class DomainError(ValueError):
@@ -164,31 +164,55 @@ def variables(e: Expr) -> set[str]:
 
 
 def compile_exprs(
-    exprs: list[Expr], var_index: Mapping[str, int] | Iterable[str]
-) -> Callable[[list[float]], list[float]]:
-    """Compile expressions into a single fast function of a value vector.
+    exprs: list[Expr],
+    var_index: Mapping[str, int] | Iterable[str],
+    sums: Optional[list[list[tuple[int, int]]]] = None,
+    h: Optional[float] = None,
+):
+    """Compile expressions into straight-line Python, generated in one exec.
 
     Used by the simulation inner loops; semantics identical to evaluate().
-    ``var_index`` maps variable names to positions in the value vector and
-    may be given as a mapping or as an ordered sequence of names.
+    ``var_index`` maps variable names to positions in the argument vector, as
+    a mapping or as an ordered sequence of names.  By default the result is one
+    function of a value vector giving the list of values.  With ``sums`` (per
+    output, its (coefficient, expression index) terms) it is one function that
+    computes each value once, raises DomainError unless all are finite, and
+    returns the sums.  With a level size ``h`` it is a list of functions, one
+    per expression, of a vector of integer levels n, giving e(n*h)/h.
     """
     if not isinstance(var_index, Mapping):
         var_index = {n: i for i, n in enumerate(var_index)}
 
-    def emit(e: Expr) -> str:
+    def emit(e: Expr, var: str) -> str:
         if isinstance(e, Const):
             return repr(e.value)
         if isinstance(e, Var):
-            return f"c[{var_index[e.name]}]"
-        a, b = emit(e.left), emit(e.right)
+            return var.format(var_index[e.name])
+        a, b = emit(e.left, var), emit(e.right, var)
         op = {"add": "+", "sub": "-", "mul": "*"}.get(e.op)
         if op is not None:
             return f"({a}{op}{b})"
         return f"_gdiv({a},{b})"
 
-    body = ",".join(emit(e) for e in exprs) or ""
-    src = f"lambda c: [{body}]"
-    return eval(src, {"_gdiv": _guarded_div})  # noqa: S307 - generated source
+    if h is not None:
+        fs = "".join(f"lambda n: {emit(e, f'(n[{{}}]*{h!r})')}/{h!r},\n" for e in exprs)
+        lines = [f"f = [{fs}]"]
+    elif sums is None:
+        lines = [f"f = lambda c: [{', '.join(emit(e, 'c[{}]') for e in exprs)}]"]
+    else:
+        lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]')}" for j, e in enumerate(exprs))]
+        lines.append(f" v = ({''.join(f'r{j},' for j in range(len(exprs)))})")
+        lines.append(' if not isfinite(sum(v)) and not all(map(isfinite, v)): raise DomainError("nan")')
+        for i, terms in enumerate(sums):
+            signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
+            # at most 256 terms per statement keep the compiler's recursion shallow
+            for k in range(0, len(signed), 256):
+                lines.append(f" d{i} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}")
+        lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
+    env = {"_gdiv": _guarded_div, "isfinite": math.isfinite, "DomainError": DomainError}
+    env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants
+    exec("\n".join(lines), env)  # noqa: S102 - generated source
+    return env["f"]
 
 
 def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
@@ -238,7 +262,7 @@ def render_latex(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16 and not math.isinf(v):
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

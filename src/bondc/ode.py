@@ -1,9 +1,13 @@
 """Symbolic ODE system and adaptive explicit Runge-Kutta integration.
 
-The integrator is a Dormand-Prince 5(4) embedded pair with error-per-step
-control and the standard quartic continuous extension for dense output.
-Concentrations are clipped to zero between accepted steps: explicit solvers
-overshoot near the axes and the kinetic laws live on the nonnegative orthant.
+The derivatives and the compiled field come from one pass over the sparse
+stoichiometry.  The field is one straight-line function: it evaluates each
+rate once, checks them finite, and adds each into the primes its reaction
+changes.  The integrator is a Dormand-Prince 5(4) embedded pair with
+error-per-step control and the standard quartic continuous extension for dense
+output.  Concentrations are clipped to zero between accepted steps: explicit
+solvers overshoot near the axes and the kinetic laws live on the nonnegative
+orthant.
 """
 
 from __future__ import annotations
@@ -25,18 +29,21 @@ class StiffnessError(RuntimeError):
 @dataclass
 class OdeSystem:
     rs: ReactionSystem
-    derivs: list[ex.Expr]  # dx_P/dt per prime, constant-folded
+    derivs: list[ex.Expr] = field(init=False)  # dx_P/dt per prime, constant-folded
 
     @property
     def names(self) -> list[str]:
         return self.rs.prime_names
 
     def __post_init__(self):
-        idx = {n: i for i, n in enumerate(self.names)}
-        self._rates = ex.compile_exprs([r.rate for r in self.rs.reactions], idx)
-        self._stoich = np.array(
-            [r.stoichiometry(len(self.names)) for r in self.rs.reactions], dtype=float
-        ).reshape(len(self.rs.reactions), len(self.names))
+        rates = [r.rate for r in self.rs.reactions]
+        # per prime, the (net change, reaction index) of each reaction changing it
+        terms: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for j, r in enumerate(self.rs.reactions):
+            for i, d in jumps(r):
+                terms[i].append((d, j))
+        self.derivs = [ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in terms]
+        self._field = ex.compile_exprs(rates, self.names, sums=terms)
 
 
 @dataclass
@@ -48,47 +55,46 @@ class Trajectory:
     nfev: int
 
 
+def jumps(r: Reaction) -> list[tuple[int, int]]:
+    """The reaction's sparse stoichiometry: (prime index, net change), zeros omitted."""
+    nu: dict[int, int] = {}
+    for i in r.reactants:
+        nu[i] = nu.get(i, 0) - 1
+    for i in r.products:
+        nu[i] = nu.get(i, 0) + 1
+    return sorted((i, d) for i, d in nu.items() if d)
+
+
 def build_odes(rs: ReactionSystem) -> OdeSystem:
-    n = len(rs.prime_names)
-    derivs: list[ex.Expr] = []
-    for i in range(n):
-        terms: list[ex.Expr] = []
-        for r in rs.reactions:
-            nu = r.stoichiometry(n)[i]
-            if nu:
-                terms.append(ex.mul(ex.const(nu), r.rate))
-        derivs.append(ex.total(terms))
-    return OdeSystem(rs, derivs)
+    return OdeSystem(rs)
 
 
 def eval_field(sys: OdeSystem, x: Sequence[float]) -> np.ndarray:
     """The evolution vector at concentration vector x."""
-    if len(x) != len(sys.names):
-        raise ValueError(f"expected {len(sys.names)} concentrations, got {len(x)}")
-    rates = _rates_checked(sys, list(x))
-    return rates @ sys._stoich
-
-
-def _rates_checked(sys: OdeSystem, x: list[float]) -> np.ndarray:
+    if len(x) != len(sys.derivs):
+        raise ValueError(f"expected {len(sys.derivs)} concentrations, got {len(x)}")
+    c = x.tolist() if isinstance(x, np.ndarray) else x
     try:
-        rates = sys._rates(x)
+        return np.array(sys._field(c))
     except ex.DomainError as e:
-        env = dict(zip(sys.names, x))
+        env = dict(zip(sys.names, c))
         for r in sys.rs.reactions:
-            try:
-                ex.evaluate(r.rate, env)
-            except ex.DomainError:
-                raise ex.DomainError(
-                    f"rate evaluation failed for reaction '{r.provenance}': {e}"
-                ) from e
+            checked_rate(r.provenance, ex.evaluate, r.rate, env)
         raise ex.DomainError(f"rate evaluation failed: {e}") from e
-    for v, r in zip(rates, sys.rs.reactions):
-        if not math.isfinite(v):
-            raise ex.DomainError(
-                f"non-finite rate for reaction '{r.provenance}' "
-                "(kinetic law evaluated outside its domain)"
-            )
-    return np.asarray(rates)
+
+
+def checked_rate(provenance: str, f, *args) -> float:
+    """``f(*args)``, a rate of the reaction ``provenance``: DomainError naming it unless finite."""
+    try:
+        v = f(*args)
+    except ex.DomainError as e:
+        raise ex.DomainError(f"rate evaluation failed for reaction '{provenance}': {e}") from e
+    if not math.isfinite(v):
+        raise ex.DomainError(
+            f"non-finite rate for reaction '{provenance}' "
+            "(kinetic law evaluated outside its domain)"
+        )
+    return v
 
 
 # Dormand-Prince 5(4) tableau
@@ -256,9 +262,14 @@ def _tex_escape(s: str) -> str:
 
 
 def write_trajectory_csv(fh: TextIO, names: list[str], traj: Trajectory) -> None:
-    import csv
+    write_csv(fh, ["t", *names], [((), traj.t, traj.y)])
+
+
+def write_csv(fh: TextIO, header: list[str], blocks) -> None:
+    """CSV of sampled trajectories: per (leading cells, times, samples) block, a row per time."""
+    import csv  # here, not at the top: only the simulate and ssa writers need it
 
     w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["t", *names])
-    for ti, row in zip(traj.t, traj.y):
-        w.writerow([repr(float(ti)), *[repr(float(v)) for v in row]])
+    w.writerow(header)
+    for lead, t, y in blocks:
+        w.writerows([*lead, ti, *row] for ti, row in zip(t.tolist(), y.tolist()))

@@ -1,8 +1,12 @@
 """Level-based discretization and Gillespie direct-method simulation.
 
 Concentrations are split into integer levels of size h; each reaction
-becomes a discrete event with propensity rate(N*h)/h and jumps equal to its
-stoichiometry.  Runs are reproducible: the RNG is numpy's PCG64, and
+becomes a discrete event with propensity rate(N*h)/h, compiled per event, and
+jumps equal to its stoichiometry.  After an event only its dependents are
+recomputed: the events whose rate reads, or whose negative jump checks, a
+level it changed (Gibson & Bruck, 2000).  Propensities are pure functions of
+the levels, summed left to right as a full rescan would, so the streams equal
+the full recompute's.  Runs are reproducible: the RNG is numpy's PCG64, and
 multi-run mode derives one independent child stream per run id from the
 master seed via SeedSequence.spawn.
 """
@@ -10,12 +14,15 @@ master seed via SeedSequence.spawn.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import expr as ex
+from .ode import checked_rate, jumps, write_csv
 from .reactions import ReactionSystem
 
 
@@ -34,11 +41,17 @@ class DiscreteModel:
 
     def __post_init__(self):
         idx = {n: i for i, n in enumerate(self.names)}
-        self._rates = ex.compile_exprs([e.rate for e in self.events], idx)
+        self._props = ex.compile_exprs([e.rate for e in self.events], idx, h=self.h)
+        # per prime, the events whose propensity reads its level: through
+        # the rate, or through a jump that could take it below zero
+        readers: list[list[int]] = [[] for _ in self.names]
+        for k, e in enumerate(self.events):
+            for i in {idx[v] for v in ex.variables(e.rate)} | {i for i, d in e.jumps if d < 0}:
+                readers[i].append(k)
+        self.deps = [sorted({k for i, _ in e.jumps for k in readers[i]}) for e in self.events]
 
     def propensities(self, levels: Sequence[int]) -> list[float]:
-        c = [n * self.h for n in levels]
-        return [r / self.h for r in self._rates(c)]
+        return [f(levels) for f in self._props]
 
 
 @dataclass
@@ -55,12 +68,7 @@ class SsaRun:
 def discretize(rs: ReactionSystem, h: float) -> DiscreteModel:
     if h <= 0:
         raise ValueError("level size h must be positive")
-    n = len(rs.prime_names)
-    events = []
-    for r in rs.reactions:
-        nu = r.stoichiometry(n)
-        jumps = [(i, d) for i, d in enumerate(nu) if d]
-        events.append(DiscreteEvent(jumps, r.rate, r.provenance))
+    events = [DiscreteEvent(jumps(r), r.rate, r.provenance) for r in rs.reactions]
     return DiscreteModel(events, h, list(rs.prime_names))
 
 
@@ -92,28 +100,39 @@ def gillespie(
     next_out = 1
 
     run_warnings: list[str] = []
-    warned_negative = False
     t = 0.0
     n_events = 0
     absorbed = False
-    jumps = [e.jumps for e in model.events]
+    events, props_of = model.events, model._props
+    needs = [[(i, -d) for i, d in e.jumps if d < 0] for e in events]
+    props = [0.0] * len(events)
+    inf = math.inf
 
+    def update(ks: Iterable[int]) -> None:
+        try:
+            for k in ks:
+                a = props_of[k](levels)
+                if 0.0 < a < inf:
+                    for i, m in needs[k]:
+                        if levels[i] < m:
+                            a = 0.0  # jump would go negative: event disabled
+                            break
+                elif -inf < a < 0.0:
+                    if not run_warnings:
+                        run_warnings.append(
+                            f"negative propensity for '{events[k].provenance}' clamped to 0"
+                        )
+                    a = 0.0
+                elif a != 0.0:
+                    raise ex.DomainError("non-finite")
+                props[k] = a
+        except ex.DomainError:
+            checked_rate(events[k].provenance, props_of[k], levels)  # raises, naming it
+
+    update(range(len(events)))
     while True:
-        props = model.propensities(levels)
-        total = 0.0
-        for j, a in enumerate(props):
-            if a < 0.0:
-                if not warned_negative:
-                    run_warnings.append(
-                        f"negative propensity for '{model.events[j].provenance}' "
-                        "clamped to 0"
-                    )
-                    warned_negative = True
-                props[j] = 0.0
-            elif a > 0.0 and any(levels[i] + d < 0 for i, d in jumps[j]):
-                props[j] = 0.0  # jump would go negative: event disabled
-            else:
-                total += props[j]
+        acc = list(accumulate(props))
+        total = acc[-1] if acc else 0.0
         if total <= 0.0:
             absorbed = True
             break
@@ -123,17 +142,12 @@ def gillespie(
         while next_out < n_out and t_out[next_out] < t:
             out[next_out] = levels
             next_out += 1
-        u = rng.random() * total
-        acc = 0.0
-        chosen = len(props) - 1
-        for j, a in enumerate(props):
-            acc += a
-            if u < acc:
-                chosen = j
-                break
-        for i, d in jumps[chosen]:
+        # the last event when round-off puts u at the total, as a full scan would
+        chosen = bisect_right(acc, rng.random() * total, 0, len(acc) - 1)
+        for i, d in events[chosen].jumps:
             levels[i] += d
         n_events += 1
+        update(model.deps[chosen])
 
     out[next_out:] = levels
     return SsaRun(run_id, seed, t_out, out, n_events, absorbed, run_warnings)
@@ -166,10 +180,4 @@ def mean_std(runs: list[SsaRun]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:
-    import csv
-
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["run", "t", *model.names])
-    for r in runs:
-        for ti, row in zip(r.t, r.levels):
-            w.writerow([r.run_id, repr(float(ti)), *[int(v) for v in row]])
+    write_csv(fh, ["run", "t", *model.names], [((r.run_id,), r.t, r.levels) for r in runs])

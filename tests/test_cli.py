@@ -206,3 +206,54 @@ def test_no_command_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "0"],
+        ["simulate", "--t-end", "-1"],
+        ["simulate", "--t-end", "nan"],
+        ["simulate", "--t-end", "inf"],
+        ["simulate", "--t-end", "1", "--rtol", "-1"],
+        ["simulate", "--t-end", "1", "--atol", "0"],
+        ["simulate", "--t-end", "1", "--grid", "0"],
+        ["simulate", "--t-end", "1", "--cap", "0"],
+        ["ssa", "--h", "0", "--t-end", "1", "--seed", "1"],
+        ["ssa", "--h", "0.1", "--t-end", "-1", "--seed", "1"],
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "-1"],
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--sample-dt", "0"],
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--runs", "0"],
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1.5"],
+        ["primes", "--cap", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_option_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main([argv[0], str(MODELS / "mm.bond"), *argv[1:]])
+    err = capsys.readouterr().err
+    assert ei.value.code == 2
+    assert "Traceback" not in err and "error: argument" in err
+
+
+NON_FINITE = {
+    "nan": (
+        "species X = x.(X | X);\nlaw F(k; x) = k*x*x - k*x*x;\n"
+        "affinity { x at F(1e300); }\nmixture { 1e10 X }\n",
+        "x at F(1e+300)",
+    ),
+    # a constant that overflows to inf must compile and be reported, not crash
+    "inf": ("species X = x.0;\naffinity { x at MA(1e400); }\nmixture { 1 X }\n", "x at MA(inf)"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(NON_FINITE))
+@pytest.mark.parametrize("options", [["simulate"], ["ssa", "--h", "1e9", "--seed", "1"]])
+def test_non_finite_rate_is_domain_error(tmp_path, capsys, options, model):
+    source, reaction = NON_FINITE[model]
+    path = tmp_path / "nan.bond"
+    path.write_text(source)
+    code, out, err = run(capsys, options[0], str(path), "--t-end", "1", *options[1:])
+    assert code == 1
+    assert err.startswith(f"error[DOMAIN]: non-finite rate for reaction '{reaction}'")

@@ -1,5 +1,7 @@
 import io
 import math
+import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,3 +173,69 @@ def test_empty_system_renders_empty():
     src = "species X = x.0;\naffinity { }\nmixture { 1 X }"
     rs, sys_ = odes_for(src)
     assert "d[X]/dt = 0" in render_odes(sys_, fmt="text")
+
+
+
+# --- compiled sparse field and one-pass build ------------------------------------
+
+CORPUS = sorted(p.name for p in MODELS.glob("*.bond") if p.name != "broken_arity.bond")
+
+
+def sources(scaffold_sizes):
+    from test_reactions import scaffold_source
+
+    return [pytest.param(lambda n=n: (MODELS / n).read_text(), id=n) for n in CORPUS] + [
+        pytest.param(lambda k=k: scaffold_source(k), id=f"scaffold-k={k}")
+        for k in scaffold_sizes
+    ]
+
+
+@pytest.mark.parametrize("source", sources([3]))
+def test_compiled_field_matches_interpreted_derivs(source):
+    rs, sys_ = odes_for(source())
+    rng = random.Random(20261018)
+    for _ in range(20):
+        x = [rng.uniform(0.0, 5.0) for _ in rs.prime_names]
+        env = dict(zip(rs.prime_names, x))
+        # round-off scale: the summed magnitudes of the rates
+        scale = sum(abs(ex.evaluate(r.rate, env)) for r in rs.reactions)
+        got = eval_field(sys_, np.array(x))
+        for g, d in zip(got, sys_.derivs):
+            want = ex.evaluate(d, env)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("source", sources(range(1, 6)))
+def test_build_odes_matches_dense_reference(source):
+    rs, sys_ = odes_for(source())
+    n = len(rs.prime_names)
+    dense = [r.stoichiometry(n) for r in rs.reactions]
+    ref = [
+        ex.total(ex.mul(ex.const(nu[i]), r.rate) for r, nu in zip(rs.reactions, dense) if nu[i])
+        for i in range(n)
+    ]
+    assert sys_.derivs == ref
+
+
+def test_build_odes_scaffold_k8_fast():
+    from test_reactions import scaffold_source
+
+    rs = build_reaction_system(parse_model(scaffold_source(8)))
+    assert (len(rs.prime_names), len(rs.reactions)) == (265, 2056)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        build_odes(rs)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.2
+
+
+def test_eval_field_non_finite_rate_names_reaction():
+    src = (
+        "species X = x.(X | X);\nlaw F(k; x) = k*x*x - k*x*x;\n"
+        "affinity { x at F(1e300); }\nmixture { 1e10 X }"
+    )
+    rs, sys_ = odes_for(src)
+    with pytest.raises(ex.DomainError, match=r"non-finite rate for reaction 'x at F\(1e\+300\)'"):
+        eval_field(sys_, [1e10])
+    assert eval_field(sys_, [1.0]).tolist() == [0.0]

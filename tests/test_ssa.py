@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bondc import expr as ex
 from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 from bondc.ssa import (
@@ -135,3 +137,74 @@ def test_mean_std_shapes():
     t, mean, std = mean_std(runs)
     assert mean.shape == (len(t), 1) and std.shape == mean.shape
     assert (std >= 0).all()
+
+
+# --- dependency graph and local propensity updates -----------------------------------
+
+CORPUS = sorted(p.name for p in MODELS.glob("*.bond") if p.name != "broken_arity.bond")
+
+
+def fingerprint(runs):
+    return [(r.events, hashlib.sha256(r.levels.tobytes()).hexdigest()) for r in runs]
+
+
+def test_golden_streams_enzyme():
+    # recorded from the full-recompute direct method before local updates
+    dm, rs, n0 = enzyme_model(h=0.01)
+    assert fingerprint(gillespie_runs(dm, n0, 5.0, seed=20261018, runs=3)) == [
+        (1357, "5bc55ebd082229bd37071beffe34bbea6176a691143aabbb6e454e58c857e952"),
+        (1380, "c8a0aa22ce051615c877975711bfc756cee4affb7663bd8d95ea067e00dce1a6"),
+        (1511, "31ddc2738db2ce39ab2ec072ceca6fd30f3c38a5581a31f13dc6e6471f246c1f"),
+    ]
+
+
+def test_golden_streams_bank_k4():
+    from test_reactions import bank_source
+
+    model = parse_model(bank_source(4))
+    rs = build_reaction_system(model)
+    n0 = initial_levels(initial_mixture(model, rs.index), 0.05)
+    runs = gillespie_runs(discretize(rs, 0.05), n0, 1000.0, seed=20261018, runs=3)
+    assert all(r.absorbed for r in runs)
+    assert fingerprint(runs) == [
+        (2446, "0da2c58b27a9fd13a0ac1b275c5e2e71260e310b37a99b6c48165536dfbb01a0"),
+        (2408, "f5fa34e28bd6749024f11165b9ec892cb5040dbf45ac94efb3a08c7462d93616"),
+        (2402, "251b6c095244cd13e6101bbf0e9d78b654d2edf5ce68c79ce130106cebbca349"),
+    ]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_dependency_graph_matches_brute_force(name):
+    rs = build_reaction_system(parse_model((MODELS / name).read_text()))
+    dm = discretize(rs, 0.1)
+    n = len(rs.prime_names)
+    nus = [r.stoichiometry(n) for r in rs.reactions]
+    reads = [
+        {rs.prime_names.index(v) for v in ex.variables(r.rate)} | {i for i in range(n) if nu[i] < 0}
+        for r, nu in zip(rs.reactions, nus)
+    ]
+    for j, nu in enumerate(nus):
+        changed = {i for i in range(n) if nu[i]}
+        assert dm.deps[j] == [k for k in range(len(nus)) if reads[k] & changed], j
+
+
+NON_FINITE = (
+    "species X = x.(X | X);\nlaw F(k; x) = k*x*x - k*x*x;\n"
+    "affinity { x at F(1e300); }\nmixture { 1e10 X }"
+)
+
+
+def test_non_finite_propensity_names_reaction():
+    rs = build_reaction_system(parse_model(NON_FINITE))
+    dm = discretize(rs, 1e9)
+    with pytest.raises(ex.DomainError, match=r"non-finite rate for reaction 'x at F\(1e\+300\)'"):
+        gillespie(dm, [10], 1.0, seed=1)
+
+
+def test_rate_division_by_zero_names_reaction():
+    src = "species X = x.0;\nlaw F(k; x) = k / (x - 1);\naffinity { x at F(2); }\nmixture { 1 X }"
+    rs = build_reaction_system(parse_model(src))
+    dm = discretize(rs, 1.0)
+    # level 3 fires twice; at level 1 the recomputed propensity divides by zero
+    with pytest.raises(ex.DomainError, match=r"rate evaluation failed for reaction 'x at F\(2\)'"):
+        gillespie(dm, [3], 100.0, seed=1)
