@@ -1,7 +1,9 @@
 """bondc command line interface.
 
 Exit codes: 0 success, 1 model error (with a machine-parsable
-``error[CODE]:`` line on stderr), 2 usage error.
+``error[CODE]:`` line on stderr), 2 usage error.  The codes are PARSE (a
+model file that cannot be read or parsed), ARITY, UNBOUNDED, DOMAIN, STIFF
+and IO (an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import sys
 
 from . import ode as ode_mod
 from . import ssa as ssa_mod
-from .congruence import serialize
 from .expr import DomainError
 from .parser import ParseError, parse_model
 from .reactions import (
@@ -28,8 +29,13 @@ from .transitions import TransitionSystem, format_transition
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ModelError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise ModelError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     model = parse_model(text)
     for w in model.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -110,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ModelError, UnboundedError, DomainError, ode_mod.StiffnessError) as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error[PARSE]: {e}", file=sys.stderr)
+    except OSError as e:  # model files are read by _load, so this is --out
+        print(f"error[IO]: {e}", file=sys.stderr)
         return 1
 
 

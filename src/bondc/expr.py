@@ -9,7 +9,6 @@ rate semantics; x/0 with x != 0 is a domain error at evaluation time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -173,12 +172,12 @@ def compile_exprs(
 
     Used by the simulation inner loops; semantics identical to evaluate().
     ``var_index`` maps variable names to positions in the argument vector, as
-    a mapping or as an ordered sequence of names.  By default the result is one
-    function of a value vector giving the list of values.  With ``sums`` (per
-    output, its (coefficient, expression index) terms) it is one function that
-    computes each value once, raises DomainError unless all are finite, and
-    returns the sums.  With a level size ``h`` it is a list of functions, one
-    per expression, of a vector of integer levels n, giving e(n*h)/h.
+    a mapping or as an ordered sequence of names.  Give one of ``sums`` and
+    ``h``.  With ``sums`` (per output, its (coefficient, expression index)
+    terms) the result is one function of a value vector that computes each
+    value once, raises DomainError unless all are finite, and returns the
+    sums.  With a level size ``h`` it is a list of functions, one per
+    expression, of a vector of integer levels n, giving e(n*h)/h.
     """
     if not isinstance(var_index, Mapping):
         var_index = {n: i for i, n in enumerate(var_index)}
@@ -197,8 +196,6 @@ def compile_exprs(
     if h is not None:
         fs = "".join(f"lambda n: {emit(e, f'(n[{{}}]*{h!r})')}/{h!r},\n" for e in exprs)
         lines = [f"f = [{fs}]"]
-    elif sums is None:
-        lines = [f"f = lambda c: [{', '.join(emit(e, 'c[{}]') for e in exprs)}]"]
     else:
         lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]')}" for j, e in enumerate(exprs))]
         lines.append(f" v = ({''.join(f'r{j},' for j in range(len(exprs)))})")
@@ -282,7 +279,3 @@ def from_json(d: dict) -> Expr:
     if kind == "var":
         return Var(d["name"])
     return Bin(kind, from_json(d["left"]), from_json(d["right"]))
-
-
-def dumps(e: Expr) -> str:
-    return json.dumps(to_json(e), sort_keys=True)

@@ -12,6 +12,7 @@ orthant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
@@ -30,6 +31,8 @@ class StiffnessError(RuntimeError):
 class OdeSystem:
     rs: ReactionSystem
     derivs: list[ex.Expr] = field(init=False)  # dx_P/dt per prime, constant-folded
+    # per prime, the (net change, reaction index) of each reaction changing it
+    _terms: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
     @property
     def names(self) -> list[str]:
@@ -37,13 +40,19 @@ class OdeSystem:
 
     def __post_init__(self):
         rates = [r.rate for r in self.rs.reactions]
-        # per prime, the (net change, reaction index) of each reaction changing it
-        terms: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        self._terms = [[] for _ in self.names]
         for j, r in enumerate(self.rs.reactions):
             for i, d in jumps(r):
-                terms[i].append((d, j))
-        self.derivs = [ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in terms]
-        self._field = ex.compile_exprs(rates, self.names, sums=terms)
+                self._terms[i].append((d, j))
+        self.derivs = [
+            ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms
+        ]
+
+    @functools.cached_property
+    def _field(self):
+        """The compiled field, compiled on first use: rendering never needs it."""
+        rates = [r.rate for r in self.rs.reactions]
+        return ex.compile_exprs(rates, self.names, sums=self._terms)
 
 
 @dataclass

@@ -20,9 +20,10 @@ A guard's continuation is a single atom; parenthesize sums and parallels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
+from .congruence import serialize
 from .terms import (
     NIL,
     MASS_ACTION,
@@ -351,29 +352,7 @@ def _parse_cluster(p: _Parser):
 
 # --- rendering ---------------------------------------------------------------
 
-
-def render_species(t: Species) -> str:
-    if isinstance(t, Call):
-        return t.name + (f"({','.join(t.args)})" if t.args else "")
-    if isinstance(t, Sum):
-        return " + ".join(_render_prefix(g) for g in t.guards)
-    if isinstance(t, Par):
-        return "(" + " | ".join(render_species(p) for p in t.parts) + ")"
-    if isinstance(t, New):
-        return f"(new {','.join(t.binders)} in {render_species(t.body)})"
-    return "0"
-
-
-def _render_prefix(g: Prefix) -> str:
-    s = g.site
-    if g.location is not None:
-        s += "@" + g.location
-    if g.receives:
-        s += "(" + ",".join(g.receives) + ")"
-    body = render_species(g.body)
-    if isinstance(g.body, Sum) and len(g.body.guards) > 1:
-        body = f"({body})"
-    return f"{s}.{body}"
+render_species = serialize  # the one term printer, under its old name here
 
 
 def render_model(m: Model) -> str:
@@ -381,7 +360,7 @@ def render_model(m: Model) -> str:
     lines: list[str] = []
     for sd in m.species.values():
         params = f"({','.join(sd.params)})" if sd.params else ""
-        lines.append(f"species {sd.name}{params} = {render_species(sd.body)};")
+        lines.append(f"species {sd.name}{params} = {serialize(sd.body)};")
     for law in m.laws.values():
         if law.variadic:
             continue  # builtin

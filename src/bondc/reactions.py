@@ -1,20 +1,22 @@
 """Mixture-level semantics: reachable primes and reaction extraction.
 
 Reactions are found by matching each affinity pattern's clusters against the
-ambient transitions of the reachable primes, slot by slot.  The transition
-system is pruned to the model's clusters (see ``transitions``), and a match
-index groups each prime's ambient transitions by cluster: they are computed
-and sorted once, when the prime is first matched.  The reachable-prime
-fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986): an affinity entry
-re-evaluates only the tuples holding a prime found since its last
-evaluation, since the others' products are already indexed.  Each tuple's
-products are memoized, so extraction does not colocate, commit or normalize
-again.  Tuples are visited in the same order either way, so prime numbering
-does not depend on any of this.  The rate of a
-matched tuple is the kinetic law applied to the total cluster concentrations,
-divided by those concentrations and multiplied back by each participant's own
-contribution; a slot whose cluster is matched by a single (prime, transition)
-pair cancels exactly.  Repeated clusters in a pattern contribute the standard
+ambient transitions of the reachable primes, slot by slot.  A ``PrimeIndex``
+owns the transition system, pruned to the model's clusters (see
+``transitions``), and a match index that groups each prime's ambient
+transitions by cluster: they are computed once, when the prime is first
+matched, and kept in table order, which depends only on the canonical prime.
+The index is built once, by ``reachable_primes``, and serves extraction too.
+The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
+an affinity entry re-evaluates only the tuples holding a prime found since
+its last evaluation, since the others' products are already indexed.  Each
+tuple's products are memoized, so extraction does not colocate, commit or
+normalize again.  Tuples are visited in the same order either way, so prime
+numbering does not depend on any of this.  The rate of a matched tuple is the
+kinetic law applied to the total cluster concentrations, divided by those
+concentrations and multiplied back by each participant's own contribution; a
+slot whose cluster is matched by a single (prime, transition) pair cancels
+exactly.  Repeated clusters in a pattern contribute the standard
 1/multiplicity! symmetry correction, so e.g. a homodimerization under
 mass-action k fires at (1/2) k [A]^2.
 """
@@ -47,7 +49,7 @@ class Match(NamedTuple):
     """One matched slot: a prime's ambient transition and its multiplicity."""
 
     prime: int
-    pos: int  # position among the prime's ambient transitions, sorted by repr
+    pos: int  # position among the prime's ambient transitions, in table order
     tr: Transition
     mult: int
 
@@ -56,14 +58,14 @@ class Match(NamedTuple):
 class PrimeIndex:
     """Reachable canonical primes in deterministic discovery order.
 
-    For one transition system at a time, it also keeps the match index and
-    the products of the matched tuples evaluated so far.
+    It owns the transition system the primes are matched under, the match
+    index and the products of the matched tuples evaluated so far.
     """
 
+    ts: TransitionSystem = field(repr=False, compare=False)
     primes: list[Species] = field(default_factory=list)
     names: list[str] = field(default_factory=list)
     by_name: dict[str, int] = field(default_factory=dict)
-    _ts: Optional[TransitionSystem] = field(default=None, repr=False, compare=False)
     _by_cluster: dict[Cluster, list[Match]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -89,17 +91,14 @@ class PrimeIndex:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def matches(self, ts: TransitionSystem) -> dict[Cluster, list[Match]]:
-        """Every prime's ambient transitions under ``ts``, grouped by cluster.
+    def matches(self) -> dict[Cluster, list[Match]]:
+        """Every prime's ambient transitions, grouped by cluster.
 
-        Each list runs in prime order, and within a prime in ``repr`` order.
+        Each list runs in prime order, and within a prime in table order.
         Only primes added since the last call are matched afresh.
         """
-        if ts is not self._ts:
-            self._ts, self._by_cluster, self._n_matched, self._products = ts, {}, 0, {}
         for i in range(self._n_matched, len(self.primes)):
-            ranked = sorted(ts.ambient(self.primes[i]).items(), key=lambda kv: repr(kv[0]))
-            for pos, (tr, m) in enumerate(ranked):
+            for pos, (tr, m) in enumerate(self.ts.ambient(self.primes[i]).items()):
                 self._by_cluster.setdefault(tr.cluster, []).append(Match(i, pos, tr, m))
         self._n_matched = len(self.primes)
         return self._by_cluster
@@ -137,7 +136,6 @@ class Reaction:
 class ReactionSystem:
     index: PrimeIndex
     reactions: list[Reaction]
-    model: Model
 
     @property
     def prime_names(self) -> list[str]:
@@ -153,18 +151,17 @@ def initial_mixture(model: Model, index: PrimeIndex) -> list[float]:
     return x
 
 
-def _model_transitions(model: Model) -> TransitionSystem:
-    """The transition system pruned to the model's affinity clusters."""
-    clusters = [c for entry in model.affinity for c in entry.pattern]
-    return TransitionSystem(model.species, clusters=clusters)
-
-
 def reachable_primes(
     model: Model, cap: int = 512, ts: Optional[TransitionSystem] = None
 ) -> PrimeIndex:
-    """Least fixpoint of the initial primes under all affinity reactions."""
-    ts = ts or _model_transitions(model)
-    index = PrimeIndex()
+    """Least fixpoint of the initial primes under all affinity reactions.
+
+    ``ts`` defaults to the transition system pruned to the model's clusters.
+    """
+    if ts is None:
+        clusters = [c for entry in model.affinity for c in entry.pattern]
+        ts = TransitionSystem(model.species, clusters=clusters)
+    index = PrimeIndex(ts)
     for conc, name in model.mixture:
         for p in primes(Call(name, ())):
             index.add(p)
@@ -178,7 +175,7 @@ def reachable_primes(
     while changed:
         changed = False
         for e, entry in enumerate(model.affinity):
-            by_cluster = index.matches(ts)
+            by_cluster = index.matches()
             old, seen[e] = seen[e], len(index)
             slot_lists = [by_cluster.get(c, []) for c in entry.pattern]
             for combo in itertools.product(*slot_lists):
@@ -193,12 +190,10 @@ def reachable_primes(
     return index
 
 
-def cluster_concentrations(
-    ts: TransitionSystem, index: PrimeIndex
-) -> dict[Cluster, ex.Expr]:
+def cluster_concentrations(index: PrimeIndex) -> dict[Cluster, ex.Expr]:
     """Per-cluster total concentration as a linear form over prime variables."""
     out: dict[Cluster, ex.Expr] = {}
-    for cluster, ms in index.matches(ts).items():
+    for cluster, ms in index.matches().items():
         coeffs: Counter = Counter()
         for mt in ms:
             coeffs[mt.prime] += mt.mult
@@ -215,14 +210,9 @@ def _entry_provenance(entry: AffinityEntry) -> str:
     return f"{pat} at {entry.law_name}({params})"
 
 
-def extract_reactions(
-    model: Model,
-    index: PrimeIndex,
-    ts: Optional[TransitionSystem] = None,
-) -> ReactionSystem:
-    ts = ts or _model_transitions(model)
-    by_cluster = index.matches(ts)
-    conc = cluster_concentrations(ts, index)
+def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
+    by_cluster = index.matches()
+    conc = cluster_concentrations(index)
     reactions: list[Reaction] = []
     merged: dict[tuple[tuple[int, ...], tuple[int, ...], str], int] = {}
 
@@ -254,7 +244,7 @@ def extract_reactions(
                 merged[key] = len(reactions)
                 reactions.append(Reaction(reactants, products, rate, prov))
 
-    return ReactionSystem(index, reactions, model)
+    return ReactionSystem(index, reactions)
 
 
 def _tuple_rate(
@@ -282,9 +272,7 @@ def _tuple_rate(
 
 
 def build_reaction_system(model: Model, cap: int = 512) -> ReactionSystem:
-    ts = _model_transitions(model)
-    index = reachable_primes(model, cap=cap, ts=ts)
-    return extract_reactions(model, index, ts=ts)
+    return extract_reactions(model, reachable_primes(model, cap))
 
 
 def reaction_system_json(rs: ReactionSystem) -> dict:

@@ -176,10 +176,6 @@ def make_cluster(sites: list[str]) -> Cluster:
     return tuple(sorted(sites))
 
 
-def pattern_key(p: Pattern) -> Pattern:
-    return tuple(sorted(p))
-
-
 @dataclass(frozen=True)
 class KineticLaw:
     name: str
@@ -227,9 +223,6 @@ class Model:
     affinity: tuple[AffinityEntry, ...]
     mixture: tuple[tuple[float, str], ...]  # (concentration, species name)
     warnings: list[str] = field(default_factory=list, compare=False)
-
-    def law(self, name: str) -> KineticLaw:
-        return self.laws[name]
 
 
 def validate_model(m: Model) -> None:

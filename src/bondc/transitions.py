@@ -14,6 +14,10 @@ match it exactly.  So a guard whose site lies in no cluster is dropped, and
 Com grows a combination part by part only while its bag is a sub-bag of some
 cluster: its cost follows the combinations that fit, not 2^parts.  Without
 clusters the system computes the full table.
+
+The system keeps each definition's body in normal form, so a canonical term
+lists its transitions in an order that depends only on the term, not on how
+a definition orders its guards and parallel parts.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def commit(f: Abstraction) -> Species:
 
 
 class TransitionSystem:
-    """Memoized transition computation over a fixed set of definitions.
+    """Transition computation over a fixed set of definitions.
 
     ``clusters``, the affinity patterns' clusters, prunes every transition
     that no pattern slot can ever match; ``None`` keeps the full table.
@@ -102,9 +106,8 @@ class TransitionSystem:
         depth_limit: int = 64,
         clusters: Optional[Iterable[Cluster]] = None,
     ):
-        self.defs = defs
+        self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
         self.depth_limit = depth_limit
-        self._cache: dict[str, Counter] = {}
         # site -> the distinct clusters holding it, as multisets
         self._by_site: Optional[dict[str, list[Counter]]] = None
         if clusters is not None:
@@ -121,12 +124,7 @@ class TransitionSystem:
         return any(sites <= c for c in self._by_site.get(site, ()))
 
     def transitions(self, t: Species) -> Counter:
-        key = serialize(t)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._transitions(t, self.depth_limit)
-            self._cache[key] = hit
-        return hit
+        return self._transitions(t, self.depth_limit)
 
     def ambient(self, t: Species) -> Counter:
         return Counter(
@@ -209,12 +207,6 @@ class TransitionSystem:
             ]
             grow(loc, per_part, 0, (), Counter(), 1, None)
         return out
-
-
-def transitions(
-    t: Species, defs: Mapping[str, SpeciesDef], depth_limit: int = 64
-) -> Counter:
-    return TransitionSystem(defs, depth_limit).transitions(t)
 
 
 def format_transition(source: Species, tr: Transition, mult: int) -> str:

@@ -6,6 +6,7 @@ import pytest
 from bondc.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+CRN_GOLDEN = Path(__file__).resolve().parent / "data" / "crn"
 
 
 def run(capsys, *argv):
@@ -24,6 +25,20 @@ def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", str(MODELS / "does_not_exist.bond"))
     assert code == 1
     assert err.startswith("error[PARSE]:")
+
+
+def test_check_directory_is_parse_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error[PARSE]:")
+
+
+def test_check_non_utf8_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.bond"
+    bad.write_bytes("species X = s.0; # caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert err.startswith("error[PARSE]:") and "not UTF-8" in err
 
 
 def test_check_syntax_error(tmp_path, capsys):
@@ -86,6 +101,13 @@ def test_crn_json(capsys):
     assert len(doc["reactions"]) == 2
 
 
+@pytest.mark.parametrize("golden", sorted(CRN_GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_crn_matches_golden(capsys, golden):
+    code, out, err = run(capsys, "crn", str(MODELS / f"{golden.stem}.bond"))
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_odes_text(capsys):
     code, out, err = run(capsys, "odes", str(MODELS / "mm.bond"))
     assert code == 0
@@ -139,6 +161,24 @@ def test_simulate_out_file(tmp_path, capsys, command, options, header):
     assert code == 0
     assert out == ""
     assert dest.read_text().splitlines()[0] == header
+
+
+def test_out_in_missing_directory_is_io_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "out.csv"
+    code, out, err = run(
+        capsys, "simulate", str(MODELS / "mm.bond"), "--t-end", "1.0", "--out", str(dest)
+    )
+    assert code == 1
+    assert err.startswith("error[IO]:")
+
+
+def test_out_directory_is_io_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "ssa", str(MODELS / "mm.bond"), "--h", "0.5", "--t-end", "1.0",
+        "--seed", "42", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert err.startswith("error[IO]:")
 
 
 @pytest.mark.parametrize(

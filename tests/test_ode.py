@@ -53,6 +53,16 @@ def test_enzyme_conservation_symbolic():
         assert ex.evaluate(total, {k: v * scale for k, v in env.items()}) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_render_odes_compiles_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_exprs called")
+
+    monkeypatch.setattr(ex, "compile_exprs", refuse)
+    rs = build_reaction_system(parse_model((MODELS / "kuznetsov.bond").read_text()))
+    for fmt in ("text", "latex", "json"):
+        assert render_odes(build_odes(rs), fmt=fmt)
+
+
 def test_eval_field_decay():
     rs, sys_ = odes_for(DECAY)
     assert eval_field(sys_, [2.0]).tolist() == [-2.0]

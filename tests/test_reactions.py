@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from bondc import expr as ex
 from bondc.congruence import primes, serialize
 from bondc.parser import parse_model
 from bondc.reactions import (
+    PrimeIndex,
     UnboundedError,
     build_reaction_system,
     cluster_concentrations,
@@ -122,17 +124,15 @@ def test_unbounded_cap():
 
 def test_cluster_concentration_multiplicity():
     m = parse_model("species X = s.0 + s.0;\naffinity { s at MA(1); }\nmixture { 1 X }")
-    ts = TransitionSystem(m.species)
-    index = reachable_primes(m, ts=ts)
-    conc = cluster_concentrations(ts, index)
+    index = reachable_primes(m, ts=TransitionSystem(m.species))
+    conc = cluster_concentrations(index)
     assert ex.evaluate(conc[("s",)], {"X": 5.0}) == 10.0
 
 
 def test_cluster_concentration_sums_over_species():
     m = load("kuznetsov.bond")
-    ts = TransitionSystem(m.species)
-    index = reachable_primes(m, ts=ts)
-    conc = cluster_concentrations(ts, index)
+    index = reachable_primes(m, ts=TransitionSystem(m.species))
+    conc = cluster_concentrations(index)
     (complex_name,) = set(index.names) - {"EC", "TC", "IS"}
     env = {"EC": 1.0, "TC": 2.0, "IS": 5.0, complex_name: 7.0}
     # both bound and unbound TC consume resources
@@ -197,10 +197,9 @@ def test_total_rate_factorization():
     for name in ["mm.bond", "enzyme.bond", "dimer.bond", "trimer.bond",
                  "monomer_twosite.bond", "pingpong.bond", "kuznetsov.bond"]:
         m = load(name)
-        ts = TransitionSystem(m.species)
-        index = reachable_primes(m, ts=ts)
-        rs = extract_reactions(m, index, ts=ts)
-        conc = cluster_concentrations(ts, index)
+        index = reachable_primes(m, ts=TransitionSystem(m.species))
+        rs = extract_reactions(m, index)
+        conc = cluster_concentrations(index)
         for entry in m.affinity:
             if any(c not in conc for c in entry.pattern):
                 continue
@@ -234,8 +233,10 @@ def brute_force_field(model, rs, x):
     contributes (1/m!) * prod(mult_i * x_i) * law(a_1..a_m) / prod(a_j).
     """
     ts = TransitionSystem(model.species)
-    index = rs.index
-    conc = cluster_concentrations(ts, index)
+    index = PrimeIndex(ts)  # rs's primes, matched under the full table
+    for p in rs.index.primes:
+        index.add(p)
+    conc = cluster_concentrations(index)
     env = {n: v for n, v in zip(index.names, x)}
     field = [0.0] * len(index)
     candidates = []
@@ -393,6 +394,42 @@ def test_ambient_computed_once_per_prime(monkeypatch):
     assert calls == Counter(rs.prime_names)
 
 
+def test_index_serves_extraction(monkeypatch):
+    # the index built by reachable_primes is matched once; extraction reuses it
+    calls = Counter()
+    ambient = TransitionSystem.ambient
+
+    def counting(self, t):
+        calls[serialize(t)] += 1
+        return ambient(self, t)
+
+    monkeypatch.setattr(TransitionSystem, "ambient", counting)
+    m = parse_model(bank_source(5))
+    rs = extract_reactions(m, reachable_primes(m))
+    assert len(rs.prime_names) == 16 and len(rs.reactions) == 20
+    assert calls == Counter(rs.prime_names)
+
+
+def test_same_cluster_transitions_order_independent():
+    # X and Y each have two ambient transitions on cluster s; the network
+    # must not depend on the order their definitions are written in
+    nets = set()
+    for b, c in itertools.permutations("BC"):
+        for x in itertools.permutations(["s.A", f"s.({b} | {c})"]):
+            for y in itertools.permutations(["s.A", "t.B", "s.C"]):
+                text = "\n".join([
+                    f"species X = {' + '.join(x)};",
+                    f"species Y = ({' | '.join(y)});",
+                    "species A = a.0;", "species B = b.0;", "species C = c.0;",
+                    "affinity { s at MA(1); s || t at MA(2); a at MA(3); }",
+                    "mixture { 1 X, 2 Y }",
+                ])
+                rs = build_reaction_system(parse_model(text))
+                nets.add(json.dumps(reaction_system_json(rs)))
+    assert len(nets) == 1
+    assert len(json.loads(nets.pop())["primes"]) == 8
+
+
 CORPUS = ["mm.bond", "enzyme.bond", "dimer.bond", "trimer.bond", "monomer_twosite.bond",
           "pingpong.bond", "inhibitor.bond", "kuznetsov.bond"]
 
@@ -406,6 +443,6 @@ def test_pruned_network_equals_unpruned(source):
     text = source()
     pruned = reaction_system_json(build_reaction_system(parse_model(text)))
     m = parse_model(text)
-    ts = TransitionSystem(m.species)
-    full = reaction_system_json(extract_reactions(m, reachable_primes(m, ts=ts), ts=ts))
+    index = reachable_primes(m, ts=TransitionSystem(m.species))
+    full = reaction_system_json(extract_reactions(m, index))
     assert pruned == full
