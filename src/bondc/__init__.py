@@ -18,7 +18,7 @@ from .ode import (
     integrate,
     render_odes,
 )
-from .parser import ParseError, parse_model, render_model, render_species
+from .parser import ParseError, parse_model, render_model
 from .reactions import (
     PrimeIndex,
     Reaction,
@@ -106,6 +106,5 @@ __all__ = [
     "reachable_primes",
     "render_model",
     "render_odes",
-    "render_species",
     "serialize",
 ]

@@ -165,29 +165,29 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         model = _load(args.file)
-        rs = build_reaction_system(model, cap=args.cap)
-        sys_ = ode_mod.build_odes(rs)
-        x0 = initial_mixture(model, rs.index)
-        traj = ode_mod.integrate(
-            sys_, x0, args.t_end, rtol=args.rtol, atol=args.atol, grid=args.grid
-        )
-        with _output(args.out) as fh:
+        with _output(args.out) as fh:  # before the run: a bad path fails fast
+            rs = build_reaction_system(model, cap=args.cap)
+            sys_ = ode_mod.build_odes(rs)
+            x0 = initial_mixture(model, rs.index)
+            traj = ode_mod.integrate(
+                sys_, x0, args.t_end, rtol=args.rtol, atol=args.atol, grid=args.grid
+            )
             ode_mod.write_trajectory_csv(fh, sys_.names, traj)
         return 0
 
     if args.command == "ssa":
         model = _load(args.file)
-        rs = build_reaction_system(model, cap=args.cap)
-        dm = ssa_mod.discretize(rs, args.h)
-        x0 = initial_mixture(model, rs.index)
-        n0 = ssa_mod.initial_levels(x0, args.h)
-        runs = ssa_mod.gillespie_runs(
-            dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
-        )
-        for r in runs:
-            for w in r.warnings:
-                print(f"warning: run {r.run_id}: {w}", file=sys.stderr)
         with _output(args.out) as fh:
+            rs = build_reaction_system(model, cap=args.cap)
+            dm = ssa_mod.discretize(rs, args.h)
+            x0 = initial_mixture(model, rs.index)
+            n0 = ssa_mod.initial_levels(x0, args.h)
+            runs = ssa_mod.gillespie_runs(
+                dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
+            )
+            for r in runs:
+                for w in r.warnings:
+                    print(f"warning: run {r.run_id}: {w}", file=sys.stderr)
             ssa_mod.write_runs_csv(fh, dm, runs)
         return 0
 

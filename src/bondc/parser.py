@@ -352,9 +352,6 @@ def _parse_cluster(p: _Parser):
 
 # --- rendering ---------------------------------------------------------------
 
-render_species = serialize  # the one term printer, under its old name here
-
-
 def render_model(m: Model) -> str:
     """Inverse of parse_model up to structural equality."""
     lines: list[str] = []

@@ -9,14 +9,14 @@ matched, and kept in table order, which depends only on the canonical prime.
 The index is built once, by ``reachable_primes``, and serves extraction too.
 The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
-its last evaluation, since the others' products are already indexed.  Each
-tuple's products are memoized, so extraction does not colocate, commit or
-normalize again.  Tuples are visited in the same order either way, so prime
-numbering does not depend on any of this.  The rate of a matched tuple is the
-kinetic law applied to the total cluster concentrations, divided by those
-concentrations and multiplied back by each participant's own contribution; a
-slot whose cluster is matched by a single (prime, transition) pair cancels
-exactly.  Repeated clusters in a pattern contribute the standard
+its last evaluation, since the others' products are already indexed.  A
+tuple's product is its colocated targets, committed and normalized once (by
+``primes``); it is memoized, so extraction does not colocate or normalize.
+Tuples are visited in the same order either way, so prime numbering does
+not depend on any of this.  The rate of a matched tuple is the kinetic law
+applied to the total cluster concentrations, divided by those concentrations
+and multiplied back by each participant's own contribution; a slot whose
+cluster is matched by a single (prime, transition) pair cancels exactly.  Repeated clusters in a pattern contribute the standard
 1/multiplicity! symmetry correction, so e.g. a homodimerization under
 mass-action k fires at (1/2) k [A]^2.
 """

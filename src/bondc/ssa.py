@@ -50,9 +50,6 @@ class DiscreteModel:
                 readers[i].append(k)
         self.deps = [sorted({k for i, _ in e.jumps for k in readers[i]}) for e in self.events]
 
-    def propensities(self, levels: Sequence[int]) -> list[float]:
-        return [f(levels) for f in self._props]
-
 
 @dataclass
 class SsaRun:
@@ -171,12 +168,6 @@ def gillespie_runs(
         )
         out.append(run)
     return out
-
-
-def mean_std(runs: list[SsaRun]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise mean and standard deviation of level counts across runs."""
-    stack = np.stack([r.levels for r in runs]).astype(float)
-    return runs[0].t, stack.mean(axis=0), stack.std(axis=0, ddof=1)
 
 
 def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:

@@ -15,6 +15,13 @@ Com grows a combination part by part only while its bag is a sub-bag of some
 cluster: its cost follows the combinations that fit, not 2^parts.  Without
 clusters the system computes the full table.
 
+Targets stay raw while a transition is built (received locations become
+the placeholders ?a0, ?a1, ...; Com and restriction only wrap bodies), and
+are canonicalized once, where a transition surfaces in ``transitions()`` or
+``ambient()``.  Congruent transitions merge there, in order of first
+occurrence: every step maps congruent targets to congruent ones, so the
+table is the one a canonicalization at every step would give.
+
 The system keeps each definition's body in normal form, so a canonical term
 lists its transitions in an order that depends only on the term, not on how
 a definition orders its guards and parallel parts.
@@ -56,7 +63,11 @@ class UnguardedRecursionError(ModelError):
 class Transition:
     cluster: Cluster
     location: Optional[str]  # None = ambient
-    target: Abstraction  # always canonical (placeholder binders)
+    target: Abstraction  # placeholder binders; canonical once surfaced
+
+
+# unfolding depth past which a definition is taken to recurse without a guard
+DEPTH_LIMIT = 64
 
 
 def _placeholders(n: int) -> tuple[str, ...]:
@@ -76,21 +87,25 @@ def colocate(f: Abstraction, g: Abstraction) -> Abstraction:
     ph = _placeholders(n)
     fb = rename_locations(f.body, dict(zip(f.binders, ph)))
     gb = rename_locations(g.body, dict(zip(g.binders, ph)))
-    return canonical_abstraction(Abstraction(ph, Par((fb, gb))))
+    return Abstraction(ph, Par((fb, gb)))
 
 
 def restrict_abstraction(names: tuple[str, ...], f: Abstraction) -> Abstraction:
     """Push a restriction through an abstraction: (nu l)(m)A = (m)(nu l)A."""
-    if not names:
-        return canonical_abstraction(f)
-    return canonical_abstraction(Abstraction(f.binders, New(names, f.body)))
+    return Abstraction(f.binders, New(names, f.body))
 
 
 def commit(f: Abstraction) -> Species:
-    """Close an abstraction by restricting its bound locations."""
-    if not f.binders:
-        return normalize(f.body)
-    return normalize(New(f.binders, f.body))
+    """Close an abstraction by restricting its bound locations (not normalized)."""
+    return New(f.binders, f.body) if f.binders else f.body
+
+
+def _surface(raw: Iterable[tuple[Transition, int]]) -> Counter:
+    """Canonical targets, merging the multiplicities of congruent transitions."""
+    out: Counter = Counter()
+    for tr, m in raw:
+        out[Transition(tr.cluster, tr.location, canonical_abstraction(tr.target))] += m
+    return out
 
 
 class TransitionSystem:
@@ -101,13 +116,9 @@ class TransitionSystem:
     """
 
     def __init__(
-        self,
-        defs: Mapping[str, SpeciesDef],
-        depth_limit: int = 64,
-        clusters: Optional[Iterable[Cluster]] = None,
+        self, defs: Mapping[str, SpeciesDef], clusters: Optional[Iterable[Cluster]] = None
     ):
         self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
-        self.depth_limit = depth_limit
         # site -> the distinct clusters holding it, as multisets
         self._by_site: Optional[dict[str, list[Counter]]] = None
         if clusters is not None:
@@ -124,12 +135,11 @@ class TransitionSystem:
         return any(sites <= c for c in self._by_site.get(site, ()))
 
     def transitions(self, t: Species) -> Counter:
-        return self._transitions(t, self.depth_limit)
+        return _surface(self._transitions(t, DEPTH_LIMIT).items())
 
     def ambient(self, t: Species) -> Counter:
-        return Counter(
-            {tr: m for tr, m in self.transitions(t).items() if tr.location is AMBIENT}
-        )
+        raw = self._transitions(t, DEPTH_LIMIT).items()
+        return _surface((tr, m) for tr, m in raw if tr.location is AMBIENT)
 
     def _transitions(self, t: Species, depth: int) -> Counter:
         out: Counter = Counter()
@@ -139,8 +149,9 @@ class TransitionSystem:
             for g in t.guards:
                 if not self._fits(Counter((g.site,))):
                     continue
-                target = canonical_abstraction(Abstraction(g.receives, g.body))
-                out[Transition((g.site,), g.location, target)] += 1
+                ph = _placeholders(len(g.receives))
+                body = rename_locations(g.body, dict(zip(g.receives, ph)))
+                out[Transition((g.site,), g.location, Abstraction(ph, body))] += 1
             return out
         if isinstance(t, Call):
             if depth <= 0:

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import numpy as np
+
 
 def rational_left_nullspace(rows):
     """Basis of {v : v @ M == 0} for an integer matrix given as rows.
@@ -39,3 +41,9 @@ def rational_left_nullspace(rows):
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
+
+
+def mean_std(runs):
+    """Pointwise mean and standard deviation of SSA level counts across runs."""
+    stack = np.stack([r.levels for r in runs]).astype(float)
+    return runs[0].t, stack.mean(axis=0), stack.std(axis=0, ddof=1)

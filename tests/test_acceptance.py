@@ -18,11 +18,11 @@ from bondc.congruence import normalize, primes
 from bondc.ode import build_odes, eval_field, integrate
 from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
-from bondc.ssa import discretize, gillespie_runs, initial_levels, mean_std
+from bondc.ssa import discretize, gillespie_runs, initial_levels
 from bondc.terms import Par
 from bondc.transitions import TransitionSystem
 
-from conftest import rational_left_nullspace
+from conftest import mean_std, rational_left_nullspace
 from test_congruence import random_species
 from test_reactions import brute_force_field
 

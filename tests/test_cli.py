@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from bondc import ode, ssa
 from bondc.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 CRN_GOLDEN = Path(__file__).resolve().parent / "data" / "crn"
+TRANSITIONS_GOLDEN = Path(__file__).resolve().parent / "data" / "transitions"
 
 
 def run(capsys, *argv):
@@ -108,6 +110,18 @@ def test_crn_matches_golden(capsys, golden):
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "golden", sorted(TRANSITIONS_GOLDEN.glob("*.txt")), ids=lambda p: p.stem
+)
+def test_transitions_match_golden(capsys, golden):
+    # <model>.txt is the whole table; <model>.<species>.txt is --species
+    model, _, species = golden.stem.partition(".")
+    options = ["--species", species] if species else []
+    code, out, err = run(capsys, "transitions", str(MODELS / f"{model}.bond"), *options)
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_odes_text(capsys):
     code, out, err = run(capsys, "odes", str(MODELS / "mm.bond"))
     assert code == 0
@@ -179,6 +193,40 @@ def test_out_directory_is_io_error(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error[IO]:")
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("simulate", ["--t-end", "1.0"]),
+        ("ssa", ["--h", "0.5", "--t-end", "1.0", "--seed", "42"]),
+    ],
+    ids=["simulate", "ssa"],
+)
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, command, options):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before opening --out")
+
+    monkeypatch.setattr(ode, "integrate", never)
+    monkeypatch.setattr(ssa, "gillespie_runs", never)
+    dest = tmp_path / "missing" / "out.csv"
+    code, out, err = run(
+        capsys, command, str(MODELS / "mm.bond"), *options, "--out", str(dest)
+    )
+    assert code == 1
+    assert err.startswith("error[IO]:")
+
+
+def test_model_error_leaves_out_empty(tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    dest.write_text("old contents\n")
+    code, out, err = run(
+        capsys, "simulate", str(MODELS / "enzyme.bond"), "--t-end", "1.0",
+        "--cap", "1", "--out", str(dest),
+    )
+    assert code == 1
+    assert err.startswith("error[UNBOUNDED]:")
+    assert dest.read_text() == ""
 
 
 @pytest.mark.parametrize(

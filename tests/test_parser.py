@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from bondc import expr as ex
-from bondc.congruence import normalize
-from bondc.parser import ParseError, parse_model, render_model, render_species
+from bondc.congruence import normalize, serialize
+from bondc.parser import ParseError, parse_model, render_model
 from bondc.terms import AMBIENT, NIL, Call, ModelError, New, Par, Prefix, Sum
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -158,7 +158,7 @@ def test_render_species_roundtrip_structural():
     src = "new l in (a@l(m).D(m) | b@l.0 + c.(x.0 | y.0))"
     extra = "species D(m) = d@m.0;"
     t = parse_species(src, extra=extra)
-    again = parse_species(render_species(t), extra=extra)
+    again = parse_species(serialize(t), extra=extra)
     assert normalize(t) == normalize(again)
 
 

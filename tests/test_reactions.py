@@ -3,12 +3,14 @@ import json
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bondc import congruence
 from bondc import expr as ex
 from bondc.congruence import primes, serialize
 from bondc.parser import parse_model
@@ -337,6 +339,25 @@ def test_scaffold_family_counts(k):
     assert len(rs.reactions) == k * 2**k + k
     lone = [n for n in rs.prime_names if re.fullmatch(r"\(new \S+ in Lb\d+\(\S+\)\)", n)]
     assert lone == []
+
+
+def test_scaffold_normalize_budget(monkeypatch):
+    # targets are canonicalized where they surface and products once, in
+    # primes(): compiling scaffold k=6 took 2,954 normalize calls when every
+    # step of a transition normalized its target
+    real, calls = congruence.normalize, 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "bondc" and getattr(mod, "normalize", None) is real:
+            monkeypatch.setattr(mod, "normalize", counting)
+    rs = build_reaction_system(parse_model(scaffold_source(6)))
+    assert len(rs.prime_names) == 2**6 + 6 + 1
+    assert 0 < calls <= 1000
 
 
 def witness_source(k):

@@ -14,9 +14,10 @@ from bondc.ssa import (
     gillespie,
     gillespie_runs,
     initial_levels,
-    mean_std,
     write_runs_csv,
 )
+
+from conftest import mean_std
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -49,7 +50,7 @@ def test_discretize_rejects_nonpositive_h():
 def test_propensity_matches_scaled_rate():
     # propensity a(N) = rate(N*h)/h for mass-action decay: rate(x) = k*x
     dm, _ = decay_model(h=0.5)
-    assert dm.propensities([10]) == [pytest.approx(1.0 * (10 * 0.5) / 0.5)]
+    assert [f([10]) for f in dm._props] == [pytest.approx(1.0 * (10 * 0.5) / 0.5)]
 
 
 def test_same_seed_bit_identical():

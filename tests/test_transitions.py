@@ -173,7 +173,7 @@ def test_call_unfolding_with_args():
 
 def test_unguarded_recursion_detected():
     ds = defs(X=((), Call("X", ())))
-    ts = TransitionSystem(ds, depth_limit=16)
+    ts = TransitionSystem(ds)
     with pytest.raises(UnguardedRecursionError) as ei:
         ts.transitions(Call("X", ()))
     assert ei.value.code == "UNBOUNDED"
@@ -190,6 +190,29 @@ def test_transitions_invariant_under_normalize():
     ts = TransitionSystem({})
     t = Par((S(guard("b", "l"), guard("a")), New(("m",), S(guard("c", "m")))))
     assert ts.transitions(t) == ts.transitions(normalize(t))
+
+
+def test_ambient_merges_congruent_targets():
+    # raw targets X|Y and Y|X differ until they surface, where they are one
+    # canonical transition carrying both multiplicities
+    ts = TransitionSystem({})
+    xy, yx = Par((Call("X", ()), Call("Y", ()))), Par((Call("Y", ()), Call("X", ())))
+    out = ts.ambient(S(guard("s", body=xy), guard("s", body=yx)))
+    (tr, mult), = out.items()
+    assert tr.cluster == ("s",) and mult == 2
+    assert tr.target.body == normalize(xy)
+
+
+def test_ambient_merges_congruent_com_combinations():
+    ts = TransitionSystem({})
+    xy, yx = Par((Call("X", ()), Call("Y", ()))), Par((Call("Y", ()), Call("X", ())))
+    t = New(("l",), Par((S(guard("a", "l", body=xy)), S(guard("a", "l", body=yx)), S(guard("b", "l")))))
+    out = ts.ambient(t)
+    assert {tr.cluster: m for tr, m in out.items()} == {
+        ("a", "b"): 2, ("a", "a"): 1, ("a", "a", "b"): 1
+    }
+    assert len(out) == 3
+    assert all(tr.location is AMBIENT for tr in out)
 
 
 @pytest.mark.parametrize(
