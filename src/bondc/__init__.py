@@ -7,7 +7,7 @@ deterministic ODE integrator or a stochastic simulator.
 """
 
 from . import expr
-from .congruence import embed, is_prime, normalize, primes, serialize
+from .congruence import normalize, primes, serialize
 from .expr import DomainError
 from .ode import (
     OdeSystem,
@@ -90,7 +90,6 @@ __all__ = [
     "canonical_abstraction",
     "colocate",
     "discretize",
-    "embed",
     "eval_field",
     "expr",
     "free_locations",
@@ -99,7 +98,6 @@ __all__ = [
     "initial_levels",
     "initial_mixture",
     "integrate",
-    "is_prime",
     "normalize",
     "parse_model",
     "primes",

@@ -99,15 +99,6 @@ def primes(t: Species) -> list[Species]:
     return [n]
 
 
-def embed(t: Species) -> Counter:
-    """Unit-concentration mixture over the primes of t (with multiplicity)."""
-    return Counter(primes(t))
-
-
-def is_prime(t: Species) -> bool:
-    return len(primes(t)) == 1
-
-
 # --- binder freshening -------------------------------------------------------
 
 

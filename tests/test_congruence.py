@@ -1,10 +1,11 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from bondc.congruence import embed, is_prime, normalize, primes, serialize
+from bondc.congruence import normalize, primes, serialize
 from bondc.terms import (
     AMBIENT,
     NIL,
@@ -24,6 +25,15 @@ def guard(site, loc=AMBIENT, receives=(), body=NIL):
 
 def S(*guards):
     return Sum(tuple(guards))
+
+
+def embed(t):
+    """Unit-concentration mixture over the primes of t (with multiplicity)."""
+    return Counter(primes(t))
+
+
+def is_prime(t):
+    return len(primes(t)) == 1
 
 
 def test_nil_identity():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bondc import expr as ex
+from bondc import ode
 from bondc.ode import (
     StiffnessError,
     build_odes,
@@ -249,3 +250,44 @@ def test_eval_field_non_finite_rate_names_reaction():
     with pytest.raises(ex.DomainError, match=r"non-finite rate for reaction 'x at F\(1e\+300\)'"):
         eval_field(sys_, [1e10])
     assert eval_field(sys_, [1.0]).tolist() == [0.0]
+
+
+# --- the generated and the numpy DOPRI5 kernels ----------------------------------
+
+
+def both_kernels(monkeypatch, source, t_end):
+    """The same integration through the generated step and through the numpy one."""
+    m = parse_model(source)
+    rs = build_reaction_system(m)
+    x0 = initial_mixture(m, rs.index)
+    gen_sys, numpy_sys = build_odes(rs), build_odes(rs)
+    gen = integrate(gen_sys, x0, t_end)
+    with monkeypatch.context() as mp:
+        mp.setattr(ode, "GENERATED_STEP_MAX_N", -1)
+        ref = integrate(numpy_sys, x0, t_end)
+    assert "_step" in vars(gen_sys) and "_step" not in vars(numpy_sys)
+    return gen, ref
+
+
+@pytest.mark.parametrize("source", sources([4]))
+def test_generated_step_matches_numpy_step(monkeypatch, source):
+    gen, ref = both_kernels(monkeypatch, source(), 5.0)
+    assert (gen.steps, gen.rejected, gen.nfev) == (ref.steps, ref.rejected, ref.nfev)
+    peak = np.abs(ref.y).max(axis=0)
+    assert (np.abs(gen.y - ref.y) <= 1e-12 * peak).all()
+
+
+def test_generated_step_matches_numpy_step_kuznetsov_long(monkeypatch):
+    gen, ref = both_kernels(monkeypatch, (MODELS / "kuznetsov.bond").read_text(), 1600.0)
+    assert gen.steps == ref.steps == 16_494
+    assert abs(gen.rejected - 229) <= 5 and abs(ref.rejected - 229) <= 5
+    assert gen.y[-1] == pytest.approx(ref.y[-1], rel=1e-6)
+
+
+def test_large_system_takes_numpy_step():
+    from test_reactions import scaffold_source
+
+    rs, sys_ = odes_for(scaffold_source(6))
+    assert len(rs.prime_names) == 71 > ode.GENERATED_STEP_MAX_N
+    traj = integrate(sys_, [1.0] * 71, 0.1)
+    assert traj.steps > 0 and "_step" not in vars(sys_)
