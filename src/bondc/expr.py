@@ -199,7 +199,8 @@ def compile_exprs(
     else:
         lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]')}" for j, e in enumerate(exprs))]
         lines.append(f" v = ({''.join(f'r{j},' for j in range(len(exprs)))})")
-        lines.append(' if not isfinite(sum(v)) and not all(map(isfinite, v)): raise DomainError("nan")')
+        lines.append(" if not isfinite(sum(v)) and not all(map(isfinite, v)):")
+        lines.append('  raise DomainError("non-finite rate")')
         for i, terms in enumerate(sums):
             signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
             # at most 256 terms per statement keep the compiler's recursion shallow

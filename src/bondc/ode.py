@@ -4,11 +4,11 @@ The derivatives and the compiled field come from one pass over the sparse
 stoichiometry.  The field is one straight-line function: it evaluates each
 rate once, checks them finite, and adds each into the primes its reaction
 changes.  The integrator is a Dormand-Prince 5(4) embedded pair with
-error-per-step control.  One attempt is a kernel, chosen by prime count: up to
-GENERATED_STEP_MAX_N primes it is generated per model, straight-line over
-Python floats with the tableau inlined; above, it is the same step in numpy.
-One driver loop runs either.  The standard quartic continuous extension gives
-dense output, built only on accepted steps that reach a grid point.
+error-per-step control.  One attempt is generated per model, straight-line
+over Python floats with the tableau inlined; the same attempt in numpy re-runs
+a failing one through eval_field, so that the error names the reaction.  The
+standard quartic continuous extension gives dense output, built only on
+accepted steps that reach a grid point.
 Concentrations are clipped to zero between accepted steps: explicit solvers
 overshoot near the axes and the kinetic laws live on the nonnegative orthant.
 """
@@ -161,13 +161,6 @@ _D = np.array(
 )
 
 
-# Kernel choice by prime count.  Per attempt, the generated step is 20-40% faster
-# up to ~40 primes and about even at 55-70, where numpy's per-stage calls catch up
-# with the unrolled arithmetic; its compile time (~0.25 ms per prime) must be
-# paid back too, so the crossover is taken at the low end.
-GENERATED_STEP_MAX_N = 40
-
-
 def _numpy_step(sys: OdeSystem, y, k0, h: float, rtol: float, atol: float):
     """One DOPRI5 attempt in numpy: (y5, scaled error norm, the 7 stage derivatives)."""
     y = np.asarray(y)
@@ -218,6 +211,8 @@ def integrate(
     t_grid = t_out.tolist()
     out = np.empty((len(t_out), n))
     out[0] = y
+    if not n:  # no primes: nothing to integrate
+        return Trajectory(t_out, out, 0, 0, 0)
     next_out = 1
 
     nfev = steps = rejected = 0
@@ -227,7 +222,7 @@ def integrate(
         nfev += 1
         return eval_field(sys, x).tolist()
 
-    step = sys._step if n <= GENERATED_STEP_MAX_N else functools.partial(_numpy_step, sys)
+    step = sys._step
     k0 = f(y)
     h = min(max_step, t_end / 100.0)
     h_min = 1e-14 * t_end
@@ -247,9 +242,10 @@ def integrate(
             )
         try:
             y5, err, ks = step(y, k0, h, rtol, atol)
-        except ex.DomainError:
+        except ex.DomainError as e:
             _numpy_step(sys, y, k0, h, rtol, atol)  # through eval_field: names the reaction
-            raise
+            # its stage inputs round differently and may all evaluate finite
+            raise ex.DomainError(f"{e} inside a DOPRI5 stage at t={t:.6g}") from e
         nfev += 6
 
         if err <= 1.0:

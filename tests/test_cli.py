@@ -361,3 +361,11 @@ def test_non_finite_rate_is_domain_error(tmp_path, capsys, options, model):
     code, out, err = run(capsys, options[0], str(path), "--t-end", t_end, *options[1:])
     assert code == 1
     assert err.startswith(f"error[DOMAIN]: non-finite rate for reaction '{reaction}'")
+
+
+def test_simulate_without_primes(tmp_path, capsys):
+    # no mixture: zero primes integrate to an empty trajectory, not a crash
+    path = tmp_path / "empty.bond"
+    path.write_text("species X = x.0;\naffinity { x at MA(1); }\n")
+    code, out, err = run(capsys, "simulate", str(path), "--t-end", "1", "--grid", "2")
+    assert (code, out, err) == (0, "t\n0.0\n0.5\n1.0\n", "")
