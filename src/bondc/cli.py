@@ -1,9 +1,9 @@
 """bondc command line interface.
 
-Exit codes: 0 success, 1 model error (with a machine-parsable
-``error[CODE]:`` line on stderr), 2 usage error.  The codes are PARSE (a
-model file that cannot be read or parsed), ARITY, UNBOUNDED, DOMAIN, STIFF
-and IO (an output file that cannot be written).
+Exit codes: 0 success (also when the reader closes stdout early), 1 model
+error (with a machine-parsable ``error[CODE]:`` line on stderr), 2 usage
+error.  The codes are PARSE (a model file that cannot be read or parsed),
+ARITY, UNBOUNDED, DOMAIN, STIFF and IO (an unwritable output file).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import ode as ode_mod
@@ -112,7 +113,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout stopped early: not a failure
+        # stdout on /dev/null, so that the interpreter's own flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, ModelError, UnboundedError, DomainError, ode_mod.StiffnessError) as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
@@ -185,6 +192,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             runs = ssa_mod.gillespie_runs(
                 dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
             )
+            for name, c, n in zip(dm.names, x0, n0):
+                if c and not n:
+                    w = f"initial concentration {c:g} of '{name}' rounds to 0 levels"
+                    print(f"warning: {w} at h={args.h:g}", file=sys.stderr)
             for r in runs:
                 for w in r.warnings:
                     print(f"warning: run {r.run_id}: {w}", file=sys.stderr)

@@ -119,14 +119,6 @@ def total(terms: Iterable[Expr]) -> Expr:
     return out
 
 
-def _guarded_div(num: float, den: float) -> float:
-    if den == 0.0:
-        if num == 0.0:
-            return 0.0
-        raise DomainError("division by zero")
-    return num / den
-
-
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Const):
         return e.value
@@ -140,7 +132,9 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         return a - b
     if e.op == "mul":
         return a * b
-    return _guarded_div(a, b)
+    if b == 0.0 and a != 0.0:
+        raise DomainError("division by zero")
+    return a / b if b else 0.0
 
 
 def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
@@ -162,15 +156,24 @@ def variables(e: Expr) -> set[str]:
     return variables(e.left) | variables(e.right)
 
 
+def non_finite(label: str) -> DomainError:
+    """The error for a rate of the reaction ``label`` that is not finite."""
+    return DomainError(
+        f"non-finite rate for reaction '{label}' (kinetic law evaluated outside its domain)"
+    )
+
+
 def compile_exprs(
     exprs: list[Expr],
+    labels: list[str],
     var_index: Mapping[str, int] | Iterable[str],
     sums: Optional[list[list[tuple[int, int]]]] = None,
     h: Optional[float] = None,
 ):
     """Compile expressions into straight-line Python, generated in one exec.
 
-    Used by the simulation inner loops; semantics identical to evaluate().
+    Used by the simulation inner loops; semantics identical to evaluate(), but
+    a DomainError names the label (one per expression) of the one that failed.
     ``var_index`` maps variable names to positions in the argument vector, as
     a mapping or as an ordered sequence of names.  Give one of ``sums`` and
     ``h``.  With ``sums`` (per output, its (coefficient, expression index)
@@ -182,32 +185,45 @@ def compile_exprs(
     if not isinstance(var_index, Mapping):
         var_index = {n: i for i, n in enumerate(var_index)}
 
-    def emit(e: Expr, var: str) -> str:
+    def emit(e: Expr, var: str, j: int) -> str:
         if isinstance(e, Const):
             return repr(e.value)
         if isinstance(e, Var):
             return var.format(var_index[e.name])
-        a, b = emit(e.left, var), emit(e.right, var)
+        a, b = emit(e.left, var, j), emit(e.right, var, j)
         op = {"add": "+", "sub": "-", "mul": "*"}.get(e.op)
         if op is not None:
             return f"({a}{op}{b})"
-        return f"_gdiv({a},{b})"
+        return f"_gdiv({a},{b},{j})"
+
+    def gdiv(num: float, den: float, j: int) -> float:
+        if den == 0.0:
+            if num == 0.0:
+                return 0.0
+            msg = f"rate evaluation failed for reaction '{labels[j]}': division by zero"
+            raise DomainError(msg)
+        return num / den
+
+    def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate
+        for j, r in enumerate(v):
+            if not math.isfinite(r):
+                raise non_finite(labels[j])
 
     if h is not None:
-        fs = "".join(f"lambda n: {emit(e, f'(n[{{}}]*{h!r})')}/{h!r},\n" for e in exprs)
+        var = f"(n[{{}}]*{h!r})"
+        fs = "".join(f"lambda n: {emit(e, var, j)}/{h!r},\n" for j, e in enumerate(exprs))
         lines = [f"f = [{fs}]"]
     else:
-        lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]')}" for j, e in enumerate(exprs))]
+        lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]', j)}" for j, e in enumerate(exprs))]
         lines.append(f" v = ({''.join(f'r{j},' for j in range(len(exprs)))})")
-        lines.append(" if not isfinite(sum(v)) and not all(map(isfinite, v)):")
-        lines.append('  raise DomainError("non-finite rate")')
+        lines.append(" if not isfinite(sum(v)): check(v)")
         for i, terms in enumerate(sums):
             signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
             # at most 256 terms per statement keep the compiler's recursion shallow
             for k in range(0, len(signed), 256):
                 lines.append(f" d{i} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}")
         lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
-    env = {"_gdiv": _guarded_div, "isfinite": math.isfinite, "DomainError": DomainError}
+    env = {"_gdiv": gdiv, "isfinite": math.isfinite, "check": check}
     env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants
     exec("\n".join(lines), env)  # noqa: S102 - generated source
     return env["f"]

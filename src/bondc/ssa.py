@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, TextIO
 import numpy as np
 
 from . import expr as ex
-from .ode import checked_rate, jumps, write_csv
+from .ode import jumps, write_csv
 from .reactions import ReactionSystem
 
 
@@ -41,7 +41,8 @@ class DiscreteModel:
 
     def __post_init__(self):
         idx = {n: i for i, n in enumerate(self.names)}
-        self._props = ex.compile_exprs([e.rate for e in self.events], idx, h=self.h)
+        labels = [e.provenance for e in self.events]
+        self._props = ex.compile_exprs([e.rate for e in self.events], labels, idx, h=self.h)
         # per prime, the events whose propensity reads its level: through
         # the rate, or through a jump that could take it below zero
         readers: list[list[int]] = [[] for _ in self.names]
@@ -106,25 +107,22 @@ def gillespie(
     inf = math.inf
 
     def update(ks: Iterable[int]) -> None:
-        try:
-            for k in ks:
-                a = props_of[k](levels)
-                if 0.0 < a < inf:
-                    for i, m in needs[k]:
-                        if levels[i] < m:
-                            a = 0.0  # jump would go negative: event disabled
-                            break
-                elif -inf < a < 0.0:
-                    if not run_warnings:
-                        run_warnings.append(
-                            f"negative propensity for '{events[k].provenance}' clamped to 0"
-                        )
-                    a = 0.0
-                elif a != 0.0:
-                    raise ex.DomainError("non-finite")
-                props[k] = a
-        except ex.DomainError:
-            checked_rate(events[k].provenance, props_of[k], levels)  # raises, naming it
+        for k in ks:
+            a = props_of[k](levels)
+            if 0.0 < a < inf:
+                for i, m in needs[k]:
+                    if levels[i] < m:
+                        a = 0.0  # jump would go negative: event disabled
+                        break
+            elif -inf < a < 0.0:
+                if not run_warnings:
+                    run_warnings.append(
+                        f"negative propensity for '{events[k].provenance}' clamped to 0"
+                    )
+                a = 0.0
+            elif a != 0.0:
+                raise ex.non_finite(events[k].provenance)
+            props[k] = a
 
     update(range(len(events)))
     while True:

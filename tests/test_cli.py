@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from bondc import ode, ssa
 from bondc.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CRN_GOLDEN = Path(__file__).resolve().parent / "data" / "crn"
 TRANSITIONS_GOLDEN = Path(__file__).resolve().parent / "data" / "transitions"
 
@@ -217,6 +221,19 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, comm
     assert err.startswith("error[IO]:")
 
 
+def test_closed_stdout_pipe_is_not_an_error():
+    # about 250 kB of CSV, more than a pipe holds: bondc writes on after the reader has gone
+    argv = ["ssa", str(MODELS / "enzyme.bond"), "--h", "0.01", "--seed", "1", "--t-end", "5"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bondc.cli", *argv, "--sample-dt", "0.0005"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.readline().startswith(b"run,t,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err.decode()) == (0, "")
+
+
 def test_model_error_leaves_out_empty(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     dest.write_text("old contents\n")
@@ -263,6 +280,16 @@ def test_ssa_stdout_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "run,t,S,E,P"
     assert len(lines) == 4
+
+
+def test_ssa_warns_of_a_prime_that_starts_at_zero_levels(tmp_path, capsys):
+    path = tmp_path / "tiny.bond"
+    path.write_text("species X = x.(X | X);\naffinity { x at MA(1); }\nmixture { 1 X }\n")
+    argv = ["--seed", "1", "--t-end", "1", "--sample-dt", "0.5"]
+    code, out, err = run(capsys, "ssa", str(path), "--h", "1e9", *argv)
+    assert (code, out) == (0, "run,t,X\n0,0.0,0\n0,0.5,0\n0,1.0,0\n")
+    assert err == "warning: initial concentration 1 of 'X' rounds to 0 levels at h=1e+09\n"
+    assert run(capsys, "ssa", str(path), "--h", "1.5", *argv)[2] == ""  # 1/1.5 rounds to 1
 
 
 def test_ssa_deterministic_reruns(capsys):

@@ -52,17 +52,25 @@ def test_compiled_matches_interpreted():
         ex.mul(ex.const(3), ex.mul(ex.Var("a"), ex.Var("b"))),
         ex.add(ex.const(1), ex.Var("b")),
     )
-    f = ex.compile_exprs([e], ["a", "b"], sums=[[(1, 0)]])
+    f = ex.compile_exprs([e], ["e"], ["a", "b"], sums=[[(1, 0)]])
     env = {"a": 2.5, "b": 4.0}
     assert f([env["a"], env["b"]])[0] == pytest.approx(ex.evaluate(e, env))
 
 
 def test_compiled_guarded_division():
     q = ex.Bin("div", ex.Var("a"), ex.Var("b"))
-    f = ex.compile_exprs([q], ["a", "b"], sums=[[(1, 0)]])
+    f = ex.compile_exprs([ex.Var("a"), q], ["a", "a/b"], ["a", "b"], sums=[[(1, 0), (1, 1)]])
     assert f([0.0, 0.0])[0] == 0.0
-    with pytest.raises(ex.DomainError):
+    with pytest.raises(ex.DomainError, match=r"^rate evaluation failed for reaction 'a/b': "):
         f([1.0, 0.0])
+    with pytest.raises(ex.DomainError, match=r"^non-finite rate for reaction 'a/b' \(kinetic"):
+        f([1.0, math.nan])
+
+
+def test_compiled_finite_overflow_is_not_an_error():
+    # the rates sum to inf, but each is finite
+    f = ex.compile_exprs([ex.Var("a"), ex.Var("a")], ["r0", "r1"], ["a"], sums=[[(1, 0)]])
+    assert f([1e308]) == [1e308]
 
 
 def test_substitute():

@@ -287,10 +287,38 @@ MID_STEP_NAN = (  # finite at t=0, NaN inside a stage once X exceeds about 1e4
 )
 
 
-def test_domain_error_inside_step_names_stage_when_rerun_is_finite(monkeypatch):
-    # the numpy re-run rounds differently from the generated step and may not fail
-    monkeypatch.setattr(ode, "_numpy_step", lambda *args: None)
-    rs, sys_ = odes_for(MID_STEP_NAN)
-    with pytest.raises(ex.DomainError, match=r"^non-finite rate inside a DOPRI5 stage at t="):
-        integrate(sys_, [1.0], 20.0)
+STAGE_DIVISION_BY_ZERO = (  # finite at t=0; the first stage of the first attempt is at X = 0
+    "species X = x.0;\nlaw F(k; x) = k / x;\naffinity { x at F(1); }\nmixture { 1 X }"
+)
 
+
+@pytest.mark.parametrize(
+    "source, t_end, message",
+    [
+        (MID_STEP_NAN, 20.0, r"^non-finite rate for reaction 'x at F\(1e\+300\)' \(kinetic law"),
+        # h = 500/100, so the first stage input is 1 + h*(1/5)*(-1/1) = 0 exactly
+        (STAGE_DIVISION_BY_ZERO, 500.0, r"^rate evaluation failed for reaction 'x at F\(1\)': "),
+    ],
+    ids=["nan", "division-by-zero"],
+)
+def test_domain_error_inside_step_names_reaction(monkeypatch, source, t_end, message):
+    # the generated step names the reaction itself: no rate is evaluated a second time
+    def refuse(*args):
+        raise AssertionError("a failing rate was evaluated again")
+
+    monkeypatch.setattr(ode, "_numpy_step", refuse)
+    monkeypatch.setattr(ex, "evaluate", refuse)
+    rs, sys_ = odes_for(source)
+    step, failed = sys_._step, []
+
+    def spy(*args):  # shadows the generated step: records an attempt that raises
+        try:
+            return step(*args)
+        except ex.DomainError:
+            failed.append(args)
+            raise
+
+    sys_._step = spy
+    with pytest.raises(ex.DomainError, match=message):
+        integrate(sys_, [1.0], t_end)
+    assert len(failed) == 1

@@ -202,10 +202,22 @@ def test_non_finite_propensity_names_reaction():
         gillespie(dm, [10], 1.0, seed=1)
 
 
-def test_rate_division_by_zero_names_reaction():
+def test_rate_division_by_zero_names_reaction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a failing rate was evaluated again")
+
+    monkeypatch.setattr(ex, "evaluate", refuse)
     src = "species X = x.0;\nlaw F(k; x) = k / (x - 1);\naffinity { x at F(2); }\nmixture { 1 X }"
     rs = build_reaction_system(parse_model(src))
     dm = discretize(rs, 1.0)
+    prop, levels = dm._props[0], []
+
+    def spy(n):
+        levels.append(n[0])
+        return prop(n)
+
+    dm._props[0] = spy
     # level 3 fires twice; at level 1 the recomputed propensity divides by zero
     with pytest.raises(ex.DomainError, match=r"rate evaluation failed for reaction 'x at F\(2\)'"):
         gillespie(dm, [3], 100.0, seed=1)
+    assert levels == [3, 2, 1]  # the compiled propensity names it: it is not evaluated again
