@@ -38,9 +38,21 @@ def _load(path: str):
     except UnicodeDecodeError as e:
         raise ModelError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     model = parse_model(text)
-    for w in model.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(model.warnings)
     return model
+
+
+def _compile(model, cap: int):
+    """The model's reaction system; prints the warnings the compile adds."""
+    n = len(model.warnings)
+    rs = build_reaction_system(model, cap=cap)
+    _warn(model.warnings[n:])
+    return rs
+
+
+def _warn(warnings: list[str]) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _output(path: str | None):
@@ -159,13 +171,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "crn":
         model = _load(args.file)
-        rs = build_reaction_system(model, cap=args.cap)
+        rs = _compile(model, args.cap)
         print(json.dumps(reaction_system_json(rs), indent=2))
         return 0
 
     if args.command == "odes":
         model = _load(args.file)
-        rs = build_reaction_system(model, cap=args.cap)
+        rs = _compile(model, args.cap)
         sys_ = ode_mod.build_odes(rs)
         print(ode_mod.render_odes(sys_, fmt=args.format), end="")
         return 0
@@ -173,7 +185,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         model = _load(args.file)
         with _output(args.out) as fh:  # before the run: a bad path fails fast
-            rs = build_reaction_system(model, cap=args.cap)
+            rs = _compile(model, args.cap)
             sys_ = ode_mod.build_odes(rs)
             x0 = initial_mixture(model, rs.index)
             traj = ode_mod.integrate(
@@ -185,7 +197,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "ssa":
         model = _load(args.file)
         with _output(args.out) as fh:
-            rs = build_reaction_system(model, cap=args.cap)
+            rs = _compile(model, args.cap)
             dm = ssa_mod.discretize(rs, args.h)
             x0 = initial_mixture(model, rs.index)
             n0 = ssa_mod.initial_levels(x0, args.h)

@@ -156,6 +156,11 @@ def variables(e: Expr) -> set[str]:
     return variables(e.left) | variables(e.right)
 
 
+def division_by_zero(label: str) -> DomainError:
+    """The error for a rate of the reaction ``label`` that divides x != 0 by 0."""
+    return DomainError(f"rate evaluation failed for reaction '{label}': division by zero")
+
+
 def non_finite(label: str) -> DomainError:
     """The error for a rate of the reaction ``label`` that is not finite."""
     return DomainError(
@@ -200,8 +205,7 @@ def compile_exprs(
         if den == 0.0:
             if num == 0.0:
                 return 0.0
-            msg = f"rate evaluation failed for reaction '{labels[j]}': division by zero"
-            raise DomainError(msg)
+            raise division_by_zero(labels[j])
         return num / den
 
     def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate

@@ -15,12 +15,16 @@
 "&" joins sites within one cluster (one molecule's contribution), "||"
 separates the clusters of different reactants.  "#" starts a line comment.
 A guard's continuation is a single atom; parenthesize sums and parallels.
+
+The text is lexed in one regex pass into (kind, text, offset) tokens.  A
+ParseError's message starts with the 1-based ``line:col`` of the offending
+token, which is worked out from its offset only when the error is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import expr as ex
 from .congruence import serialize
@@ -49,179 +53,149 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<op>\|\||[(){};,.+\-*/=@&|])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class Position(NamedTuple):
     line: int
     col: int
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "eof"
-    text: str
-    span: SourceSpan
 
 
 class ParseError(ValueError):
     code = "PARSE"
 
-    def __init__(self, message: str, span: SourceSpan, expected: frozenset[str] = frozenset()):
-        super().__init__(f"{span.line}:{span.col}: {message}")
-        self.message = message
-        self.span = span
-        self.expected = expected
+    def __init__(self, message: str, text: str, pos: int):
+        line = text.count("\n", 0, pos) + 1
+        col = pos - text.rfind("\n", 0, pos)
+        super().__init__(f"{line}:{col}: {message}")
+        self.span = Position(line, col)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        end = m.end()
-        if m.lastgroup != "ws":
-            span = SourceSpan(pos, end, line, pos - line_start + 1)
-            tokens.append(Token(m.lastgroup, m.group(), span))
-        line += text.count("\n", pos, end)
-        nl = text.rfind("\n", pos, end)
-        if nl != -1:
-            line_start = nl + 1
-        pos = end
-    tokens.append(Token("eof", "", SourceSpan(pos, pos, line, pos - line_start + 1)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", text, m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-@dataclass
 class _Parser:
-    tokens: list[Token]
-    i: int = 0
+    """Recursive descent over the tokens.  Keywords, operators and the nil
+    "0" are matched by their text alone: no other kind of token has it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
 
     @property
-    def tok(self) -> Token:
+    def tok(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != "eof":
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.text, self.tok[2] if pos is None else pos)
+
+    def found(self) -> str:
+        return repr(self.tok[1] or "end of input")
+
+    def advance(self) -> str:
+        self.i += 1
+        return self.tokens[self.i - 1][1]
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.i][1] == text
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.i][1] == text:
             self.i += 1
-        return t
+            return True
+        return False
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise self.error(f"expected {text!r}, found {self.found()}")
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        want = text if text is not None else kind
-        raise ParseError(
-            f"expected {want!r}, found {self.tok.text or 'end of input'!r}",
-            self.tok.span,
-            frozenset({want}),
-        )
+    def sep_list(self, sep: str, item, *args) -> list:
+        """``item (sep item)*``: one or more items, each ``item(*args)``."""
+        out = [item(*args)]
+        while self.accept(sep):
+            out.append(item(*args))
+        return out
 
     def name(self, what: str = "identifier") -> str:
-        t = self.tok
-        if t.kind != "name" or t.text in _KEYWORDS:
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.span)
-        self.advance()
-        return t.text
+        kind, text, _ = self.tok
+        if kind != "name" or text in _KEYWORDS:
+            raise self.error(f"expected {what}, found {self.found()}")
+        self.i += 1
+        return text
 
     def number(self) -> float:
-        sign = -1.0 if self.accept("op", "-") else 1.0
-        t = self.tok
-        if t.kind != "num":
-            raise ParseError(f"expected number, found {t.text or 'end of input'!r}", t.span)
-        self.advance()
-        return sign * float(t.text)
+        sign = -1.0 if self.accept("-") else 1.0
+        if self.tok[0] != "num":
+            raise self.error(f"expected number, found {self.found()}")
+        return sign * float(self.advance())
 
     # --- species terms ---
 
     def spec(self) -> Species:
-        if self.at("num", "0"):
-            self.advance()
-            return NIL
-        if self.at("name", "new"):
-            return self.res()
-        if self.at("op", "("):
-            return self.group()
+        if self.at("(") or self.at("new") or self.at("0"):
+            return self.continuation()
         return self.sum_or_call()
 
     def res(self) -> Species:
-        self.expect("name", "new")
-        names = [self.name("location")]
-        while self.accept("op", ","):
-            names.append(self.name("location"))
-        self.expect("name", "in")
+        self.expect("new")
+        names = self.sep_list(",", self.name, "location")
+        self.expect("in")
         return New(tuple(names), self.spec())
 
     def group(self) -> Species:
-        self.expect("op", "(")
-        first = self.spec()
-        if self.at("op", "|"):
-            parts = [first]
-            while self.accept("op", "|"):
-                parts.append(self.spec())
-            self.expect("op", ")")
-            return Par(tuple(parts))
-        self.expect("op", ")")
-        return first
+        self.expect("(")
+        parts = self.sep_list("|", self.spec)
+        self.expect(")")
+        return Par(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def sum_or_call(self) -> Species:
         first = self.guard_or_call()
         if isinstance(first, Prefix):
             guards = [first]
-            while self.accept("op", "+"):
-                start = self.tok.span
+            while self.accept("+"):
+                start = self.tok[2]
                 g = self.guard_or_call()
                 if not isinstance(g, Prefix):
-                    raise ParseError("a choice may only contain prefix guards", start)
+                    raise self.error("a choice may only contain prefix guards", start)
                 guards.append(g)
             return Sum(tuple(guards))
         return first
 
     def guard_or_call(self) -> Prefix | Species:
         ident = self.name("site or species name")
-        loc = None
-        if self.accept("op", "@"):
-            loc = self.name("location")
+        loc = self.name("location") if self.accept("@") else None
         names: list[str] = []
-        if self.at("op", "("):
-            self.advance()
-            names.append(self.name("location"))
-            while self.accept("op", ","):
-                names.append(self.name("location"))
-            self.expect("op", ")")
+        if self.accept("("):
+            names = self.sep_list(",", self.name, "location")
+            self.expect(")")
             if len(set(names)) != len(names):
-                raise ParseError("received locations must be pairwise distinct", self.tok.span)
-        if self.accept("op", "."):
+                raise self.error("received locations must be pairwise distinct")
+        if self.accept("."):
             return Prefix(ident, loc, tuple(names), self.continuation())
         if loc is not None:
-            raise ParseError("'@location' is only valid on a prefix guard", self.tok.span)
+            raise self.error("'@location' is only valid on a prefix guard")
         return Call(ident, tuple(names))
 
     def continuation(self) -> Species:
         """Guard continuation: an atom; sums/parallels must be parenthesized."""
-        if self.at("num", "0"):
-            self.advance()
+        if self.accept("0"):
             return NIL
-        if self.at("op", "("):
+        if self.at("("):
             return self.group()
-        if self.at("name", "new"):
+        if self.at("new"):
             return self.res()
         g = self.guard_or_call()
         if isinstance(g, Prefix):
@@ -232,122 +206,98 @@ class _Parser:
 
     def law_expr(self) -> ex.Expr:
         e = self.law_term()
-        while self.at("op", "+") or self.at("op", "-"):
-            op = self.advance().text
+        while self.at("+") or self.at("-"):
+            op = self.advance()
             rhs = self.law_term()
             e = ex.add(e, rhs) if op == "+" else ex.sub(e, rhs)
         return e
 
     def law_term(self) -> ex.Expr:
         e = self.law_factor()
-        while self.at("op", "*") or self.at("op", "/"):
-            op = self.advance().text
+        while self.at("*") or self.at("/"):
+            op = self.advance()
             rhs = self.law_factor()
             e = ex.mul(e, rhs) if op == "*" else ex.div(e, rhs)
         return e
 
     def law_factor(self) -> ex.Expr:
-        if self.accept("op", "-"):
+        if self.accept("-"):
             return ex.sub(ex.ZERO, self.law_factor())
-        if self.accept("op", "("):
+        if self.accept("("):
             e = self.law_expr()
-            self.expect("op", ")")
+            self.expect(")")
             return e
-        if self.tok.kind == "num":
-            return ex.const(float(self.advance().text))
+        if self.tok[0] == "num":
+            return ex.const(float(self.advance()))
         return ex.Var(self.name("parameter or argument"))
+
+    # --- affinity patterns ---
+
+    def cluster(self):
+        return make_cluster(self.sep_list("&", self.name, "site"))
 
 
 def parse_model(text: str) -> Model:
     """Parse and validate a complete model."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     species: dict[str, SpeciesDef] = {}
     laws: dict[str, KineticLaw] = {MASS_ACTION.name: MASS_ACTION}
     affinity: list[AffinityEntry] = []
     mixture: list[tuple[float, str]] = []
 
-    def duplicate(kind: str, name: str, span: SourceSpan) -> ParseError:
-        return ParseError(f"duplicate {kind} definition '{name}'", span)
-
-    while not p.at("eof"):
-        span = p.tok.span
-        if p.accept("name", "species"):
+    while p.tok[0] != "eof":
+        start = p.tok[2]
+        if p.accept("species"):
             name = p.name("species name")
             params: list[str] = []
-            if p.accept("op", "("):
-                params.append(p.name("location"))
-                while p.accept("op", ","):
-                    params.append(p.name("location"))
-                p.expect("op", ")")
-            p.expect("op", "=")
+            if p.accept("("):
+                params = p.sep_list(",", p.name, "location")
+                p.expect(")")
+            p.expect("=")
             body = p.spec()
-            p.expect("op", ";")
+            p.expect(";")
             if name in species:
-                raise duplicate("species", name, span)
+                raise p.error(f"duplicate species definition '{name}'", start)
             species[name] = SpeciesDef(name, tuple(params), body)
-        elif p.accept("name", "law"):
+        elif p.accept("law"):
             name = p.name("law name")
-            p.expect("op", "(")
-            params = [p.name("parameter")]
-            while p.accept("op", ","):
-                params.append(p.name("parameter"))
-            p.expect("op", ";")
-            args = [p.name("site argument")]
-            while p.accept("op", ","):
-                args.append(p.name("site argument"))
-            p.expect("op", ")")
-            p.expect("op", "=")
+            p.expect("(")
+            params = p.sep_list(",", p.name, "parameter")
+            p.expect(";")
+            args = p.sep_list(",", p.name, "site argument")
+            p.expect(")")
+            p.expect("=")
             body = p.law_expr()
-            p.expect("op", ";")
+            p.expect(";")
             if name in laws:
-                raise duplicate("law", name, span)
+                raise p.error(f"duplicate law definition '{name}'", start)
             unknown = ex.variables(body) - set(params) - set(args)
             if unknown:
-                raise ParseError(
-                    f"law '{name}' references undeclared name '{sorted(unknown)[0]}'", span
-                )
+                undeclared = sorted(unknown)[0]
+                raise p.error(f"law '{name}' references undeclared name '{undeclared}'", start)
             laws[name] = KineticLaw(name, tuple(params), tuple(args), body)
-        elif p.accept("name", "affinity"):
-            p.expect("op", "{")
-            while not p.at("op", "}"):
-                clusters = [_parse_cluster(p)]
-                while p.accept("op", "||"):
-                    clusters.append(_parse_cluster(p))
-                p.expect("name", "at")
+        elif p.accept("affinity"):
+            p.expect("{")
+            while not p.at("}"):
+                clusters = p.sep_list("||", p.cluster)
+                p.expect("at")
                 law_name = p.name("law name")
-                p.expect("op", "(")
-                values = [p.number()]
-                while p.accept("op", ","):
-                    values.append(p.number())
-                p.expect("op", ")")
-                p.expect("op", ";")
-                affinity.append(
-                    AffinityEntry(tuple(clusters), law_name, tuple(values))
-                )
-            p.expect("op", "}")
-        elif p.accept("name", "mixture"):
-            p.expect("op", "{")
-            mixture.append((p.number(), p.name("species name")))
-            while p.accept("op", ","):
-                mixture.append((p.number(), p.name("species name")))
-            p.expect("op", "}")
+                p.expect("(")
+                values = p.sep_list(",", p.number)
+                p.expect(")")
+                p.expect(";")
+                affinity.append(AffinityEntry(tuple(clusters), law_name, tuple(values)))
+            p.expect("}")
+        elif p.accept("mixture"):
+            p.expect("{")
+            mixture += p.sep_list(",", lambda: (p.number(), p.name("species name")))
+            p.expect("}")
         else:
-            raise ParseError(
-                f"expected a definition, found {p.tok.text or 'end of input'!r}",
-                span,
-                frozenset({"species", "law", "affinity", "mixture"}),
-            )
+            raise p.error(f"expected a definition, found {p.found()}")
 
     model = Model(species, laws, tuple(affinity), tuple(mixture))
     validate_model(model)
     return model
-
-
-def _parse_cluster(p: _Parser):
-    sites = [p.name("site")]
-    while p.accept("op", "&"):
-        sites.append(p.name("site"))
-    return make_cluster(sites)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -231,7 +231,10 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         for combo in itertools.product(*slot_lists):
             reactants = tuple(sorted(mt.prime for mt in combo))
             products = tuple(sorted(index.products(combo)))
-            rate = _tuple_rate(law, entry.law_params, combo, slot_lists, a_exprs, index)
+            try:
+                rate = _tuple_rate(law, entry.law_params, combo, slot_lists, a_exprs, index)
+            except ex.DomainError:  # the law folded a constant x/0
+                raise ex.division_by_zero(prov) from None
             if sym != 1:
                 rate = ex.mul(ex.const(1.0 / sym), rate)
             key = (reactants, products, prov)

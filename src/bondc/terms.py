@@ -8,7 +8,8 @@ mixture keys once normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from graphlib import CycleError, TopologicalSorter
+from typing import Mapping, Optional, Union
 
 from . import expr as ex
 
@@ -24,6 +25,14 @@ class ModelError(ValueError):
     def __init__(self, message: str, code: str = "PARSE"):
         super().__init__(message)
         self.code = code
+
+
+class UnguardedRecursionError(ModelError):
+    def __init__(self, cycle: list[str]):
+        super().__init__(
+            f"species '{cycle[0]}' recurses without a guard: {' -> '.join(cycle)}",
+            code="UNBOUNDED",
+        )
 
 
 @dataclass(frozen=True)
@@ -225,6 +234,25 @@ class Model:
     warnings: list[str] = field(default_factory=list, compare=False)
 
 
+def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
+    """Reject a definition that reaches itself through "|" and "new" alone.
+
+    Unfolding it never reaches a guard, so it has no finite transition table.
+    """
+
+    def calls(t: Species) -> list[str]:
+        if isinstance(t, Call):
+            return [t.name]
+        if isinstance(t, Par):
+            return [c for p in t.parts for c in calls(p)]
+        return calls(t.body) if isinstance(t, New) else []
+
+    try:
+        TopologicalSorter({n: calls(sd.body) for n, sd in defs.items()}).prepare()
+    except CycleError as e:  # its cycle runs from callee to caller
+        raise UnguardedRecursionError(e.args[1][::-1]) from None
+
+
 def validate_model(m: Model) -> None:
     """Check cross-references and the site/location namespace split."""
     sites: set[str] = set()
@@ -259,6 +287,7 @@ def validate_model(m: Model) -> None:
     for sd in m.species.values():
         locations.update(sd.params)
         scan(sd.body)
+    check_guarded(m.species)
 
     clash = sites & locations
     if clash:

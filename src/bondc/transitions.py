@@ -39,24 +39,16 @@ from .terms import (
     Abstraction,
     Call,
     Cluster,
-    ModelError,
     New,
     Nil,
     Par,
     Species,
     SpeciesDef,
     Sum,
+    UnguardedRecursionError,  # noqa: F401 - re-exported
+    check_guarded,
     rename_locations,
 )
-
-
-class UnguardedRecursionError(ModelError):
-    def __init__(self, name: str):
-        super().__init__(
-            f"unfold depth exceeded at species '{name}': "
-            "definitions appear to recurse without a guard",
-            code="UNBOUNDED",
-        )
 
 
 @dataclass(frozen=True)
@@ -64,10 +56,6 @@ class Transition:
     cluster: Cluster
     location: Optional[str]  # None = ambient
     target: Abstraction  # placeholder binders; canonical once surfaced
-
-
-# unfolding depth past which a definition is taken to recurse without a guard
-DEPTH_LIMIT = 64
 
 
 def _placeholders(n: int) -> tuple[str, ...]:
@@ -113,11 +101,13 @@ class TransitionSystem:
 
     ``clusters``, the affinity patterns' clusters, prunes every transition
     that no pattern slot can ever match; ``None`` keeps the full table.
+    Definitions that recurse without a guard raise UnguardedRecursionError.
     """
 
     def __init__(
         self, defs: Mapping[str, SpeciesDef], clusters: Optional[Iterable[Cluster]] = None
     ):
+        check_guarded(defs)
         self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
         # site -> the distinct clusters holding it, as multisets
         self._by_site: Optional[dict[str, list[Counter]]] = None
@@ -135,13 +125,13 @@ class TransitionSystem:
         return any(sites <= c for c in self._by_site.get(site, ()))
 
     def transitions(self, t: Species) -> Counter:
-        return _surface(self._transitions(t, DEPTH_LIMIT).items())
+        return _surface(self._transitions(t).items())
 
     def ambient(self, t: Species) -> Counter:
-        raw = self._transitions(t, DEPTH_LIMIT).items()
+        raw = self._transitions(t).items()
         return _surface((tr, m) for tr, m in raw if tr.location is AMBIENT)
 
-    def _transitions(self, t: Species, depth: int) -> Counter:
+    def _transitions(self, t: Species) -> Counter:
         out: Counter = Counter()
         if isinstance(t, Nil):
             return out
@@ -154,15 +144,13 @@ class TransitionSystem:
                 out[Transition((g.site,), g.location, Abstraction(ph, body))] += 1
             return out
         if isinstance(t, Call):
-            if depth <= 0:
-                raise UnguardedRecursionError(t.name)
             sd = self.defs[t.name]
             body = rename_locations(sd.body, dict(zip(sd.params, t.args)))
-            return self._transitions(body, depth - 1)
+            return self._transitions(body)
         if isinstance(t, Par):
-            return self._par_transitions(t.parts, depth)
+            return self._par_transitions(t.parts)
         if isinstance(t, New):
-            inner = self._transitions(t.body, depth)
+            inner = self._transitions(t.body)
             bound = set(t.binders)
             for tr, m in inner.items():
                 if tr.location not in bound:
@@ -176,8 +164,8 @@ class TransitionSystem:
             return out
         raise TypeError(t)
 
-    def _par_transitions(self, parts: tuple[Species, ...], depth: int) -> Counter:
-        sub = [self._transitions(p, depth) for p in parts]
+    def _par_transitions(self, parts: tuple[Species, ...]) -> Counter:
+        sub = [self._transitions(p) for p in parts]
         out: Counter = Counter()
         n = len(parts)
 

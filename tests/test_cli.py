@@ -395,4 +395,49 @@ def test_simulate_without_primes(tmp_path, capsys):
     path = tmp_path / "empty.bond"
     path.write_text("species X = x.0;\naffinity { x at MA(1); }\n")
     code, out, err = run(capsys, "simulate", str(path), "--t-end", "1", "--grid", "2")
-    assert (code, out, err) == (0, "t\n0.0\n0.5\n1.0\n", "")
+    assert (code, out) == (0, "t\n0.0\n0.5\n1.0\n")
+    assert err == "warning: affinity entry 'x at MA(1)' matches no species\n"
+
+
+def test_check_rejects_unguarded_recursion(tmp_path, capsys):
+    path = tmp_path / "loop.bond"
+    path.write_text("species X = (X | X);\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error[UNBOUNDED]: species 'X' recurses without a guard: X -> X\n"
+
+
+def test_long_definition_chain_is_not_recursion(tmp_path, capsys):
+    chain = "".join(f"species A{i} = A{i + 1};\n" for i in range(70))
+    path = tmp_path / "chain.bond"
+    path.write_text(chain + "species A70 = x.0;\naffinity { x at MA(1); }\nmixture { 1 A0 }\n")
+    code, out, err = run(capsys, "crn", str(path))
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["reactions"]) == 1
+
+
+@pytest.mark.parametrize("command", [["crn"], ["simulate", "--t-end", "1"]], ids=lambda c: c[0])
+def test_constant_division_by_zero_names_reaction(tmp_path, capsys, command):
+    path = tmp_path / "div.bond"
+    path.write_text(
+        "species X = x.0;\nlaw F(k; x) = k / (k - k);\naffinity { x at F(2); }\nmixture { 1 X }\n"
+    )
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == "error[DOMAIN]: rate evaluation failed for reaction 'x at F(2)': division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["crn"], ["odes"], ["simulate", "--t-end", "1"], ["ssa", "--h", "1", "--t-end", "1", "--seed", "1"]],
+    ids=lambda c: c[0],
+)
+def test_compile_warnings_are_printed(tmp_path, capsys, command):
+    path = tmp_path / "unmatched.bond"
+    path.write_text(
+        "species X = x.0;\nspecies Y = q.0;\n"
+        "affinity { x at MA(1); q at MA(1); }\nmixture { 1 X }\n"
+    )
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
+    assert err == "warning: affinity entry 'q at MA(1)' matches no species\n"

@@ -104,6 +104,95 @@ def test_parse_errors(src, fragment):
     assert fragment.lower() in str(ei.value).lower()
 
 
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        pytest.param(
+            "# header\nspecies X = x.0;  # comment\nspecies Y = y.$;\n",
+            "3:15: unexpected character '$'",
+            id="bad-char-after-comment",
+        ),
+        pytest.param("species X = ; $", "1:15: unexpected character '$'", id="bad-char-first"),
+        pytest.param(
+            "species X = x.0", "1:16: expected ';', found 'end of input'", id="eof"
+        ),
+        pytest.param(
+            "species X = x.0\n", "2:1: expected ';', found 'end of input'", id="eof-newline"
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; x) = k *",
+            "2:18: expected parameter or argument, found 'end of input'",
+            id="eof-in-law",
+        ),
+        pytest.param("species X =\n\tx@.0;", "2:4: expected location, found '.'", id="tab"),
+        pytest.param(
+            "\tspecies X = x.0;\n\t\tspecies Y = ;",
+            "2:15: expected site or species name, found ';'",
+            id="tabs",
+        ),
+        pytest.param(
+            "species X = x.0;\r\nspecies Y = (y.0 | );\r\n",
+            "2:20: expected site or species name, found ')'",
+            id="crlf",
+        ),
+        pytest.param(
+            "species X = x.0;\r\n\r\nmixture { 1 }\r\n",
+            "3:13: expected species name, found '}'",
+            id="crlf-blank-line",
+        ),
+        pytest.param(
+            "species X = x(l, l).0;",
+            "1:20: received locations must be pairwise distinct",
+            id="distinct-receives",
+        ),
+        pytest.param(
+            "species X = x.0;\n  species X = y.0;",
+            "2:3: duplicate species definition 'X'",
+            id="duplicate-species",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; x) = k;\nlaw F(k; x) = x;",
+            "3:1: duplicate law definition 'F'",
+            id="duplicate-law",
+        ),
+        pytest.param(
+            "law F(k; x) = k * zz;\nspecies X = x.0;",
+            "1:1: law 'F' references undeclared name 'zz'",
+            id="undeclared",
+        ),
+        pytest.param(
+            "species X = x.0 + Y;\nspecies Y = y.0;",
+            "1:19: a choice may only contain prefix guards",
+            id="choice-of-call",
+        ),
+        pytest.param(
+            "species X = Y@l;\nspecies Y = y.0;",
+            "1:16: '@location' is only valid on a prefix guard",
+            id="located-call",
+        ),
+        pytest.param(
+            "species X = x.0;\nfoo", "2:1: expected a definition, found 'foo'", id="item"
+        ),
+        pytest.param(
+            "species X = x.0;\naffinity { x at MA(1) }",
+            "2:23: expected ';', found '}'",
+            id="affinity-semicolon",
+        ),
+        pytest.param(
+            "species X = x.0;\naffinity { x at MA(-); }",
+            "2:21: expected number, found ')'",
+            id="number",
+        ),
+        pytest.param("species new = x.0;", "1:9: expected species name, found 'new'", id="keyword"),
+    ],
+)
+def test_parse_error_message(src, message):
+    with pytest.raises(ParseError) as ei:
+        parse_model(src)
+    assert str(ei.value) == message
+    assert f"{ei.value.span.line}:{ei.value.span.col}:" == message.split(" ")[0]
+
+
 def test_parse_error_has_span():
     with pytest.raises(ParseError) as ei:
         parse_model("species X =\n  x@.0;")

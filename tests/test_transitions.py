@@ -173,10 +173,26 @@ def test_call_unfolding_with_args():
 
 def test_unguarded_recursion_detected():
     ds = defs(X=((), Call("X", ())))
-    ts = TransitionSystem(ds)
     with pytest.raises(UnguardedRecursionError) as ei:
+        ts = TransitionSystem(ds)
         ts.transitions(Call("X", ()))
     assert ei.value.code == "UNBOUNDED"
+
+
+def test_unguarded_recursion_through_new_and_par_names_the_cycle():
+    ds = defs(
+        A=((), New(("l",), Par((S(guard("a", "l")), Call("B", ()))))),
+        B=((), Par((Call("C", ()), S(guard("b"))))),
+        C=((), Call("A", ())),
+    )
+    with pytest.raises(UnguardedRecursionError) as ei:
+        TransitionSystem(ds)
+    assert str(ei.value) == "species 'A' recurses without a guard: A -> B -> C -> A"
+
+
+def test_unused_unguarded_definition_fails_at_load():
+    with pytest.raises(UnguardedRecursionError):
+        parse_model("species X = x.0;\nspecies Y = (Y | X);\nmixture { 1 X }\n")
 
 
 def test_guarded_recursion_fine():
