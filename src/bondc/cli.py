@@ -135,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ModelError, UnboundedError, DomainError, ode_mod.StiffnessError) as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error[UNBOUNDED]: the model nests too deeply", file=sys.stderr)
+        return 1
     except OSError as e:  # model files are read by _load, so this is --out
         print(f"error[IO]: {e}", file=sys.stderr)
         return 1

@@ -7,9 +7,9 @@ are opaque: they are never unfolded here, only in the transition system.
 
 The normal form is prenex.  Every restriction and parallel composition of a
 term is pulled out into one binder list over its choice and invocation
-atoms; atoms linked by shared bound locations form one prime, written with a
-single `new` over its parts.  Choices sort their guards, and guard bodies
-are normalized recursively.
+atoms, renaming each binder apart as it is flattened; atoms linked by shared
+bound locations form one prime, written with a single `new` over its parts.
+Choices sort their guards, and guard bodies are normalized recursively.
 
 Canonical bound locations are written ℓ0, ℓ1, ... (non-ASCII on purpose:
 the parser cannot produce them, so they never collide with user names).
@@ -29,7 +29,6 @@ interchangeable binders cost k leaves, not k!.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterator
 
@@ -86,7 +85,7 @@ def _ser_prefix(g: Prefix) -> str:
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
     free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
-    return _canon(_freshen(t), {}, max(free_l, default=-1) + 1)
+    return _canon(t, {}, max(free_l, default=-1) + 1)
 
 
 def primes(t: Species) -> list[Species]:
@@ -99,63 +98,39 @@ def primes(t: Species) -> list[Species]:
     return [n]
 
 
-# --- binder freshening -------------------------------------------------------
-
-
-def _freshen(t: Species) -> Species:
-    """Rename every binder to a globally unique name ('#n': unparseable)."""
-    counter = itertools.count()
-
-    def go(t: Species, env: dict[str, str]) -> Species:
-        if isinstance(t, (Nil, )):
-            return t
-        if isinstance(t, Call):
-            return Call(t.name, tuple(env.get(a, a) for a in t.args))
-        if isinstance(t, Sum):
-            return Sum(tuple(go_prefix(g, env) for g in t.guards))
-        if isinstance(t, Par):
-            return Par(tuple(go(p, env) for p in t.parts))
-        if isinstance(t, New):
-            fresh = tuple(f"#{next(counter)}" for _ in t.binders)
-            env2 = {**env, **dict(zip(t.binders, fresh))}
-            return New(fresh, go(t.body, env2))
-        raise TypeError(t)
-
-    def go_prefix(g: Prefix, env: dict[str, str]) -> Prefix:
-        loc = g.location if g.location is None else env.get(g.location, g.location)
-        fresh = tuple(f"#{next(counter)}" for _ in g.receives)
-        env2 = {**env, **dict(zip(g.receives, fresh))}
-        return Prefix(g.site, loc, fresh, go(g.body, env2))
-
-    return go(t, {})
-
-
 # --- prenex form: atoms, binders and primes ----------------------------------
 
 
-def _flatten(t: Species, binders: set[str], atoms: list[Species]) -> None:
-    """Collect the restricted names and the Sum/Call atoms of a fresh term."""
+def _flatten(
+    t: Species, env: dict[str, str], binders: set[str], atoms: list[tuple[Species, dict[str, str]]]
+) -> None:
+    """Collect the Sum/Call atoms of t, each with the renaming of its names.
+
+    Every restricted name is renamed apart to a fresh '#n' (unparseable) and
+    added to binders; an atom's env maps each name in scope to its renaming.
+    """
     if isinstance(t, New):
-        binders.update(t.binders)
-        _flatten(t.body, binders, atoms)
+        fresh = {b: f"#{len(binders) + i}" for i, b in enumerate(t.binders)}
+        binders.update(fresh.values())
+        _flatten(t.body, {**env, **fresh}, binders, atoms)
     elif isinstance(t, Par):
         for p in t.parts:
-            _flatten(p, binders, atoms)
+            _flatten(p, env, binders, atoms)
     elif isinstance(t, Call) or (isinstance(t, Sum) and t.guards):
-        atoms.append(t)
+        atoms.append((t, env))
 
 
 def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
-    """Normal form of a fresh term whose free names are renamed by env.
+    """Normal form of t with its free names renamed by env.
 
-    Bound locations are numbered from ℓ<depth>; every free ℓ index of the
-    renamed term is below depth.
+    Binders are renamed apart while flattening.  Bound locations are numbered
+    from ℓ<depth>; every free ℓ index of the renamed term is below depth.
     """
     binders: set[str] = set()
-    atoms: list[Species] = []
-    _flatten(t, binders, atoms)
+    atoms: list[tuple[Species, dict[str, str]]] = []
+    _flatten(t, env, binders, atoms)
     # connected components of the atoms, linked by the bound names they share
-    uses = [free_locations(a) & binders for a in atoms]
+    uses = [{e.get(x, x) for x in free_locations(a)} & binders for a, e in atoms]
     groups: list[tuple[set[str], list[int]]] = []
     for i, used in enumerate(uses):
         names, members = set(used), [i]
@@ -167,7 +142,7 @@ def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
 
     out = sorted(
         (
-            _prime([atoms[i] for i in members], [uses[i] for i in members], env, depth)
+            _prime([atoms[i] for i in members], [uses[i] for i in members], depth)
             for _, members in groups
         ),
         key=serialize,
@@ -194,16 +169,20 @@ def _atom(a: Species, env: dict[str, str], depth: int) -> Species:
 
 
 def _prime(
-    atoms: list[Species], uses: list[frozenset[str]], env: dict[str, str], depth: int
+    atoms: list[tuple[Species, dict[str, str]]], uses: list[set[str]], depth: int
 ) -> Species:
     """One prime: a single `new` over atoms, binders canonically labelled."""
     binders = sorted(set().union(*uses))
     if not binders:
-        return _atom(atoms[0], env, depth)
+        return _atom(*atoms[0], depth)
     inner = depth + len(binders)
 
+    def label(i: int, sub: dict[str, str]) -> Species:  # atom i, binders renamed by sub
+        a, env = atoms[i]
+        return _atom(a, {x: sub.get(v, v) for x, v in env.items()}, inner)
+
     def key(i: int, sub: dict[str, str]) -> str:
-        return serialize(_atom(atoms[i], {**env, **sub}, inner))
+        return serialize(label(i, sub))
 
     # how atom i uses binder b: the atom with b marked '!', other binders '?'
     edge = {
@@ -240,8 +219,8 @@ def _prime(
     def leaves(colour: dict[str, int]) -> Iterator[Species]:
         tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
         if tied is None:  # discrete: colours are 0..n-1
-            env2 = {**env, **{b: f"ℓ{depth + colour[b]}" for b in binders}}
-            parts = sorted((_atom(a, env2, inner) for a in atoms), key=serialize)
+            sub = {b: f"ℓ{depth + colour[b]}" for b in binders}
+            parts = sorted((label(i, sub) for i in range(len(atoms))), key=serialize)
             names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
             yield New(names, parts[0] if len(parts) == 1 else Par(tuple(parts)))
             return

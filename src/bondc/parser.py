@@ -215,9 +215,13 @@ class _Parser:
     def law_term(self) -> ex.Expr:
         e = self.law_factor()
         while self.at("*") or self.at("/"):
+            pos = self.tok[2]
             op = self.advance()
             rhs = self.law_factor()
-            e = ex.mul(e, rhs) if op == "*" else ex.div(e, rhs)
+            try:
+                e = ex.mul(e, rhs) if op == "*" else ex.div(e, rhs)
+            except ex.DomainError as err:  # a constant x/0
+                raise self.error(str(err), pos) from None
         return e
 
     def law_factor(self) -> ex.Expr:

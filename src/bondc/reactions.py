@@ -171,9 +171,7 @@ def reachable_primes(
     # prime count when each entry was last evaluated: tuples of older primes
     # only were evaluated then, so their products are indexed already
     seen = [0] * len(model.affinity)
-    changed = True
-    while changed:
-        changed = False
+    while any(s < len(index) for s in seen):
         for e, entry in enumerate(model.affinity):
             by_cluster = index.matches()
             old, seen[e] = seen[e], len(index)
@@ -181,12 +179,9 @@ def reachable_primes(
             for combo in itertools.product(*slot_lists):
                 if all(mt.prime < old for mt in combo):
                     continue
-                n = len(index)
                 index.products(combo)
-                if len(index) > n:
-                    changed = True
-                    if len(index) > cap:
-                        raise UnboundedError(cap)
+                if len(index) > cap:
+                    raise UnboundedError(cap)
     return index
 
 

@@ -81,16 +81,20 @@ class Call:
 Species = Union[Nil, Sum, Par, New, Call]
 
 
+def placeholders(n: int) -> tuple[str, ...]:
+    return tuple(f"?a{i}" for i in range(n))
+
+
 @dataclass(frozen=True)
 class Abstraction:
-    """A species with an ordered list of unresolved bound locations."""
+    """A body with `arity` bound locations, the placeholders ?a0, ?a1, ... free in it."""
 
-    binders: tuple[str, ...]
+    arity: int
     body: Species
 
     @property
-    def arity(self) -> int:
-        return len(self.binders)
+    def binders(self) -> tuple[str, ...]:
+        return placeholders(self.arity)
 
 
 # --- free locations and renaming -------------------------------------------

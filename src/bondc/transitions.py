@@ -15,12 +15,12 @@ Com grows a combination part by part only while its bag is a sub-bag of some
 cluster: its cost follows the combinations that fit, not 2^parts.  Without
 clusters the system computes the full table.
 
-Targets stay raw while a transition is built (received locations become
-the placeholders ?a0, ?a1, ...; Com and restriction only wrap bodies), and
-are canonicalized once, where a transition surfaces in ``transitions()`` or
-``ambient()``.  Congruent transitions merge there, in order of first
-occurrence: every step maps congruent targets to congruent ones, so the
-table is the one a canonicalization at every step would give.
+Targets are positional: their bound locations are ?a0, ?a1, ..., to which
+a guard renames its received locations; Com and restriction only wrap
+bodies.  Targets are canonicalized once, where a transition surfaces in
+``transitions()`` or ``ambient()``, and congruent transitions merge there,
+in order of first occurrence: every step maps congruent targets to
+congruent ones, so the table is the one canonicalizing at each step gives.
 
 The system keeps each definition's body in normal form, so a canonical term
 lists its transitions in an order that depends only on the term, not on how
@@ -47,6 +47,7 @@ from .terms import (
     Sum,
     UnguardedRecursionError,  # noqa: F401 - re-exported
     check_guarded,
+    placeholders,
     rename_locations,
 )
 
@@ -55,37 +56,27 @@ from .terms import (
 class Transition:
     cluster: Cluster
     location: Optional[str]  # None = ambient
-    target: Abstraction  # placeholder binders; canonical once surfaced
-
-
-def _placeholders(n: int) -> tuple[str, ...]:
-    return tuple(f"?a{i}" for i in range(n))
+    target: Abstraction  # canonical once surfaced
 
 
 def canonical_abstraction(f: Abstraction) -> Abstraction:
-    """Positional alpha-normal form: binders become ?a0, ?a1, ..."""
-    ph = _placeholders(f.arity)
-    body = rename_locations(f.body, dict(zip(f.binders, ph)))
-    return Abstraction(ph, normalize(body))
+    """The abstraction with its body in normal form."""
+    return Abstraction(f.arity, normalize(f.body))
 
 
 def colocate(f: Abstraction, g: Abstraction) -> Abstraction:
     """Join two open reaction products, sharing bound locations by position."""
-    n = max(f.arity, g.arity)
-    ph = _placeholders(n)
-    fb = rename_locations(f.body, dict(zip(f.binders, ph)))
-    gb = rename_locations(g.body, dict(zip(g.binders, ph)))
-    return Abstraction(ph, Par((fb, gb)))
+    return Abstraction(max(f.arity, g.arity), Par((f.body, g.body)))
 
 
 def restrict_abstraction(names: tuple[str, ...], f: Abstraction) -> Abstraction:
     """Push a restriction through an abstraction: (nu l)(m)A = (m)(nu l)A."""
-    return Abstraction(f.binders, New(names, f.body))
+    return Abstraction(f.arity, New(names, f.body))
 
 
 def commit(f: Abstraction) -> Species:
     """Close an abstraction by restricting its bound locations (not normalized)."""
-    return New(f.binders, f.body) if f.binders else f.body
+    return New(f.binders, f.body) if f.arity else f.body
 
 
 def _surface(raw: Iterable[tuple[Transition, int]]) -> Counter:
@@ -132,6 +123,9 @@ class TransitionSystem:
         return _surface((tr, m) for tr, m in raw if tr.location is AMBIENT)
 
     def _transitions(self, t: Species) -> Counter:
+        while isinstance(t, Call):  # a loop, so a long chain of definitions unfolds
+            sd = self.defs[t.name]
+            t = rename_locations(sd.body, dict(zip(sd.params, t.args)))
         out: Counter = Counter()
         if isinstance(t, Nil):
             return out
@@ -139,14 +133,10 @@ class TransitionSystem:
             for g in t.guards:
                 if not self._fits(Counter((g.site,))):
                     continue
-                ph = _placeholders(len(g.receives))
+                ph = placeholders(len(g.receives))
                 body = rename_locations(g.body, dict(zip(g.receives, ph)))
-                out[Transition((g.site,), g.location, Abstraction(ph, body))] += 1
+                out[Transition((g.site,), g.location, Abstraction(len(ph), body))] += 1
             return out
-        if isinstance(t, Call):
-            sd = self.defs[t.name]
-            body = rename_locations(sd.body, dict(zip(sd.params, t.args)))
-            return self._transitions(body)
         if isinstance(t, Par):
             return self._par_transitions(t.parts)
         if isinstance(t, New):
@@ -173,7 +163,7 @@ class TransitionSystem:
             rest = tuple(parts[j] for j in range(n) if j not in used)
             if not rest:
                 return target
-            rest_abs = Abstraction((), rest[0] if len(rest) == 1 else Par(rest))
+            rest_abs = Abstraction(0, rest[0] if len(rest) == 1 else Par(rest))
             return colocate(target, rest_abs)
 
         for i, trs in enumerate(sub):
@@ -211,7 +201,7 @@ class TransitionSystem:
 def format_transition(source: Species, tr: Transition, mult: int) -> str:
     cluster = "|".join(tr.cluster)
     loc = tr.location if tr.location is not None else "⊤"
-    binders = f"({','.join(tr.target.binders)})" if tr.target.binders else "()"
+    binders = f"({','.join(tr.target.binders)})"
     return (
         f"{serialize(source)}  --[{cluster}]@{loc}-->  "
         f"{binders}{serialize(tr.target.body)}  x{mult}"

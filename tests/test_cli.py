@@ -224,14 +224,14 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, comm
 def test_closed_stdout_pipe_is_not_an_error():
     # about 250 kB of CSV, more than a pipe holds: bondc writes on after the reader has gone
     argv = ["ssa", str(MODELS / "enzyme.bond"), "--h", "0.01", "--seed", "1", "--t-end", "5"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "bondc.cli", *argv, "--sample-dt", "0.0005"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
-    assert proc.stdout.readline().startswith(b"run,t,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err.decode()) == (0, "")
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"run,t,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err.decode()) == (0, "")
 
 
 def test_model_error_leaves_out_empty(tmp_path, capsys):
@@ -414,6 +414,34 @@ def test_long_definition_chain_is_not_recursion(tmp_path, capsys):
     code, out, err = run(capsys, "crn", str(path))
     assert (code, err) == (0, "")
     assert len(json.loads(out)["reactions"]) == 1
+
+
+def test_definition_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    chain = "".join(f"species A{i} = A{i + 1};\n" for i in range(1200))
+    path = tmp_path / "chain.bond"
+    path.write_text(chain + "species A1200 = x.0;\naffinity { x at MA(1); }\nmixture { 1 A0 }\n")
+    code, out, err = run(capsys, "crn", str(path))
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["reactions"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("check", "species X = " + "a." * 1500 + "0;\n", id="deep-guard"),
+        pytest.param(
+            "crn",
+            "".join(f"species A{i} = (A{i + 1} | x.0);\n" for i in range(400))
+            + "species A400 = x.0;\naffinity { x at MA(1); }\nmixture { 1 A0 }\n",
+            id="deep-par-chain",
+        ),
+    ],
+)
+def test_too_deep_model_is_an_error(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.bond"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", "error[UNBOUNDED]: the model nests too deeply\n")
 
 
 @pytest.mark.parametrize("command", [["crn"], ["simulate", "--t-end", "1"]], ids=lambda c: c[0])

@@ -72,6 +72,35 @@ def test_nested_new_collapse():
     assert normalize(t1) == normalize(t2)
 
 
+def _a_l_with(inner):
+    """a@l.0 | inner"""
+    return Par((S(guard("a", "l")), inner))
+
+
+@pytest.mark.parametrize(
+    "shadowed, apart",
+    [
+        pytest.param(  # new l in (a@l.0 | new l in b@l.0)
+            New(("l",), _a_l_with(New(("l",), S(guard("b", "l"))))),
+            New(("l",), _a_l_with(New(("m",), S(guard("b", "m"))))),
+            id="new-under-new",
+        ),
+        pytest.param(  # new l in (a@l.0 | r(l).b@l.0)
+            New(("l",), _a_l_with(S(guard("r", receives=("l",), body=S(guard("b", "l")))))),
+            New(("l",), _a_l_with(S(guard("r", receives=("m",), body=S(guard("b", "m")))))),
+            id="receive-under-new",
+        ),
+        pytest.param(  # r(l).(a@l.0 | new l in b@l.0)
+            S(guard("r", receives=("l",), body=_a_l_with(New(("l",), S(guard("b", "l")))))),
+            S(guard("r", receives=("l",), body=_a_l_with(New(("m",), S(guard("b", "m")))))),
+            id="new-under-receive",
+        ),
+    ],
+)
+def test_shadowing_binder_normalizes_like_renamed_apart(shadowed, apart):
+    assert normalize(shadowed) == normalize(apart)
+
+
 def test_scope_minimization_splits_components():
     # (new l,m in a@l.0 | b@m.0) == (new l in a@l.0) | (new m in b@m.0)
     t = New(("l", "m"), Par((S(guard("a", "l")), S(guard("b", "m")))))

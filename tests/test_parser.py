@@ -184,6 +184,11 @@ def test_parse_errors(src, fragment):
             id="number",
         ),
         pytest.param("species new = x.0;", "1:9: expected species name, found 'new'", id="keyword"),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; x) = k * x + 1 / 0;",
+            "2:25: constant division by zero",
+            id="constant-division",
+        ),
     ],
 )
 def test_parse_error_message(src, message):

@@ -19,7 +19,6 @@ from bondc.terms import (
 from bondc.transitions import (
     TransitionSystem,
     UnguardedRecursionError,
-    canonical_abstraction,
     colocate,
     commit,
     restrict_abstraction,
@@ -267,8 +266,8 @@ def test_pruned_com_skips_combinations_that_fit_no_cluster():
 
 
 def test_colocate_shares_binders_positionally():
-    f = Abstraction(("x",), S(guard("a", "x")))
-    g = Abstraction(("y",), S(guard("b", "y")))
+    f = Abstraction(1, S(guard("a", "?a0")))
+    g = Abstraction(1, S(guard("b", "?a0")))
     h = colocate(f, g)
     assert h.arity == 1
     assert normalize(commit(h)) == normalize(
@@ -277,21 +276,21 @@ def test_colocate_shares_binders_positionally():
 
 
 def test_colocate_max_arity():
-    f = Abstraction(("x", "y"), Par((S(guard("a", "x")), S(guard("b", "y")))))
-    g = Abstraction(("z",), S(guard("c", "z")))
+    f = Abstraction(2, Par((S(guard("a", "?a0")), S(guard("b", "?a1")))))
+    g = Abstraction(1, S(guard("c", "?a0")))
     h = colocate(f, g)
     assert h.arity == 2
 
 
 def test_colocate_commutative_up_to_congruence():
-    f = Abstraction(("x",), S(guard("a", "x")))
-    g = Abstraction(("y",), S(guard("b", "y")))
+    f = Abstraction(1, S(guard("a", "?a0")))
+    g = Abstraction(1, S(guard("b", "?a0")))
     assert normalize(commit(colocate(f, g))) == normalize(commit(colocate(g, f)))
 
 
 def test_restrict_abstraction_passes_through_binders():
     # (new l)(m)A == (m)(new l)A
-    f = Abstraction(("m",), Par((S(guard("a", "m")), S(guard("b", "l"), guard("c", "l")))))
+    f = Abstraction(1, Par((S(guard("a", "?a0")), S(guard("b", "l"), guard("c", "l")))))
     r = restrict_abstraction(("l",), f)
     assert r.arity == 1
     assert normalize(commit(r)) == normalize(
@@ -300,11 +299,5 @@ def test_restrict_abstraction_passes_through_binders():
 
 
 def test_commit_zero_arity_is_body():
-    f = Abstraction((), S(guard("a")))
+    f = Abstraction(0, S(guard("a")))
     assert normalize(commit(f)) == normalize(S(guard("a")))
-
-
-def test_canonical_abstraction_alpha():
-    f = Abstraction(("x",), S(guard("a", "x")))
-    g = Abstraction(("y",), S(guard("a", "y")))
-    assert canonical_abstraction(f) == canonical_abstraction(g)
