@@ -84,13 +84,19 @@ def _ser_prefix(g: Prefix) -> str:
 
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
+    if isinstance(t, (Call, Nil)):  # already its own normal form
+        return t
     free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
     return _canon(t, {}, max(free_l, default=-1) + 1)
 
 
 def primes(t: Species) -> list[Species]:
     """The unique bag of prime factors of t's normal form, sorted."""
-    n = normalize(t)
+    return parts(normalize(t))
+
+
+def parts(n: Species) -> list[Species]:
+    """The prime factors of a term in normal form, sorted."""
     if isinstance(n, Nil):
         return []
     if isinstance(n, Par):
@@ -184,6 +190,28 @@ def _prime(
     def key(i: int, sub: dict[str, str]) -> str:
         return serialize(label(i, sub))
 
+    def swap_fixes(u: str, v: str) -> bool:
+        """Whether exchanging binders u and v maps the atom bag to itself."""
+        hit = [i for i, used in enumerate(uses) if u in used or v in used]
+        return Counter(key(i, {}) for i in hit) == Counter(key(i, {u: v, v: u}) for i in hit)
+
+    def leaves(colour: dict[str, int]) -> Iterator[Species]:
+        tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
+        if tied is None:  # discrete: colours are 0..n-1
+            sub = {b: f"ℓ{depth + colour[b]}" for b in binders}
+            body = sorted((label(i, sub) for i in range(len(atoms))), key=serialize)
+            names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
+            yield New(names, body[0] if len(body) == 1 else Par(tuple(body)))
+            return
+        tried: list[str] = []
+        for v in (b for b in binders if colour[b] == tied):
+            if any(swap_fixes(u, v) for u in tried):
+                continue
+            tried.append(v)
+            yield from leaves(refine({b: 2 * c + (b != v) for b, c in colour.items()}))
+
+    if len(binders) == 1:  # one binder: the colouring is discrete already
+        return next(leaves({binders[0]: 0}))
     # how atom i uses binder b: the atom with b marked '!', other binders '?'
     edge = {
         (i, b): key(i, {c: "!" if c == b else "?" for c in used})
@@ -210,25 +238,5 @@ def _prime(
             if len(ranks) == len(set(colour.values())):
                 return refined
             colour = refined
-
-    def swap_fixes(u: str, v: str) -> bool:
-        """Whether exchanging binders u and v maps the atom bag to itself."""
-        hit = [i for i, used in enumerate(uses) if u in used or v in used]
-        return Counter(key(i, {}) for i in hit) == Counter(key(i, {u: v, v: u}) for i in hit)
-
-    def leaves(colour: dict[str, int]) -> Iterator[Species]:
-        tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
-        if tied is None:  # discrete: colours are 0..n-1
-            sub = {b: f"ℓ{depth + colour[b]}" for b in binders}
-            parts = sorted((label(i, sub) for i in range(len(atoms))), key=serialize)
-            names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
-            yield New(names, parts[0] if len(parts) == 1 else Par(tuple(parts)))
-            return
-        tried: list[str] = []
-        for v in (b for b in binders if colour[b] == tied):
-            if any(swap_fixes(u, v) for u in tried):
-                continue
-            tried.append(v)
-            yield from leaves(refine({b: 2 * c + (b != v) for b, c in colour.items()}))
 
     return min(leaves(refine({b: 0 for b in binders})), key=serialize)

@@ -47,13 +47,17 @@ from .terms import (
 
 _KEYWORDS = {"species", "law", "affinity", "mixture", "new", "in", "at"}
 
+# each match skips the whitespace and comments before one token
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>\|\||[(){};,.+\-*/=@&|])
-  | (?P<bad>.)
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<op>\|\||[(){};,.+\-*/=@&|])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -79,10 +83,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", text, m.start())
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+            raise ParseError(f"unexpected character {m[kind]!r}", text, m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            break
     return tokens
 
 

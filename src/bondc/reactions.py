@@ -11,7 +11,9 @@ The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
 its last evaluation, since the others' products are already indexed.  A
 tuple's product is its colocated targets, committed and normalized once (by
-``primes``); it is memoized, so extraction does not colocate or normalize.
+``primes``); when every target is closed, each is a normal form already, and
+the product is the sorted union of their primes.  It is memoized, so
+extraction does not colocate or normalize.
 Tuples are visited in the same order either way, so prime numbering does
 not depend on any of this.  The rate of a matched tuple is the kinetic law
 applied to the total cluster concentrations, divided by those concentrations
@@ -23,6 +25,7 @@ mass-action k fires at (1/2) k [A]^2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .congruence import primes, serialize
+from .congruence import parts, primes, serialize
 from .terms import AffinityEntry, Call, Cluster, Model, Species
 from .transitions import Transition, TransitionSystem, colocate, commit
 
@@ -108,10 +111,13 @@ class PrimeIndex:
         key = tuple((mt.prime, mt.pos) for mt in combo)
         hit = self._products.get(key)
         if hit is None:
-            target = None
-            for mt in combo:
-                target = mt.tr.target if target is None else colocate(target, mt.tr.target)
-            hit = tuple(self.add(p)[0] for p in primes(commit(target)))
+            targets = [mt.tr.target for mt in combo]
+            if all(f.arity == 0 for f in targets):
+                # closed targets are normal forms: the product's primes are theirs, merged
+                ps = sorted((p for f in targets for p in parts(f.body)), key=serialize)
+            else:
+                ps = primes(commit(functools.reduce(colocate, targets)))
+            hit = tuple(self.add(p)[0] for p in ps)
             self._products[key] = hit
         return hit
 

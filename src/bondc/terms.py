@@ -131,7 +131,7 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 def rename_locations(t: Species, sub: dict[str, str]) -> Species:
     """Capture-avoiding renaming of free locations."""
-    if isinstance(t, Nil):
+    if not sub or isinstance(t, Nil):
         return t
     if isinstance(t, Call):
         return Call(t.name, tuple(sub.get(a, a) for a in t.args))

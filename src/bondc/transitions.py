@@ -102,18 +102,25 @@ class TransitionSystem:
         self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
         # site -> the distinct clusters holding it, as multisets
         self._by_site: Optional[dict[str, list[Counter]]] = None
+        self._fit: dict[Cluster, bool] = {}
         if clusters is not None:
             self._by_site = {}
             for c in dict.fromkeys(clusters):
                 for site in set(c):
                     self._by_site.setdefault(site, []).append(Counter(c))
 
-    def _fits(self, sites: Counter) -> bool:
-        """Whether a site bag is a sub-bag of some cluster (always, unpruned)."""
+    def _fits(self, sites: Cluster) -> bool:
+        """Whether a sorted site bag is a sub-bag of some cluster (always, unpruned).
+
+        Each bag is tested once per system; later calls are a dict lookup.
+        """
         if self._by_site is None:
             return True
-        site = next(iter(sites))
-        return any(sites <= c for c in self._by_site.get(site, ()))
+        hit = self._fit.get(sites)
+        if hit is None:
+            bag = Counter(sites)
+            hit = self._fit[sites] = any(bag <= c for c in self._by_site.get(sites[0], ()))
+        return hit
 
     def transitions(self, t: Species) -> Counter:
         return _surface(self._transitions(t).items())
@@ -131,7 +138,7 @@ class TransitionSystem:
             return out
         if isinstance(t, Sum):
             for g in t.guards:
-                if not self._fits(Counter((g.site,))):
+                if not self._fits((g.site,)):
                     continue
                 ph = placeholders(len(g.receives))
                 body = rename_locations(g.body, dict(zip(g.receives, ph)))
@@ -176,15 +183,12 @@ class TransitionSystem:
         def grow(loc, per_part, start, used, sites, mult, target):
             for i in range(start, n):
                 for tr, m in per_part[i]:
-                    bag = sites + Counter(tr.cluster)
+                    bag = tuple(sorted(sites + tr.cluster))
                     if not self._fits(bag):
                         continue
                     tgt = colocate(target, tr.target) if used else tr.target
                     if used:
-                        tr_out = Transition(
-                            tuple(sorted(bag.elements())), loc, with_rest(tgt, {*used, i})
-                        )
-                        out[tr_out] += mult * m
+                        out[Transition(bag, loc, with_rest(tgt, {*used, i}))] += mult * m
                     grow(loc, per_part, i + 1, (*used, i), bag, mult * m, tgt)
 
         locs = sorted(
@@ -194,7 +198,7 @@ class TransitionSystem:
             per_part = [
                 [(tr, m) for tr, m in trs.items() if tr.location == loc] for trs in sub
             ]
-            grow(loc, per_part, 0, (), Counter(), 1, None)
+            grow(loc, per_part, 0, (), (), 1, None)
         return out
 
 

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -342,9 +344,10 @@ def test_scaffold_family_counts(k):
 
 
 def test_scaffold_normalize_budget(monkeypatch):
-    # targets are canonicalized where they surface and products once, in
-    # primes(): compiling scaffold k=6 took 2,954 normalize calls when every
-    # step of a transition normalized its target
+    # targets are canonicalized where they surface, and a product only when
+    # some target is open: compiling scaffold k=6 took 2,954 normalize calls
+    # when every step of a transition normalized its target, and 818 when
+    # every product was normalized too (626 now)
     real, calls = congruence.normalize, 0
 
     def counting(t):
@@ -357,7 +360,7 @@ def test_scaffold_normalize_budget(monkeypatch):
             monkeypatch.setattr(mod, "normalize", counting)
     rs = build_reaction_system(parse_model(scaffold_source(6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
-    assert 0 < calls <= 1000
+    assert 0 < calls <= 700
 
 
 def witness_source(k):
@@ -467,3 +470,54 @@ def test_pruned_network_equals_unpruned(source):
     index = reachable_primes(m, ts=TransitionSystem(m.species))
     full = reaction_system_json(extract_reactions(m, index))
     assert pruned == full
+
+
+FAMILIES = {"scaffold": scaffold_source, "witness": witness_source, "bank": bank_source}
+
+# SHA-256 of `crn` JSON, recorded while every product and target was still
+# normalized in full: skipping terms already canonical must not change a byte
+FAMILY_CRN_SHA256 = {
+    ("scaffold", 1): "7cadfdc34be2606290cbaa8a40f05c4e9bebef4715485760c57dac35f93fe3dd",
+    ("scaffold", 2): "f3c99329ce2cfc17a45096c470f623fe495fb8d1e22a8125232232da6f6c85e0",
+    ("scaffold", 3): "a0e893f03d67d1203a79c4b4c3fdf6a9be6f51ea6ddb05731a137fedf372d37b",
+    ("scaffold", 4): "0f24b9c4e1f76b467058e550b928ef69d35efc341a47575fef33b2ac46e3151d",
+    ("scaffold", 5): "927cc4b843aafc7c4b77c4d79ce5fc035ac2b37cfb39beaa3476d88c35ceb099",
+    ("witness", 6): "80298996b2d3aacbba21a6d1cb866b22bf8f31105bf4726cec42ad9280bbe255",
+    ("witness", 7): "ffb056ff5618fa47e38e4f8ad391eb2312855835e9c36860ce02744a7dab6b88",
+    ("witness", 8): "91b73ae3b2b638622e6efdf51da1e46e84bf97948e80a2cfbd7875b53c03fc98",
+    ("witness", 9): "fbe6f3d959f19ea651753531a00c8e3702e6c21649a0d869abd739d85314b923",
+    ("bank", 5): "62031ec83f27b4973880ade6faac6841864d015de7aabf11be0762d03fac018e",
+    ("bank", 10): "e0cabdc839360b9c4d34fc58acc4c3b404ee5f5511973738d55da16b3e536a1a",
+    ("bank", 20): "bff834ba898b3831e05224b3c8cc626dfe7343e55fb15464b0e8190dae2ecf89",
+}
+
+
+@pytest.mark.parametrize("family,k", list(FAMILY_CRN_SHA256), ids=lambda v: str(v))
+def test_family_crn_unchanged(family, k):
+    rs = build_reaction_system(parse_model(FAMILIES[family](k)))
+    doc = json.dumps(reaction_system_json(rs), indent=2)
+    assert hashlib.sha256(doc.encode()).hexdigest() == FAMILY_CRN_SHA256[family, k]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [
+        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        for f, k in FAMILY_CRN_SHA256
+    ],
+)
+def test_closed_products_match_general_path(source):
+    # a tuple of closed targets takes its product from the targets' own
+    # primes; the general path colocates, commits and normalizes
+    m = parse_model(source())
+    index = reachable_primes(m)
+    by_cluster, closed = index.matches(), 0
+    for entry in m.affinity:
+        for combo in itertools.product(*(by_cluster.get(c, []) for c in entry.pattern)):
+            if all(mt.tr.target.arity == 0 for mt in combo):
+                target = functools.reduce(colocate, (mt.tr.target for mt in combo))
+                got = [index.primes[i] for i in index.products(combo)]
+                assert got == primes(commit(target))
+                closed += 1
+    assert closed > 0
