@@ -18,7 +18,7 @@ from .ode import (
     integrate,
     render_odes,
 )
-from .parser import ParseError, parse_model, render_model
+from .parser import ParseError, parse_model
 from .reactions import (
     PrimeIndex,
     Reaction,
@@ -102,7 +102,6 @@ __all__ = [
     "parse_model",
     "primes",
     "reachable_primes",
-    "render_model",
     "render_odes",
     "serialize",
 ]

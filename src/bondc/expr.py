@@ -4,7 +4,8 @@ Reaction rates and ODE right hand sides are built from a tiny expression
 language with node kinds const/var/add/sub/mul/div.  The smart constructors
 fold constants eagerly so that e.g. mass-action rates come out as plain
 monomials.  Division follows the continuous extension 0/0 = 0 used by the
-rate semantics; x/0 with x != 0 is a domain error at evaluation time.
+rate semantics; x/0 with x != 0 is a domain error at evaluation time.  The
+compiled form computes shared sub-expressions once and guards division inline.
 """
 
 from __future__ import annotations
@@ -177,55 +178,96 @@ def compile_exprs(
 ):
     """Compile expressions into straight-line Python, generated in one exec.
 
-    Used by the simulation inner loops; semantics identical to evaluate(), but
-    a DomainError names the label (one per expression) of the one that failed.
-    ``var_index`` maps variable names to positions in the argument vector, as
-    a mapping or as an ordered sequence of names.  Give one of ``sums`` and
-    ``h``.  With ``sums`` (per output, its (coefficient, expression index)
-    terms) the result is one function of a value vector that computes each
-    value once, raises DomainError unless all are finite, and returns the
-    sums.  With a level size ``h`` it is a list of functions, one per
-    expression, of a vector of integer levels n, giving e(n*h)/h.
+    Values are bit-identical to evaluate(), but a DomainError names the label
+    (one per expression) of the expression that failed.  ``var_index`` maps
+    variable names to argument positions, as a mapping or as an ordered
+    sequence of names.  With ``sums`` (per output, its (coefficient,
+    expression index) terms) the result is one function of a value vector that
+    computes each value once, raises DomainError unless all are finite, and
+    returns the sums.  With a level size ``h`` instead, it is a list of
+    functions, one per expression, of integer levels n, giving e(n*h)/h.
+    Within a function a sub-expression used more than once is computed once,
+    before the first expression using it (which a failing division in it
+    names); division is guarded inline, with a call only to raise for x/0.
     """
     if not isinstance(var_index, Mapping):
         var_index = {n: i for i, n in enumerate(var_index)}
+    var = "c[{}]" if h is None else f"(n[{{}}]*{h!r})"
 
-    def emit(e: Expr, var: str, j: int) -> str:
-        if isinstance(e, Const):
-            return repr(e.value)
-        if isinstance(e, Var):
-            return var.format(var_index[e.name])
-        a, b = emit(e.left, var, j), emit(e.right, var, j)
-        op = {"add": "+", "sub": "-", "mul": "*"}.get(e.op)
-        if op is not None:
-            return f"({a}{op}{b})"
-        return f"_gdiv({a},{b},{j})"
+    def value(e: Expr):  # a leaf's text or (op, left, right): equal values are bit-identical
+        if isinstance(e, Bin):
+            return (e.op, value(e.left), value(e.right))
+        return repr(e.value) if isinstance(e, Const) else var.format(var_index[e.name])
 
-    def gdiv(num: float, den: float, j: int) -> float:
-        if den == 0.0:
-            if num == 0.0:
-                return 0.0
-            raise division_by_zero(labels[j])
-        return num / den
+    roots = [value(e) for e in exprs]
+
+    def statements(js: list[int], assign: str) -> list[str]:
+        """Lines computing each expression j of js as ``assign.format(j=j, text=...)``."""
+        uses: dict = {}  # compound occurrences, not counting those inside a repeated one
+
+        def count(v) -> None:
+            if isinstance(v, tuple):
+                uses[v] = uses.get(v, 0) + 1
+                if uses[v] == 1:
+                    count(v[1])
+                    count(v[2])
+
+        for j in js:
+            count(roots[j])
+        names, lines = {}, []  # the local of each value hoisted; the lines computing them
+
+        def emit(v, j: int, atom: bool = False) -> str:
+            if v in names:
+                return names[v]
+            if isinstance(v, str):
+                text = v
+            elif v[0] == "div":  # of atoms: the text reads each operand more than once
+                a, b = emit(v[1], j, True), emit(v[2], j, True)
+                text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else _gdiv({j}))"
+            else:
+                op = {"add": "+", "sub": "-", "mul": "*"}[v[0]]
+                text = f"({emit(v[1], j)}{op}{emit(v[2], j)})"
+            if uses.get(v, 0) > 1 or atom and text[0] == "(":  # names and constants lack "("
+                names[v] = f"t{len(names)}"
+                lines.append(f" {names[v]} = {text}")
+                return names[v]
+            return text
+
+        for j in js:
+            lines.append(assign.format(j=j, text=emit(roots[j], j)))  # after emit's own lines
+        return lines
+
+    def gdiv(j: int) -> float:  # x/0 with x != 0 raises
+        raise division_by_zero(labels[j])
 
     def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate
         for j, r in enumerate(v):
             if not math.isfinite(r):
                 raise non_finite(labels[j])
 
+    def chain(name: str, signed: list[str]) -> list[str]:
+        # at most 256 terms per statement keep the compiler's recursion shallow
+        return [
+            f" {name} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}"
+            for k in range(0, len(signed), 256)
+        ]
+
     if h is not None:
-        var = f"(n[{{}}]*{h!r})"
-        fs = "".join(f"lambda n: {emit(e, var, j)}/{h!r},\n" for j, e in enumerate(exprs))
-        lines = [f"f = [{fs}]"]
+        lines, fs = [], []  # a function needs a def only for its locals
+        for j in range(len(exprs)):
+            *body, ret = statements([j], f"{{text}}/{h!r}")
+            lines += [f"def f{j}(n):", *body, f" return {ret}"] if body else []
+            fs.append(f"f{j}" if body else f"lambda n: {ret}")
+        lines.append(f"f = [{', '.join(fs)}]")
     else:
-        lines = ["def f(c):", *(f" r{j} = {emit(e, 'c[{}]', j)}" for j, e in enumerate(exprs))]
-        lines.append(f" v = ({''.join(f'r{j},' for j in range(len(exprs)))})")
-        lines.append(" if not isfinite(sum(v)): check(v)")
+        rates = [f"r{j}" for j in range(len(exprs))]
+        lines = ["def f(c):", *statements(list(range(len(exprs))), " r{j} = {text}")]
+        if rates:
+            lines += chain("v", ["+" + r for r in rates])
+            lines.append(f" if not isfinite(v): check(({','.join(rates)},))")
         for i, terms in enumerate(sums):
             signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
-            # at most 256 terms per statement keep the compiler's recursion shallow
-            for k in range(0, len(signed), 256):
-                lines.append(f" d{i} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}")
+            lines += chain(f"d{i}", signed)
         lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
     env = {"_gdiv": gdiv, "isfinite": math.isfinite, "check": check}
     env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants
@@ -292,11 +334,3 @@ def to_json(e: Expr) -> dict:
         return {"kind": "var", "name": e.name}
     return {"kind": e.op, "left": to_json(e.left), "right": to_json(e.right)}
 
-
-def from_json(d: dict) -> Expr:
-    kind = d["kind"]
-    if kind == "const":
-        return Const(float(d["value"]))
-    if kind == "var":
-        return Var(d["name"])
-    return Bin(kind, from_json(d["left"]), from_json(d["right"]))

@@ -27,7 +27,6 @@ import re
 from typing import NamedTuple
 
 from . import expr as ex
-from .congruence import serialize
 from .terms import (
     NIL,
     MASS_ACTION,
@@ -145,6 +144,14 @@ class _Parser:
         if self.tok[0] != "num":
             raise self.error(f"expected number, found {self.found()}")
         return sign * float(self.advance())
+
+    def amount(self) -> tuple[float, str]:
+        """A mixture entry: a finite concentration >= 0 and a species name."""
+        pos = self.tok[2]
+        c = self.number()
+        if not 0.0 <= c < float("inf"):
+            raise self.error(f"expected a finite concentration >= 0, found {c:g}", pos)
+        return c, self.name("species name")
 
     # --- species terms ---
 
@@ -298,7 +305,7 @@ def parse_model(text: str) -> Model:
             p.expect("}")
         elif p.accept("mixture"):
             p.expect("{")
-            mixture += p.sep_list(",", lambda: (p.number(), p.name("species name")))
+            mixture += p.sep_list(",", p.amount)
             p.expect("}")
         else:
             raise p.error(f"expected a definition, found {p.found()}")
@@ -307,30 +314,3 @@ def parse_model(text: str) -> Model:
     validate_model(model)
     return model
 
-
-# --- rendering ---------------------------------------------------------------
-
-def render_model(m: Model) -> str:
-    """Inverse of parse_model up to structural equality."""
-    lines: list[str] = []
-    for sd in m.species.values():
-        params = f"({','.join(sd.params)})" if sd.params else ""
-        lines.append(f"species {sd.name}{params} = {serialize(sd.body)};")
-    for law in m.laws.values():
-        if law.variadic:
-            continue  # builtin
-        body = ex.render(law.body)
-        lines.append(
-            f"law {law.name}({', '.join(law.params)}; {', '.join(law.args)}) = {body};"
-        )
-    if m.affinity:
-        lines.append("affinity {")
-        for entry in m.affinity:
-            pat = " || ".join(" & ".join(c) for c in entry.pattern)
-            params = ", ".join(ex._fmt_num(v) for v in entry.law_params)
-            lines.append(f"  {pat} at {entry.law_name}({params});")
-        lines.append("}")
-    if m.mixture:
-        body = ", ".join(f"{ex._fmt_num(c)} {n}" for c, n in m.mixture)
-        lines.append(f"mixture {{ {body} }}")
-    return "\n".join(lines) + "\n"

@@ -181,6 +181,21 @@ def test_simulate_out_file(tmp_path, capsys, command, options, header):
     assert dest.read_text().splitlines()[0] == header
 
 
+@pytest.mark.parametrize("amount", ["-1", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["simulate", "--t-end", "1"], ["ssa", "--h", "1", "--seed", "1", "--t-end", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_concentration_must_be_finite_and_nonnegative(tmp_path, capsys, argv, amount):
+    model = tmp_path / "m.bond"
+    model.write_text(f"species X = x.0;\nmixture {{ {amount} X }}\n")
+    code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+    assert (code, out) == (1, "")
+    found = {"-1": "-1", "1e400": "inf"}[amount]
+    assert err == f"error[PARSE]: 2:11: expected a finite concentration >= 0, found {found}\n"
+
+
 def test_out_in_missing_directory_is_io_error(tmp_path, capsys):
     dest = tmp_path / "missing" / "out.csv"
     code, out, err = run(

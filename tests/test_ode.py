@@ -22,6 +22,7 @@ from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 
 from conftest import rational_left_nullspace
+from test_expr import from_json
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DATA = Path(__file__).resolve().parent / "data"
@@ -155,7 +156,7 @@ def test_render_odes_json_roundtrip():
 
     doc = json.loads(render_odes(sys_, fmt="json"))
     assert doc["primes"] == rs.prime_names
-    e = ex.from_json(doc["odes"][0])
+    e = from_json(doc["odes"][0])
     assert e == sys_.derivs[0]
 
 
@@ -256,13 +257,26 @@ def test_eval_field_non_finite_rate_names_reaction():
 # --- the generated and the numpy DOPRI5 kernels ----------------------------------
 
 
+def numpy_step(sys: ode.OdeSystem, y, k0, h: float, rtol: float, atol: float):
+    """The reference attempt in numpy: (y5, scaled error norm, the 7 stage derivatives)."""
+    y = np.asarray(y)
+    k = np.empty((7, len(y)))
+    k[0] = k0
+    for i in range(1, 7):
+        k[i] = eval_field(sys, y + h * np.dot(ode._A[i], k[:i]))
+    y5 = y + h * (ode._B5 @ k)
+    err_vec = h * ((ode._B5 - ode._B4) @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+    return y5.tolist(), math.sqrt(float(np.mean((err_vec / scale) ** 2))), k
+
+
 def both_kernels(source, t_end):
     """The same integration through the generated step and through the numpy one."""
     m = parse_model(source)
     rs = build_reaction_system(m)
     x0 = initial_mixture(m, rs.index)
     gen_sys, numpy_sys = build_odes(rs), build_odes(rs)
-    numpy_sys._step = functools.partial(ode._numpy_step, numpy_sys)  # shadows the generated one
+    numpy_sys._step = functools.partial(numpy_step, numpy_sys)  # shadows the generated one
     return integrate(gen_sys, x0, t_end), integrate(numpy_sys, x0, t_end)
 
 
@@ -276,8 +290,8 @@ def test_generated_step_matches_numpy_step(source):
 
 def test_generated_step_matches_numpy_step_kuznetsov_long():
     gen, ref = both_kernels((MODELS / "kuznetsov.bond").read_text(), 1600.0)
-    assert gen.steps == ref.steps == 16_494
-    assert abs(gen.rejected - 229) <= 5 and abs(ref.rejected - 229) <= 5
+    assert (gen.steps, gen.rejected, gen.nfev) == (16_494, 231, 100_351)
+    assert ref.steps == 16_494 and abs(ref.rejected - 229) <= 5
     assert gen.y[-1] == pytest.approx(ref.y[-1], rel=1e-6)
 
 
@@ -306,7 +320,6 @@ def test_domain_error_inside_step_names_reaction(monkeypatch, source, t_end, mes
     def refuse(*args):
         raise AssertionError("a failing rate was evaluated again")
 
-    monkeypatch.setattr(ode, "_numpy_step", refuse)
     monkeypatch.setattr(ex, "evaluate", refuse)
     rs, sys_ = odes_for(source)
     step, failed = sys_._step, []

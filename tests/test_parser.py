@@ -4,10 +4,34 @@ import pytest
 
 from bondc import expr as ex
 from bondc.congruence import normalize, serialize
-from bondc.parser import ParseError, parse_model, render_model
-from bondc.terms import AMBIENT, NIL, Call, ModelError, New, Par, Prefix, Sum
+from bondc.parser import ParseError, parse_model
+from bondc.terms import AMBIENT, NIL, Call, Model, ModelError, New, Par, Prefix, Sum
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def render_model(m: Model) -> str:
+    """Inverse of parse_model up to structural equality."""
+    lines: list[str] = []
+    for sd in m.species.values():
+        params = f"({','.join(sd.params)})" if sd.params else ""
+        lines.append(f"species {sd.name}{params} = {serialize(sd.body)};")
+    for law in m.laws.values():
+        if law.variadic:
+            continue  # builtin
+        body = ex.render(law.body)
+        lines.append(f"law {law.name}({', '.join(law.params)}; {', '.join(law.args)}) = {body};")
+    if m.affinity:
+        lines.append("affinity {")
+        for entry in m.affinity:
+            pat = " || ".join(" & ".join(c) for c in entry.pattern)
+            params = ", ".join(ex._fmt_num(v) for v in entry.law_params)
+            lines.append(f"  {pat} at {entry.law_name}({params});")
+        lines.append("}")
+    if m.mixture:
+        body = ", ".join(f"{ex._fmt_num(c)} {n}" for c, n in m.mixture)
+        lines.append(f"mixture {{ {body} }}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_species(src: str, extra: str = ""):
@@ -188,6 +212,16 @@ def test_parse_errors(src, fragment):
             "species X = x.0;\nlaw F(k; x) = k * x + 1 / 0;",
             "2:25: constant division by zero",
             id="constant-division",
+        ),
+        pytest.param(
+            "species X = x.0;\nmixture { 1 X, - 2 X }",
+            "2:16: expected a finite concentration >= 0, found -2",
+            id="negative-concentration",
+        ),
+        pytest.param(
+            "species X = x.0;\nmixture { 1e400 X }",
+            "2:11: expected a finite concentration >= 0, found inf",
+            id="infinite-concentration",
         ),
     ],
 )
