@@ -4,12 +4,16 @@ Exit codes: 0 success (also when the reader closes stdout early), 1 model
 error (with a machine-parsable ``error[CODE]:`` line on stderr), 2 usage
 error.  The codes are PARSE (a model file that cannot be read or parsed),
 ARITY, UNBOUNDED, DOMAIN, STIFF and IO (an unwritable output file).
+
+``main(argv)`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -79,8 +83,11 @@ _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="bondc", description=__doc__)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and kept for the process."""
+    # --help shows the docstring up to its last paragraph, which is for callers of main
+    ap = argparse.ArgumentParser(prog="bondc", description=__doc__.rsplit("\n\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse and validate a model")
@@ -122,8 +129,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sample-dt", type=_POSITIVE)
     p.add_argument("--cap", type=_COUNT, default=512)
     p.add_argument("--out", help="output CSV path (default: stdout)")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = _dispatch(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
@@ -166,10 +176,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             sources = [Call(name, ()) for name, sd in model.species.items() if not sd.params]
         for src in sources:
-            for tr, mult in sorted(
-                ts.transitions(src).items(), key=lambda kv: repr(kv[0])
+            for line in sorted(
+                format_transition(src, tr, mult) for tr, mult in ts.transitions(src).items()
             ):
-                print(format_transition(src, tr, mult))
+                print(line)
         return 0
 
     if args.command == "crn":

@@ -120,24 +120,6 @@ def total(terms: Iterable[Expr]) -> Expr:
     return out
 
 
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    a = evaluate(e.left, env)
-    b = evaluate(e.right, env)
-    if e.op == "add":
-        return a + b
-    if e.op == "sub":
-        return a - b
-    if e.op == "mul":
-        return a * b
-    if b == 0.0 and a != 0.0:
-        raise DomainError("division by zero")
-    return a / b if b else 0.0
-
-
 def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, refolding along the way."""
     if isinstance(e, Const):
@@ -178,14 +160,15 @@ def compile_exprs(
 ):
     """Compile expressions into straight-line Python, generated in one exec.
 
-    Values are bit-identical to evaluate(), but a DomainError names the label
-    (one per expression) of the expression that failed.  ``var_index`` maps
-    variable names to argument positions, as a mapping or as an ordered
-    sequence of names.  With ``sums`` (per output, its (coefficient,
-    expression index) terms) the result is one function of a value vector that
-    computes each value once, raises DomainError unless all are finite, and
-    returns the sums.  With a level size ``h`` instead, it is a list of
-    functions, one per expression, of integer levels n, giving e(n*h)/h.
+    Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``),
+    but a DomainError names the label (one per expression) of the expression
+    that failed.  ``var_index`` maps variable names to argument positions, as
+    a mapping or as an ordered sequence of names.  With ``sums`` (per output,
+    its (coefficient, expression index) terms) the result is one function of a
+    value vector that computes each value once, raises DomainError unless all
+    are finite, and returns the sums.  With a level size ``h`` instead, it is a
+    list of functions, one per expression, of integer levels n, giving
+    e(n*h)/h.
     Within a function a sub-expression used more than once is computed once,
     before the first expression using it (which a failing division in it
     names); division is guarded inline, with a call only to raise for x/0.

@@ -153,6 +153,14 @@ class _Parser:
             raise self.error(f"expected a finite concentration >= 0, found {c:g}", pos)
         return c, self.name("species name")
 
+    def parameter(self) -> float:
+        """An affinity entry's law parameter: a finite number."""
+        pos = self.tok[2]
+        v = self.number()
+        if not abs(v) < float("inf"):
+            raise self.error(f"expected a finite law parameter, found {v:g}", pos)
+        return v
+
     # --- species terms ---
 
     def spec(self) -> Species:
@@ -298,7 +306,10 @@ def parse_model(text: str) -> Model:
                 p.expect("at")
                 law_name = p.name("law name")
                 p.expect("(")
-                values = p.sep_list(",", p.number)
+                pos = p.tok[2]
+                values = p.sep_list(",", p.parameter)
+                if law_name == MASS_ACTION.name and values[0] < 0.0:
+                    raise p.error(f"expected a rate constant >= 0, found {values[0]:g}", pos)
                 p.expect(")")
                 p.expect(";")
                 affinity.append(AffinityEntry(tuple(clusters), law_name, tuple(values)))

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from bondc import expr as ex
+
 
 def rational_left_nullspace(rows):
     """Basis of {v : v @ M == 0} for an integer matrix given as rows.
@@ -47,3 +49,26 @@ def mean_std(runs):
     """Pointwise mean and standard deviation of SSA level counts across runs."""
     stack = np.stack([r.levels for r in runs]).astype(float)
     return runs[0].t, stack.mean(axis=0), stack.std(axis=0, ddof=1)
+
+
+def evaluate(e, env):
+    """The value of an expression tree at ``env``, walked node by node.
+
+    The reference that ``ex.compile_exprs``'s generated code must match bit
+    for bit: 0/0 is 0, and x/0 with x != 0 raises DomainError.
+    """
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return env[e.name]
+    a = evaluate(e.left, env)
+    b = evaluate(e.right, env)
+    if e.op == "add":
+        return a + b
+    if e.op == "sub":
+        return a - b
+    if e.op == "mul":
+        return a * b
+    if b == 0.0 and a != 0.0:
+        raise ex.DomainError("division by zero")
+    return a / b if b else 0.0

@@ -1,12 +1,15 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from bondc import ode, ssa
+from bondc import cli, ode, ssa
 from bondc.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -181,12 +184,15 @@ def test_simulate_out_file(tmp_path, capsys, command, options, header):
     assert dest.read_text().splitlines()[0] == header
 
 
-@pytest.mark.parametrize("amount", ["-1", "1e400"])
-@pytest.mark.parametrize(
+LOADING_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["check"], ["simulate", "--t-end", "1"], ["ssa", "--h", "1", "--seed", "1", "--t-end", "1"]],
     ids=lambda argv: argv[0],
 )
+
+
+@pytest.mark.parametrize("amount", ["-1", "1e400"])
+@LOADING_COMMANDS
 def test_concentration_must_be_finite_and_nonnegative(tmp_path, capsys, argv, amount):
     model = tmp_path / "m.bond"
     model.write_text(f"species X = x.0;\nmixture {{ {amount} X }}\n")
@@ -194,6 +200,34 @@ def test_concentration_must_be_finite_and_nonnegative(tmp_path, capsys, argv, am
     assert (code, out) == (1, "")
     found = {"-1": "-1", "1e400": "inf"}[amount]
     assert err == f"error[PARSE]: 2:11: expected a finite concentration >= 0, found {found}\n"
+
+
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        ("MA(-1)", "expected a rate constant >= 0, found -1"),
+        ("MA(1e400)", "expected a finite law parameter, found inf"),
+    ],
+    ids=["negative", "overflow"],
+)
+@LOADING_COMMANDS
+def test_law_parameter_must_be_finite(tmp_path, capsys, argv, law, message):
+    model = tmp_path / "m.bond"
+    model.write_text(f"species X = x.0;\naffinity {{ x at {law}; }}\nmixture {{ 5 X }}\n")
+    code, out, err = run(capsys, argv[0], str(model), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error[PARSE]: 2:20: {message}\n"
+
+
+def test_user_law_takes_a_negative_parameter(tmp_path, capsys):
+    model = tmp_path / "m.bond"
+    model.write_text(
+        "species X = x.0;\nlaw F(k; x) = -k * x;\naffinity { x at F(-1); }\nmixture { 5 X }\n"
+    )
+    assert run(capsys, "check", str(model)) == (0, "ok\n", "")
+    code, out, err = run(capsys, "simulate", str(model), "--t-end", "1", "--grid", "1")
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(5.0 * math.exp(-1.0))
 
 
 def test_out_in_missing_directory_is_io_error(tmp_path, capsys):
@@ -332,6 +366,57 @@ def test_usage_error_exit_2(capsys):
     assert ei.value.code == 2
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []  # the prog of every parser constructed, subcommand parsers included
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    # argparse's own methods name ArgumentParser, so the subclass goes into cli's view only
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(**vars(argparse)))
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", Counting)
+    cli._parser.cache_clear()
+    mm = str(MODELS / "mm.bond")
+    try:
+        calls = [
+            ["check", mm],
+            ["primes", mm],
+            ["transitions", mm],
+            ["crn", mm],
+            ["odes", mm, "--format", "latex"],
+            ["odes", mm],
+            ["simulate", mm, "--t-end", "1", "--grid", "2"],
+            ["ssa", mm, "--h", "0.5", "--t-end", "1", "--seed", "1"],
+            ["check", str(MODELS / "missing.bond")],
+            ["primes", mm, "--cap", "1"],
+        ]
+        codes = [run(capsys, *argv)[0] for argv in calls]
+        assert codes == [0] * 8 + [1, 1]
+        assert built.count("bondc") == 1
+        assert len(built) == 8  # bondc and its 7 subcommands, once
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_repeated_calls_do_not_share_state(capsys):
+    argv = ["ssa", str(MODELS / "mm.bond"), "--h", "0.5", "--t-end", "1", "--seed", "3"]
+    cli._parser.cache_clear()
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv, "--runs", "3")[0] == 0
+    with pytest.raises(SystemExit) as ei:
+        main(["ssa", str(MODELS / "mm.bond")])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: bondc ssa")
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bondc")
+    assert run(capsys, *argv) == first  # --runs is back at its default of 1
+
+
 def test_no_command_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])
@@ -375,7 +460,11 @@ NON_FINITE = {  # model: (source, reaction named, --t-end)
         "1",
     ),
     # a constant that overflows to inf must compile and be reported, not crash
-    "inf": ("species X = x.0;\naffinity { x at MA(1e400); }\nmixture { 1 X }\n", "x at MA(inf)", "1"),
+    "inf": (
+        "species X = x.0;\nlaw F(k; x) = k*k*x;\naffinity { x at F(1e300); }\nmixture { 1 X }\n",
+        "x at F(1e+300)",
+        "1",
+    ),
     # finite at t=0, NaN inside an integration stage once X exceeds about 1e4
     "mid-step": (
         "species X = x.(X | X);\nlaw F(k; x) = k*x*x - k*x*x + x;\n"

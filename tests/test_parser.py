@@ -7,6 +7,8 @@ from bondc.congruence import normalize, serialize
 from bondc.parser import ParseError, parse_model
 from bondc.terms import AMBIENT, NIL, Call, Model, ModelError, New, Par, Prefix, Sum
 
+from conftest import evaluate
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -90,7 +92,7 @@ def test_law_definition_expression():
         "affinity { x at F(2, 3); }\n"
     )
     law = m.laws["F"]
-    v = ex.evaluate(law.apply((2.0, 3.0), [ex.const(6.0)]), {})
+    v = evaluate(law.apply((2.0, 3.0), [ex.const(6.0)]), {})
     assert v == pytest.approx(2 * 6 / 9 - 1)
 
 
@@ -222,6 +224,16 @@ def test_parse_errors(src, fragment):
             "species X = x.0;\nmixture { 1e400 X }",
             "2:11: expected a finite concentration >= 0, found inf",
             id="infinite-concentration",
+        ),
+        pytest.param(
+            "species X = x.0;\naffinity { x at MA(- 1); }",
+            "2:20: expected a rate constant >= 0, found -1",
+            id="negative-rate-constant",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k, j; x) = k * x;\naffinity { x at F(1, -1e400); }",
+            "3:22: expected a finite law parameter, found -inf",
+            id="infinite-law-parameter",
         ),
     ],
 )

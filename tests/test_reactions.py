@@ -29,6 +29,8 @@ from bondc.reactions import (
 from bondc.terms import AMBIENT
 from bondc.transitions import TransitionSystem, colocate, commit
 
+from conftest import evaluate
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -42,7 +44,7 @@ def system(name):
 
 def rate_value(rs, reaction, x):
     env = {n: v for n, v in zip(rs.prime_names, x)}
-    return ex.evaluate(reaction.rate, env)
+    return evaluate(reaction.rate, env)
 
 
 # --- quoted rate combinatorics --------------------------------------------------
@@ -130,7 +132,7 @@ def test_cluster_concentration_multiplicity():
     m = parse_model("species X = s.0 + s.0;\naffinity { s at MA(1); }\nmixture { 1 X }")
     index = reachable_primes(m, ts=TransitionSystem(m.species))
     conc = cluster_concentrations(index)
-    assert ex.evaluate(conc[("s",)], {"X": 5.0}) == 10.0
+    assert evaluate(conc[("s",)], {"X": 5.0}) == 10.0
 
 
 def test_cluster_concentration_sums_over_species():
@@ -140,8 +142,8 @@ def test_cluster_concentration_sums_over_species():
     (complex_name,) = set(index.names) - {"EC", "TC", "IS"}
     env = {"EC": 1.0, "TC": 2.0, "IS": 5.0, complex_name: 7.0}
     # both bound and unbound TC consume resources
-    assert ex.evaluate(conc[("consumeResources",)], env) == 9.0
-    assert ex.evaluate(conc[("growTC",)], env) == 2.0
+    assert evaluate(conc[("consumeResources",)], env) == 9.0
+    assert evaluate(conc[("growTC",)], env) == 2.0
 
 
 # --- structural invariants --------------------------------------------------------
@@ -218,11 +220,11 @@ def test_total_rate_factorization():
             law = m.laws[entry.law_name]
             for _ in range(5):
                 env = {n: rng.uniform(0.1, 3.0) for n in index.names}
-                a_vals = [ex.evaluate(conc[c], env) for c in entry.pattern]
-                f_val = ex.evaluate(
+                a_vals = [evaluate(conc[c], env) for c in entry.pattern]
+                f_val = evaluate(
                     law.apply(entry.law_params, [ex.const(v) for v in a_vals]), {}
                 )
-                got = sum(ex.evaluate(r, env) for r in prov_rates)
+                got = sum(evaluate(r, env) for r in prov_rates)
                 assert got == pytest.approx(f_val / sym, rel=1e-12)
 
 
@@ -251,8 +253,8 @@ def brute_force_field(model, rs, x):
         m = len(entry.pattern)
         law = model.laws[entry.law_name]
         pattern_bag = Counter(entry.pattern)
-        a_vals = [ex.evaluate(conc[c], env) if c in conc else 0.0 for c in entry.pattern]
-        f_val = ex.evaluate(law.apply(entry.law_params, [ex.const(v) for v in a_vals]), {})
+        a_vals = [evaluate(conc[c], env) if c in conc else 0.0 for c in entry.pattern]
+        f_val = evaluate(law.apply(entry.law_params, [ex.const(v) for v in a_vals]), {})
         denom = 1.0
         for v in a_vals:
             denom *= v

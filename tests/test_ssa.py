@@ -202,11 +202,7 @@ def test_non_finite_propensity_names_reaction():
         gillespie(dm, [10], 1.0, seed=1)
 
 
-def test_rate_division_by_zero_names_reaction(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a failing rate was evaluated again")
-
-    monkeypatch.setattr(ex, "evaluate", refuse)
+def test_rate_division_by_zero_names_reaction():
     src = "species X = x.0;\nlaw F(k; x) = k / (x - 1);\naffinity { x at F(2); }\nmixture { 1 X }"
     rs = build_reaction_system(parse_model(src))
     dm = discretize(rs, 1.0)

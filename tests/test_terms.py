@@ -17,6 +17,8 @@ from bondc.terms import (
 )
 from bondc import expr as ex
 
+from conftest import evaluate
+
 
 def guard(site, loc=AMBIENT, receives=(), body=NIL):
     return Prefix(site, loc, tuple(receives), body)
@@ -83,9 +85,9 @@ def test_make_cluster_sorted_bag():
 
 def test_mass_action_apply_variadic():
     r = MASS_ACTION.apply((2.0,), [ex.Var("x"), ex.Var("y")])
-    assert ex.evaluate(r, {"x": 3.0, "y": 4.0}) == 24.0
+    assert evaluate(r, {"x": 3.0, "y": 4.0}) == 24.0
     r1 = MASS_ACTION.apply((0.5,), [ex.Var("x")])
-    assert ex.evaluate(r1, {"x": 4.0}) == 2.0
+    assert evaluate(r1, {"x": 4.0}) == 2.0
 
 
 def test_law_apply_substitutes_args():
@@ -99,5 +101,5 @@ def test_law_apply_substitutes_args():
         ),
     )
     r = law.apply((10.0, 2.0), [ex.Var("S"), ex.Var("E")])
-    assert ex.evaluate(r, {"S": 3.0, "E": 2.0}) == pytest.approx(60.0 / 4.0)
+    assert evaluate(r, {"S": 3.0, "E": 2.0}) == pytest.approx(60.0 / 4.0)
     assert ex.variables(r) == {"S", "E"}
