@@ -213,6 +213,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             rs = _compile(model, args.cap)
             dm = ssa_mod.discretize(rs, args.h)
             x0 = initial_mixture(model, rs.index)
+            for name, c in zip(dm.names, x0):
+                if not c / args.h < 2**63:  # levels are stored as int64
+                    n = f"'{name}' starts at {c / args.h:g} levels at h={args.h:g}"
+                    raise DomainError(f"{n}, more than a level count holds (2^63 - 1)")
             n0 = ssa_mod.initial_levels(x0, args.h)
             runs = ssa_mod.gillespie_runs(
                 dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 
 class DomainError(ValueError):
@@ -131,6 +131,13 @@ def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
     return {"add": add, "sub": sub, "mul": mul, "div": div}[e.op](a, b)
 
 
+def finite(e: Expr) -> bool:
+    """Whether every constant in ``e`` is finite."""
+    if isinstance(e, Bin):
+        return finite(e.left) and finite(e.right)
+    return isinstance(e, Var) or math.isfinite(e.value)
+
+
 def variables(e: Expr) -> set[str]:
     if isinstance(e, Const):
         return set()
@@ -154,7 +161,7 @@ def non_finite(label: str) -> DomainError:
 def compile_exprs(
     exprs: list[Expr],
     labels: list[str],
-    var_index: Mapping[str, int] | Iterable[str],
+    names: Sequence[str],
     sums: Optional[list[list[tuple[int, int]]]] = None,
     h: Optional[float] = None,
 ):
@@ -162,8 +169,8 @@ def compile_exprs(
 
     Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``),
     but a DomainError names the label (one per expression) of the expression
-    that failed.  ``var_index`` maps variable names to argument positions, as
-    a mapping or as an ordered sequence of names.  With ``sums`` (per output,
+    that failed.  ``names`` orders the variables: the function's argument
+    holds the value of ``names[i]`` at position i.  With ``sums`` (per output,
     its (coefficient, expression index) terms) the result is one function of a
     value vector that computes each value once, raises DomainError unless all
     are finite, and returns the sums.  With a level size ``h`` instead, it is a
@@ -173,8 +180,7 @@ def compile_exprs(
     before the first expression using it (which a failing division in it
     names); division is guarded inline, with a call only to raise for x/0.
     """
-    if not isinstance(var_index, Mapping):
-        var_index = {n: i for i, n in enumerate(var_index)}
+    var_index = {n: i for i, n in enumerate(names)}
     var = "c[{}]" if h is None else f"(n[{{}}]*{h!r})"
 
     def value(e: Expr):  # a leaf's text or (op, left, right): equal values are bit-identical

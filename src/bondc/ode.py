@@ -1,10 +1,11 @@
 """Symbolic ODE system and adaptive explicit Runge-Kutta integration.
 
-The derivatives and the compiled field come from one pass over the sparse
-stoichiometry.  The field is one straight-line function: it evaluates each
-rate once, checks them finite, and adds each into the primes its reaction
-changes; a rate that fails raises a DomainError naming its reaction, so an
-error inside a step needs no second evaluation.  The integrator is a
+The derivatives and the compiled field come from one pass over each
+reaction's sparse stoichiometry (``Reaction.jumps``).  The field is one
+straight-line function: it evaluates each rate once, checks them finite, and
+adds each into the primes its reaction changes; a rate that fails raises a
+DomainError naming its reaction, so an error inside a step needs no second
+evaluation.  The integrator is a
 Dormand-Prince 5(4) embedded pair with error-per-step control.  One attempt is
 generated per model, straight-line over Python floats with the tableau
 inlined.  The standard quartic continuous extension gives dense output, built
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import expr as ex
-from .reactions import Reaction, ReactionSystem
+from .reactions import ReactionSystem
 
 
 class StiffnessError(RuntimeError):
@@ -45,7 +46,7 @@ class OdeSystem:
         rates = [r.rate for r in self.rs.reactions]
         self._terms = [[] for _ in self.names]
         for j, r in enumerate(self.rs.reactions):
-            for i, d in jumps(r):
+            for i, d in r.jumps:
                 self._terms[i].append((d, j))
         self.derivs = [
             ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms
@@ -89,16 +90,6 @@ class Trajectory:
     steps: int
     rejected: int
     nfev: int
-
-
-def jumps(r: Reaction) -> list[tuple[int, int]]:
-    """The reaction's sparse stoichiometry: (prime index, net change), zeros omitted."""
-    nu: dict[int, int] = {}
-    for i in r.reactants:
-        nu[i] = nu.get(i, 0) - 1
-    for i in r.products:
-        nu[i] = nu.get(i, 0) + 1
-    return sorted((i, d) for i, d in nu.items() if d)
 
 
 def build_odes(rs: ReactionSystem) -> OdeSystem:

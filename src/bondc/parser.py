@@ -153,12 +153,12 @@ class _Parser:
             raise self.error(f"expected a finite concentration >= 0, found {c:g}", pos)
         return c, self.name("species name")
 
-    def parameter(self) -> float:
-        """An affinity entry's law parameter: a finite number."""
+    def finite(self, what: str) -> float:
+        """A finite number, such as a law parameter or a number in a law body."""
         pos = self.tok[2]
         v = self.number()
         if not abs(v) < float("inf"):
-            raise self.error(f"expected a finite law parameter, found {v:g}", pos)
+            raise self.error(f"expected {what}, found {v:g}", pos)
         return v
 
     # --- species terms ---
@@ -224,23 +224,21 @@ class _Parser:
     # --- law expressions ---
 
     def law_expr(self) -> ex.Expr:
-        e = self.law_term()
-        while self.at("+") or self.at("-"):
-            op = self.advance()
-            rhs = self.law_term()
-            e = ex.add(e, rhs) if op == "+" else ex.sub(e, rhs)
-        return e
+        return self.folds(("+", "-"), lambda: self.folds(("*", "/"), self.law_factor))
 
-    def law_term(self) -> ex.Expr:
-        e = self.law_factor()
-        while self.at("*") or self.at("/"):
-            pos = self.tok[2]
-            op = self.advance()
-            rhs = self.law_factor()
+    def folds(self, ops: tuple[str, ...], operand) -> ex.Expr:
+        """``operand (op operand)*`` for op in ``ops``, folded left to right: a
+        constant x/0, or a fold to a non-finite constant, is an error at its operator."""
+        e = operand()
+        while self.tok[1] in ops:
+            pos, op = self.tok[2], self.advance()
+            rhs = operand()
             try:
-                e = ex.mul(e, rhs) if op == "*" else ex.div(e, rhs)
+                e = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[op](e, rhs)
             except ex.DomainError as err:  # a constant x/0
                 raise self.error(str(err), pos) from None
+            if not ex.finite(e):
+                raise self.error(f"folding constants at '{op}' gives a non-finite value", pos)
         return e
 
     def law_factor(self) -> ex.Expr:
@@ -251,7 +249,7 @@ class _Parser:
             self.expect(")")
             return e
         if self.tok[0] == "num":
-            return ex.const(float(self.advance()))
+            return ex.const(self.finite("a finite number"))
         return ex.Var(self.name("parameter or argument"))
 
     # --- affinity patterns ---
@@ -307,7 +305,7 @@ def parse_model(text: str) -> Model:
                 law_name = p.name("law name")
                 p.expect("(")
                 pos = p.tok[2]
-                values = p.sep_list(",", p.parameter)
+                values = p.sep_list(",", p.finite, "a finite law parameter")
                 if law_name == MASS_ACTION.name and values[0] < 0.0:
                     raise p.error(f"expected a rate constant >= 0, found {values[0]:g}", pos)
                 p.expect(")")

@@ -18,9 +18,12 @@ Tuples are visited in the same order either way, so prime numbering does
 not depend on any of this.  The rate of a matched tuple is the kinetic law
 applied to the total cluster concentrations, divided by those concentrations
 and multiplied back by each participant's own contribution; a slot whose
-cluster is matched by a single (prime, transition) pair cancels exactly.  Repeated clusters in a pattern contribute the standard
-1/multiplicity! symmetry correction, so e.g. a homodimerization under
-mass-action k fires at (1/2) k [A]^2.
+cluster is matched by a single (prime, transition) pair cancels exactly.
+The law is applied once per entry.  Repeated clusters in a pattern contribute
+the standard 1/multiplicity! symmetry correction, so e.g. a homodimerization
+under mass-action k fires at (1/2) k [A]^2.  Tuples with equal reactants,
+products and entry sum into one reaction; a non-finite constant in a rate is
+an error.
 """
 
 from __future__ import annotations
@@ -129,13 +132,15 @@ class Reaction:
     rate: ex.Expr
     provenance: str
 
-    def stoichiometry(self, n_primes: int) -> list[int]:
-        nu = [0] * n_primes
+    @functools.cached_property
+    def jumps(self) -> list[tuple[int, int]]:
+        """The sparse stoichiometry: sorted (prime index, net change) pairs, zeros left out."""
+        nu: dict[int, int] = {}
         for i in self.reactants:
-            nu[i] -= 1
+            nu[i] = nu.get(i, 0) - 1
         for i in self.products:
-            nu[i] += 1
-        return nu
+            nu[i] = nu.get(i, 0) + 1
+        return sorted((i, d) for i, d in nu.items() if d)
 
 
 @dataclass
@@ -214,8 +219,8 @@ def _entry_provenance(entry: AffinityEntry) -> str:
 def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
     by_cluster = index.matches()
     conc = cluster_concentrations(index)
-    reactions: list[Reaction] = []
-    merged: dict[tuple[tuple[int, ...], tuple[int, ...], str], int] = {}
+    # merged rate per (reactants, products, provenance), in first-occurrence order
+    rates: dict[tuple[tuple[int, ...], tuple[int, ...], str], ex.Expr] = {}
 
     for entry in model.affinity:
         law = model.laws[entry.law_name]
@@ -224,55 +229,33 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         if any(not ms for ms in slot_lists):
             model.warnings.append(f"affinity entry '{prov}' matches no species")
             continue
-        sym = 1
-        for _, count in Counter(entry.pattern).items():
-            sym *= math.factorial(count)
+        sym = math.prod(math.factorial(count) for count in Counter(entry.pattern).values())
         a_exprs = [conc[c] for c in entry.pattern]
+        params = entry.law_params
+        try:  # the law's value f(a_1..a_m), once per entry; mass action's f/prod(a_j) is k
+            value = ex.const(params[0]) if law.variadic else law.apply(params, a_exprs)
+        except ex.DomainError:  # the law folded a constant x/0
+            raise ex.division_by_zero(prov) from None
 
         for combo in itertools.product(*slot_lists):
-            reactants = tuple(sorted(mt.prime for mt in combo))
-            products = tuple(sorted(index.products(combo)))
-            try:
-                rate = _tuple_rate(law, entry.law_params, combo, slot_lists, a_exprs, index)
-            except ex.DomainError:  # the law folded a constant x/0
-                raise ex.division_by_zero(prov) from None
+            rate = value
+            for j, mt in enumerate(combo):
+                # each slot multiplies in its participant's share: for mass action the
+                # share itself (a monomial), else share/a_j, exactly 1 for a sole match
+                if law.variadic or len(slot_lists[j]) > 1:
+                    share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
+                    rate = ex.mul(rate, share if law.variadic else ex.div(share, a_exprs[j]))
             if sym != 1:
                 rate = ex.mul(ex.const(1.0 / sym), rate)
-            key = (reactants, products, prov)
-            if key in merged:
-                r = reactions[merged[key]]
-                reactions[merged[key]] = Reaction(
-                    r.reactants, r.products, ex.add(r.rate, rate), r.provenance
-                )
-            else:
-                merged[key] = len(reactions)
-                reactions.append(Reaction(reactants, products, rate, prov))
+            reactants = tuple(sorted(mt.prime for mt in combo))
+            key = (reactants, tuple(sorted(index.products(combo))), prov)
+            rates[key] = ex.add(rates[key], rate) if key in rates else rate
 
+    for (_, _, prov), rate in rates.items():
+        if not ex.finite(rate):  # a constant overflowed in the law, a product or a sum
+            raise ex.non_finite(prov)
+    reactions = [Reaction(r, p, rate, prov) for (r, p, prov), rate in rates.items()]
     return ReactionSystem(index, reactions)
-
-
-def _tuple_rate(
-    law,
-    params: tuple[float, ...],
-    combo: tuple[Match, ...],
-    slot_lists: list[list[Match]],
-    a_exprs: list[ex.Expr],
-    index: PrimeIndex,
-) -> ex.Expr:
-    if law.variadic:
-        # mass action: f(a_1..a_m)/prod(a_j) == k, so every slot reduces to
-        # its own participant's contribution and the rate is a monomial
-        factors: list[ex.Expr] = [ex.const(params[0])]
-        for mt in combo:
-            factors.append(ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime])))
-        return ex.prod(factors)
-    rate = law.apply(params, a_exprs)
-    for j, mt in enumerate(combo):
-        if len(slot_lists[j]) == 1:
-            continue  # sole match: (mult * x_i) / a_j == 1 exactly
-        share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
-        rate = ex.mul(rate, ex.div(share, a_exprs[j]))
-    return rate
 
 
 def build_reaction_system(model: Model, cap: int = 512) -> ReactionSystem:

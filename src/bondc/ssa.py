@@ -1,14 +1,15 @@
 """Level-based discretization and Gillespie direct-method simulation.
 
-Concentrations are split into integer levels of size h; each reaction
-becomes a discrete event with propensity rate(N*h)/h, compiled per event, and
-jumps equal to its stoichiometry.  After an event only its dependents are
-recomputed: the events whose rate reads, or whose negative jump checks, a
-level it changed (Gibson & Bruck, 2000).  Propensities are pure functions of
-the levels, summed left to right as a full rescan would, so the streams equal
-the full recompute's.  Runs are reproducible: the RNG is numpy's PCG64, and
-multi-run mode derives one independent child stream per run id from the
-master seed via SeedSequence.spawn.
+Concentrations are split into integer levels of size h.  The events are the
+extracted reactions themselves: each fires with propensity rate(N*h)/h,
+compiled per event, and changes the levels by its ``Reaction.jumps``.  After
+an event only its dependents are recomputed: the events whose rate reads, or
+whose negative jump checks, a level it changed (Gibson & Bruck, 2000).
+Propensities are pure functions of the levels, summed left to right as a full
+rescan would, so the streams equal the full recompute's.  Runs are
+reproducible: a run draws from numpy's PCG64 seeded with an int or a
+SeedSequence, and multi-run mode seeds run i with the master seed's i-th
+SeedSequence.spawn child.
 """
 
 from __future__ import annotations
@@ -22,29 +23,22 @@ from typing import Iterable, Optional, Sequence, TextIO
 import numpy as np
 
 from . import expr as ex
-from .ode import jumps, write_csv
-from .reactions import ReactionSystem
-
-
-@dataclass
-class DiscreteEvent:
-    jumps: list[tuple[int, int]]  # (prime index, level delta), zero deltas omitted
-    rate: ex.Expr
-    provenance: str
+from .ode import write_csv
+from .reactions import Reaction, ReactionSystem
 
 
 @dataclass
 class DiscreteModel:
-    events: list[DiscreteEvent]
+    events: list[Reaction]
     h: float
     names: list[str]
 
     def __post_init__(self):
-        idx = {n: i for i, n in enumerate(self.names)}
         labels = [e.provenance for e in self.events]
-        self._props = ex.compile_exprs([e.rate for e in self.events], labels, idx, h=self.h)
+        self._props = ex.compile_exprs([e.rate for e in self.events], labels, self.names, h=self.h)
         # per prime, the events whose propensity reads its level: through
         # the rate, or through a jump that could take it below zero
+        idx = {n: i for i, n in enumerate(self.names)}
         readers: list[list[int]] = [[] for _ in self.names]
         for k, e in enumerate(self.events):
             for i in {idx[v] for v in ex.variables(e.rate)} | {i for i, d in e.jumps if d < 0}:
@@ -55,7 +49,6 @@ class DiscreteModel:
 @dataclass
 class SsaRun:
     run_id: int
-    seed: int
     t: np.ndarray
     levels: np.ndarray  # shape (len(t), n_primes), integer level counts
     events: int
@@ -66,8 +59,7 @@ class SsaRun:
 def discretize(rs: ReactionSystem, h: float) -> DiscreteModel:
     if h <= 0:
         raise ValueError("level size h must be positive")
-    events = [DiscreteEvent(jumps(r), r.rate, r.provenance) for r in rs.reactions]
-    return DiscreteModel(events, h, list(rs.prime_names))
+    return DiscreteModel(list(rs.reactions), h, list(rs.prime_names))
 
 
 def initial_levels(x0: Sequence[float], h: float) -> list[int]:
@@ -78,16 +70,17 @@ def gillespie(
     model: DiscreteModel,
     n0: Sequence[int],
     t_end: float,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     sample_dt: Optional[float] = None,
     run_id: int = 0,
-    rng: Optional[np.random.Generator] = None,
 ) -> SsaRun:
-    """Direct-method stochastic simulation of one trajectory."""
+    """Direct-method stochastic simulation of one trajectory.
+
+    It draws from ``Generator(PCG64(seed))``, ``seed`` an int or, as
+    ``gillespie_runs`` passes for each run, a child SeedSequence."""
     if sample_dt is None:
         sample_dt = t_end / 200.0
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     levels = list(n0)
     if any(n < 0 for n in levels):
         raise ValueError("initial levels must be nonnegative")
@@ -145,7 +138,7 @@ def gillespie(
         update(model.deps[chosen])
 
     out[next_out:] = levels
-    return SsaRun(run_id, seed, t_out, out, n_events, absorbed, run_warnings)
+    return SsaRun(run_id, t_out, out, n_events, absorbed, run_warnings)
 
 
 def gillespie_runs(
@@ -158,14 +151,7 @@ def gillespie_runs(
 ) -> list[SsaRun]:
     """Independent runs with per-run child streams of the master seed."""
     children = np.random.SeedSequence(seed).spawn(runs)
-    out = []
-    for run_id, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        run = gillespie(
-            model, n0, t_end, seed, sample_dt=sample_dt, run_id=run_id, rng=rng
-        )
-        out.append(run)
-    return out
+    return [gillespie(model, n0, t_end, child, sample_dt, i) for i, child in enumerate(children)]
 
 
 def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:

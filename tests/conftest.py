@@ -45,6 +45,16 @@ def rational_left_nullspace(rows):
     return basis
 
 
+def stoichiometry(r, n_primes):
+    """A reaction's dense stoichiometry: per prime, products minus reactants."""
+    nu = [0] * n_primes
+    for i in r.reactants:
+        nu[i] -= 1
+    for i in r.products:
+        nu[i] += 1
+    return nu
+
+
 def mean_std(runs):
     """Pointwise mean and standard deviation of SSA level counts across runs."""
     stack = np.stack([r.levels for r in runs]).astype(float)

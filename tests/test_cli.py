@@ -341,6 +341,28 @@ def test_ssa_warns_of_a_prime_that_starts_at_zero_levels(tmp_path, capsys):
     assert run(capsys, "ssa", str(path), "--h", "1.5", *argv)[2] == ""  # 1/1.5 rounds to 1
 
 
+def test_ssa_level_count_beyond_int64_is_domain_error(tmp_path, capsys):
+    # 10 S at h=1e-18 is 1e19 levels, above 2^63 - 1
+    dest = tmp_path / "out.csv"
+    argv = ["--h", "1e-18", "--t-end", "1", "--seed", "1", "--out", str(dest)]
+    code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), *argv)
+    message = "'S' starts at 1e+19 levels at h=1e-18, more than a level count holds (2^63 - 1)"
+    assert (code, out, err) == (1, "", f"error[DOMAIN]: {message}\n")
+    assert dest.read_text() == ""
+    # an h so small that the level count is infinite
+    code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), "--h", "1e-320", *argv[2:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[DOMAIN]: 'S' starts at inf levels at h=")
+
+
+def test_ssa_level_count_within_int64_runs(capsys):
+    # 1e18 levels of S fit; at t-end 1e-30 the first event comes after the end
+    argv = ["--h", "1e-17", "--t-end", "1e-30", "--seed", "1", "--sample-dt", "1e-30"]
+    code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "0,0.0,999999999999999872,100000000000000000,0"
+
+
 def test_ssa_deterministic_reruns(capsys):
     argv = [
         "ssa",
@@ -492,6 +514,41 @@ def test_non_finite_rate_is_domain_error(tmp_path, capsys, options, model):
     code, out, err = run(capsys, options[0], str(path), "--t-end", t_end, *options[1:])
     assert code == 1
     assert err.startswith(f"error[DOMAIN]: non-finite rate for reaction '{reaction}'")
+
+
+def law_model(body: str, k: str) -> str:
+    law = f"law F(k; a) = {body};\naffinity {{ x at F({k}); }}\n"
+    return f"species X = x.0;\n{law}mixture {{ 1 X }}\n"
+
+
+NON_FINITE_LAW = {  # source; the parse error of every command, or the reaction crn and odes name
+    "literal": (law_model("1e999 * a", "1"), "2:15: expected a finite number, found inf", None),
+    "overflow": (law_model("k * k * a", "1e200"), None, "x at F(1e+200)"),
+    "nan": (law_model("(k*k - k*k) * a", "1e200"), None, "x at F(1e+200)"),
+    # MA's k is finite, but a prime with two x sites fires at k * 2 * [X]
+    "multiplicity": (
+        "species X = (x.0 | x.0);\naffinity { x at MA(1e308); }\nmixture { 1 X }\n",
+        None,
+        "x at MA(1e+308)",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "crn", "odes"])
+@pytest.mark.parametrize("model", sorted(NON_FINITE_LAW))
+def test_non_finite_rate_constant_is_an_error(tmp_path, capsys, command, model):
+    source, parse_error, reaction = NON_FINITE_LAW[model]
+    path = tmp_path / "law.bond"
+    path.write_text(source)
+    code, out, err = run(capsys, command, str(path))
+    if parse_error:
+        assert (code, out, err) == (1, "", f"error[PARSE]: {parse_error}\n")
+    elif command == "check":  # the rates are finite until the network is extracted
+        assert (code, out, err) == (0, "ok\n", "")
+    else:
+        message = f"non-finite rate for reaction '{reaction}'"
+        assert (code, out) == (1, "")
+        assert err == f"error[DOMAIN]: {message} (kinetic law evaluated outside its domain)\n"
 
 
 def test_simulate_without_primes(tmp_path, capsys):

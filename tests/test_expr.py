@@ -172,7 +172,7 @@ def test_compiled_rates_match_evaluate_bit_for_bit(seed):
         es = random_rates(rng, 4)
         labels = [f"r{j}" for j in range(len(es))]
         field = ex.compile_exprs(es, labels, names, sums=[[(1, j)] for j in range(len(es))])
-        props = ex.compile_exprs(es, labels, {"a": 0, "b": 1, "c": 2}, h=h)
+        props = ex.compile_exprs(es, labels, names, h=h)
         for _ in range(6):
             x = [rng.choice(VALUES) for _ in names]
             values, error = expected(dict(zip(labels, es)), dict(zip(names, x)), True)

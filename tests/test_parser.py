@@ -216,6 +216,21 @@ def test_parse_errors(src, fragment):
             id="constant-division",
         ),
         pytest.param(
+            "species X = x.0;\nlaw F(k; a) = 1e999 * a;",
+            "2:15: expected a finite number, found inf",
+            id="infinite-literal",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; a) = k * 1e200 * 1e200 * a;",
+            "2:25: folding constants at '*' gives a non-finite value",
+            id="non-finite-product",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; a) = (1e308 + 1e308) * a;",
+            "2:22: folding constants at '+' gives a non-finite value",
+            id="non-finite-sum",
+        ),
+        pytest.param(
             "species X = x.0;\nmixture { 1 X, - 2 X }",
             "2:16: expected a finite concentration >= 0, found -2",
             id="negative-concentration",

@@ -17,7 +17,7 @@ from bondc.ssa import (
     write_runs_csv,
 )
 
-from conftest import mean_std
+from conftest import mean_std, stoichiometry
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -174,12 +174,33 @@ def test_golden_streams_bank_k4():
     ]
 
 
+def test_golden_stream_int_seed():
+    # one trajectory seeded with an int, recorded before the seeding paths were one
+    dm, _ = decay_model()
+    assert fingerprint([gillespie(dm, [100], 5.0, seed=42)]) == [
+        (100, "96249cd216fb1732ce2f65558cb8d680367d8c382b450ada097dd22ded489dce"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 20261018])
+def test_runs_are_gillespie_seeded_with_spawned_children(seed):
+    dm, _, n0 = enzyme_model(h=0.05)
+    runs = gillespie_runs(dm, n0, 2.0, seed=seed, runs=3)
+    children = np.random.SeedSequence(seed).spawn(3)
+    for i, child in enumerate(children):
+        one = gillespie(dm, n0, 2.0, child, run_id=i)
+        assert fingerprint([runs[i]]) == fingerprint([one])
+        assert runs[i].run_id == one.run_id == i
+        assert runs[i].absorbed == one.absorbed
+        assert np.array_equal(runs[i].t, one.t)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_dependency_graph_matches_brute_force(name):
     rs = build_reaction_system(parse_model((MODELS / name).read_text()))
     dm = discretize(rs, 0.1)
     n = len(rs.prime_names)
-    nus = [r.stoichiometry(n) for r in rs.reactions]
+    nus = [stoichiometry(r, n) for r in rs.reactions]
     reads = [
         {rs.prime_names.index(v) for v in ex.variables(r.rate)} | {i for i in range(n) if nu[i] < 0}
         for r, nu in zip(rs.reactions, nus)
@@ -187,6 +208,7 @@ def test_dependency_graph_matches_brute_force(name):
     for j, nu in enumerate(nus):
         changed = {i for i in range(n) if nu[i]}
         assert dm.deps[j] == [k for k in range(len(nus)) if reads[k] & changed], j
+        assert rs.reactions[j].jumps == [(i, nu[i]) for i in range(n) if nu[i]], j
 
 
 NON_FINITE = (
