@@ -164,21 +164,25 @@ def compile_exprs(
     names: Sequence[str],
     sums: Optional[list[list[tuple[int, int]]]] = None,
     h: Optional[float] = None,
+    groups: Optional[list[list[int]]] = None,
+    needs: Optional[list[Optional[list[tuple[int, int]]]]] = None,
 ):
     """Compile expressions into straight-line Python, generated in one exec.
 
-    Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``),
-    but a DomainError names the label (one per expression) of the expression
-    that failed.  ``names`` orders the variables: the function's argument
-    holds the value of ``names[i]`` at position i.  With ``sums`` (per output,
-    its (coefficient, expression index) terms) the result is one function of a
-    value vector that computes each value once, raises DomainError unless all
-    are finite, and returns the sums.  With a level size ``h`` instead, it is a
-    list of functions, one per expression, of integer levels n, giving
-    e(n*h)/h.
+    Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``).
+    ``names`` orders the variables: the function's argument holds the value of
+    ``names[i]`` at position i.  With ``sums`` (per output, its (coefficient,
+    expression index) terms) the result is one function of a value vector that
+    computes each value once, raises a DomainError naming the label (one per
+    expression) of the one that failed unless all are finite, and returns the
+    sums.  With a level size ``h`` instead, it is one function g(n, p, slow)
+    of integer levels n per index list in ``groups``, which sets p[j] =
+    e(n*h)/h for each member j: as it is if ``needs[j]`` is None, else if
+    positive, finite and n[i] >= m for each (i, m) in ``needs[j]``, else to
+    slow(j, value).  An x/0 is slow(j, None).
     Within a function a sub-expression used more than once is computed once,
     before the first expression using it (which a failing division in it
-    names); division is guarded inline, with a call only to raise for x/0.
+    names); division is guarded inline, with a call only for x/0.
     """
     var_index = {n: i for i, n in enumerate(names)}
     var = "c[{}]" if h is None else f"(n[{{}}]*{h!r})"
@@ -190,14 +194,14 @@ def compile_exprs(
 
     roots = [value(e) for e in exprs]
 
-    def statements(js: list[int], assign: str) -> list[str]:
-        """Lines computing each expression j of js as ``assign.format(j=j, text=...)``."""
-        uses: dict = {}  # compound occurrences, not counting those inside a repeated one
+    def statements(js: Sequence[int], assign: Callable[[int, str], str]) -> list[str]:
+        """Lines computing each expression j of js as the line ``assign(j, text)``."""
+        uses: dict = {}  # occurrences of compounds and scaled levels (n[i]*h), not inside a repeat
 
         def count(v) -> None:
-            if isinstance(v, tuple):
+            if isinstance(v, tuple) or v[0] == "(":
                 uses[v] = uses.get(v, 0) + 1
-                if uses[v] == 1:
+                if uses[v] == 1 and isinstance(v, tuple):
                     count(v[1])
                     count(v[2])
 
@@ -212,7 +216,7 @@ def compile_exprs(
                 text = v
             elif v[0] == "div":  # of atoms: the text reads each operand more than once
                 a, b = emit(v[1], j, True), emit(v[2], j, True)
-                text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else _gdiv({j}))"
+                text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else slow({j}, None))"
             else:
                 op = {"add": "+", "sub": "-", "mul": "*"}[v[0]]
                 text = f"({emit(v[1], j)}{op}{emit(v[2], j)})"
@@ -223,10 +227,10 @@ def compile_exprs(
             return text
 
         for j in js:
-            lines.append(assign.format(j=j, text=emit(roots[j], j)))  # after emit's own lines
+            lines.append(assign(j, emit(roots[j], j)))  # after emit's own lines
         return lines
 
-    def gdiv(j: int) -> float:  # x/0 with x != 0 raises
+    def gdiv(j: int, _) -> float:  # the field's slow: x/0 with x != 0 raises
         raise division_by_zero(labels[j])
 
     def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate
@@ -241,16 +245,20 @@ def compile_exprs(
             for k in range(0, len(signed), 256)
         ]
 
+    def store(j: int, text: str) -> str:
+        if needs[j] is None:
+            return f" p[{j}] = {text}/{h!r}"
+        short = "".join(f" and n[{i}] >= {m}" for i, m in needs[j])
+        return f" p[{j}] = a if 0.0 < (a := {text}/{h!r}) < inf{short} else slow({j}, a)"
+
     if h is not None:
-        lines, fs = [], []  # a function needs a def only for its locals
-        for j in range(len(exprs)):
-            *body, ret = statements([j], f"{{text}}/{h!r}")
-            lines += [f"def f{j}(n):", *body, f" return {ret}"] if body else []
-            fs.append(f"f{j}" if body else f"lambda n: {ret}")
-        lines.append(f"f = [{', '.join(fs)}]")
+        lines = []
+        for g, js in enumerate(groups):
+            lines += [f"def g{g}(n, p, slow):", *(statements(js, store) or [" pass"])]
+        lines.append(f"f = [{', '.join(f'g{g}' for g in range(len(groups)))}]")
     else:
         rates = [f"r{j}" for j in range(len(exprs))]
-        lines = ["def f(c):", *statements(list(range(len(exprs))), " r{j} = {text}")]
+        lines = ["def f(c):", *statements(range(len(exprs)), lambda j, t: f" r{j} = {t}")]
         if rates:
             lines += chain("v", ["+" + r for r in rates])
             lines.append(f" if not isfinite(v): check(({','.join(rates)},))")
@@ -258,7 +266,7 @@ def compile_exprs(
             signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
             lines += chain(f"d{i}", signed)
         lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
-    env = {"_gdiv": gdiv, "isfinite": math.isfinite, "check": check}
+    env = {"slow": gdiv, "isfinite": math.isfinite, "check": check}
     env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants
     exec("\n".join(lines), env)  # noqa: S102 - generated source
     return env["f"]

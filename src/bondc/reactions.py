@@ -154,11 +154,14 @@ class ReactionSystem:
 
 
 def initial_mixture(model: Model, index: PrimeIndex) -> list[float]:
-    """Initial concentration vector over the prime index."""
+    """Initial concentration vector over the prime index; a non-finite sum is a DomainError."""
     x = [0.0] * len(index)
     for conc, name in model.mixture:
         for p in primes(Call(name, ())):
             x[index.index_of(p)] += conc
+    for name, c in zip(index.names, x):
+        if not math.isfinite(c):
+            raise ex.DomainError(f"the mixture's concentrations of '{name}' sum to {c:g}")
     return x
 
 

@@ -1,12 +1,13 @@
 """Level-based discretization and Gillespie direct-method simulation.
 
 Concentrations are split into integer levels of size h.  The events are the
-extracted reactions themselves: each fires with propensity rate(N*h)/h,
-compiled per event, and changes the levels by its ``Reaction.jumps``.  After
-an event only its dependents are recomputed: the events whose rate reads, or
-whose negative jump checks, a level it changed (Gibson & Bruck, 2000).
-Propensities are pure functions of the levels, summed left to right as a full
-rescan would, so the streams equal the full recompute's.  Runs are
+extracted reactions themselves: each fires with propensity rate(N*h)/h and
+changes the levels by its ``Reaction.jumps``.  After an event, one generated
+updater per prime it changed recomputes the events whose rate reads, or whose
+negative jump checks, that level (Gibson & Bruck, 2000), checking a value only
+where a check can change it.  Propensities are pure functions of the levels,
+summed left to right as a full rescan would, so the streams equal the full
+recompute's; a non-finite one is found from the total.  Runs are
 reproducible: a run draws from numpy's PCG64 seeded with an int or a
 SeedSequence, and multi-run mode seeds run i with the master seed's i-th
 SeedSequence.spawn child.
@@ -18,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -29,21 +30,48 @@ from .reactions import Reaction, ReactionSystem
 
 @dataclass
 class DiscreteModel:
+    """``groups``: per prime, the events whose propensity reads its level, then
+    those that read no level; ``updaters[g](n, p, slow)`` stores group g's
+    propensities in p; ``after[k]``, the updaters of the primes event k
+    changes, recompute its dependents."""
+
     events: list[Reaction]
     h: float
     names: list[str]
 
     def __post_init__(self):
-        labels = [e.provenance for e in self.events]
-        self._props = ex.compile_exprs([e.rate for e in self.events], labels, self.names, h=self.h)
-        # per prime, the events whose propensity reads its level: through
-        # the rate, or through a jump that could take it below zero
         idx = {n: i for i, n in enumerate(self.names)}
         readers: list[list[int]] = [[] for _ in self.names]
+        constant, needs = [], []
         for k, e in enumerate(self.events):
-            for i in {idx[v] for v in ex.variables(e.rate)} | {i for i, d in e.jumps if d < 0}:
+            need = [(i, -d) for i, d in e.jumps if d < 0]
+            read = {idx[v] for v in ex.variables(e.rate)} | {i for i, _ in need}
+            for i in read:
                 readers[i].append(k)
-        self.deps = [sorted({k for i, _ in e.jumps for k in readers[i]}) for e in self.events]
+            if not read:
+                constant.append(k)
+            # a rate >= 0 is +-0 or NaN at level 0 of a factor: no check can change it
+            f = _factors(e.rate)
+            plain = f is not None and all(m == 1 and self.names[i] in f for i, m in need)
+            needs.append(None if plain else need)
+        self.groups = [*readers, constant]
+        rates, labels = [e.rate for e in self.events], [e.provenance for e in self.events]
+        self.updaters = ex.compile_exprs(
+            rates, labels, self.names, h=self.h, groups=self.groups, needs=needs
+        )
+        self.after = [[self.updaters[i] for i, _ in e.jumps if readers[i]] for e in self.events]
+
+
+def _factors(e: ex.Expr) -> Optional[set[str]]:
+    """The variables multiplying all of ``e``, or None if it has a sub or a negative constant."""
+    if isinstance(e, ex.Const):
+        return set() if math.copysign(1.0, e.value) > 0 else None
+    if isinstance(e, ex.Var):
+        return {e.name}
+    a, b = _factors(e.left), _factors(e.right)
+    if e.op == "sub" or a is None or b is None:
+        return None
+    return a | b if e.op == "mul" else a if e.op == "div" else set()
 
 
 @dataclass
@@ -94,33 +122,34 @@ def gillespie(
     t = 0.0
     n_events = 0
     absorbed = False
-    events, props_of = model.events, model._props
-    needs = [[(i, -d) for i, d in e.jumps if d < 0] for e in events]
+    events, after = model.events, model.after
     props = [0.0] * len(events)
     inf = math.inf
+    clamped: set[int] = set()  # the events clamped to 0 up to the first warning
+    divided: set[int] = set()  # the events whose rate divided x != 0 by 0
 
-    def update(ks: Iterable[int]) -> None:
-        for k in ks:
-            a = props_of[k](levels)
-            if 0.0 < a < inf:
-                for i, m in needs[k]:
-                    if levels[i] < m:
-                        a = 0.0  # jump would go negative: event disabled
-                        break
-            elif -inf < a < 0.0:
-                if not run_warnings:
-                    run_warnings.append(
-                        f"negative propensity for '{events[k].provenance}' clamped to 0"
-                    )
-                a = 0.0
-            elif a != 0.0:
-                raise ex.non_finite(events[k].provenance)
-            props[k] = a
+    def slow(j: int, a: Optional[float]) -> float:
+        """What event j stores when its line may not store a: NaN for an x/0 (a is
+        None), 0 for a short need or a negative a, else a (+-0 or non-finite)."""
+        if a is None:
+            divided.add(j)
+        elif -inf < a < 0.0:
+            clamped.add(j)
+        return math.nan if a is None else 0.0 if -inf < a < inf and a else a
 
-    update(range(len(events)))
+    for g in model.updaters:
+        g(levels, props, slow)
     while True:
+        if clamped and not run_warnings:
+            p = events[min(clamped)].provenance
+            run_warnings.append(f"negative propensity for '{p}' clamped to 0")
         acc = list(accumulate(props))
         total = acc[-1] if acc else 0.0
+        if not -inf < total < inf:  # name the first non-finite propensity, if any
+            for k in range(len(events)):  # all finite but the ones just recomputed
+                if not -inf < props[k] < inf:
+                    error = ex.division_by_zero if k in divided else ex.non_finite
+                    raise error(events[k].provenance)
         if total <= 0.0:
             absorbed = True
             break
@@ -135,7 +164,8 @@ def gillespie(
         for i, d in events[chosen].jumps:
             levels[i] += d
         n_events += 1
-        update(model.deps[chosen])
+        for g in after[chosen]:
+            g(levels, props, slow)
 
     out[next_out:] = levels
     return SsaRun(run_id, t_out, out, n_events, absorbed, run_warnings)

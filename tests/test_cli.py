@@ -16,6 +16,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CRN_GOLDEN = Path(__file__).resolve().parent / "data" / "crn"
 TRANSITIONS_GOLDEN = Path(__file__).resolve().parent / "data" / "transitions"
+SSA_GOLDEN = Path(__file__).resolve().parent / "data" / "ssa"
 
 
 def run(capsys, *argv):
@@ -114,6 +115,14 @@ def test_crn_json(capsys):
 def test_crn_matches_golden(capsys, golden):
     code, out, err = run(capsys, "crn", str(MODELS / f"{golden.stem}.bond"))
     assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("golden", sorted(SSA_GOLDEN.glob("*.csv")), ids=lambda p: p.stem)
+def test_ssa_matches_golden(capsys, golden):
+    argv = ["--h", "0.01", "--t-end", "5", "--seed", "1", "--runs", "2"]
+    code, out, err = run(capsys, "ssa", str(MODELS / f"{golden.stem}.bond"), *argv)
+    assert (code, err) == (0, "")
     assert out == golden.read_text(encoding="utf-8")
 
 
@@ -353,6 +362,21 @@ def test_ssa_level_count_beyond_int64_is_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), "--h", "1e-320", *argv[2:])
     assert (code, out) == (1, "")
     assert err.startswith("error[DOMAIN]: 'S' starts at inf levels at h=")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--t-end", "1"], ["ssa", "--h", "1", "--t-end", "1", "--seed", "1"]],
+    ids=["simulate", "ssa"],
+)
+def test_mixture_sum_that_is_not_finite_is_domain_error(tmp_path, capsys, command):
+    # each amount is finite, so check says ok; X's sum is inf
+    path = tmp_path / "sum.bond"
+    path.write_text("species X = x.0;\naffinity { x at MA(1); }\nmixture { 1e308 X, 1e308 X }\n")
+    assert run(capsys, "check", str(path))[0] == 0
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == "error[DOMAIN]: the mixture's concentrations of 'X' sum to inf\n"
 
 
 def test_ssa_level_count_within_int64_runs(capsys):

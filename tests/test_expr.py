@@ -172,7 +172,11 @@ def test_compiled_rates_match_evaluate_bit_for_bit(seed):
         es = random_rates(rng, 4)
         labels = [f"r{j}" for j in range(len(es))]
         field = ex.compile_exprs(es, labels, names, sums=[[(1, j)] for j in range(len(es))])
-        props = ex.compile_exprs(es, labels, names, h=h)
+        # plain lines store the value as it is; checked ones pass it to slow
+        # unless it is positive, finite and each n[i] >= m
+        needs = [rng.choice([None, [], [(0, 1), (2, 2)]]) for _ in es]
+        groups = [[0, 1, 2, 3], [1, 3], []]
+        updaters = ex.compile_exprs(es, labels, names, h=h, groups=groups, needs=needs)
         for _ in range(6):
             x = [rng.choice(VALUES) for _ in names]
             values, error = expected(dict(zip(labels, es)), dict(zip(names, x)), True)
@@ -183,14 +187,31 @@ def test_compiled_rates_match_evaluate_bit_for_bit(seed):
                     field(x)
                 assert str(ei.value) == error
             env = {n: v * h for n, v in zip(names, x)}
-            for label, e, f in zip(labels, es, props):
+            want = []  # per expression, its scaled value, or None for an x/0
+            for label, e in zip(labels, es):
                 values, error = expected({label: e}, env, False)
-                if error is None:
-                    assert repr(f(x)) == repr(values[0] / h)
-                else:
-                    with pytest.raises(ex.DomainError) as ei:
-                        f(x)
-                    assert str(ei.value) == error
+                want.append(None if error else values[0] / h)
+            for update, js in zip(updaters, groups):
+                p, divided = [None] * len(es), set()
+
+                def slow(j, a):
+                    if a is None:
+                        divided.add(j)
+                        return math.nan
+                    return ("slow", j, repr(a))
+
+                update(x, p, slow)
+                assert [j for j, a in enumerate(p) if a is not None] == js
+                for j in js:
+                    a = math.nan if want[j] is None else want[j]
+                    short = any(x[i] < m for i, m in needs[j] or [])
+                    if needs[j] is None or (0.0 < a < math.inf and not short):
+                        assert repr(p[j]) == repr(a)
+                    else:
+                        assert p[j] == ("slow", j, repr(a))
+                # an x/0 is reported for the first member it fails, and only for members it fails
+                failing = [j for j in js if want[j] is None]
+                assert divided <= set(failing) and (not failing or failing[0] in divided)
 
 
 def test_failing_shared_division_names_its_first_user():
