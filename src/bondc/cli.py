@@ -218,13 +218,13 @@ def _dispatch(args: argparse.Namespace) -> int:
                     n = f"'{name}' starts at {c / args.h:g} levels at h={args.h:g}"
                     raise DomainError(f"{n}, more than a level count holds (2^63 - 1)")
             n0 = ssa_mod.initial_levels(x0, args.h)
-            runs = ssa_mod.gillespie_runs(
-                dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
-            )
-            for name, c, n in zip(dm.names, x0, n0):
+            for name, c, n in zip(dm.names, x0, n0):  # before the runs, which may fail
                 if c and not n:
                     w = f"initial concentration {c:g} of '{name}' rounds to 0 levels"
                     print(f"warning: {w} at h={args.h:g}", file=sys.stderr)
+            runs = ssa_mod.gillespie_runs(
+                dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
+            )
             for r in runs:
                 for w in r.warnings:
                     print(f"warning: run {r.run_id}: {w}", file=sys.stderr)

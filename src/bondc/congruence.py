@@ -84,8 +84,6 @@ def _ser_prefix(g: Prefix) -> str:
 
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
-    if isinstance(t, (Call, Nil)):  # already its own normal form
-        return t
     free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
     return _canon(t, {}, max(free_l, default=-1) + 1)
 
@@ -132,6 +130,10 @@ def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
     Binders are renamed apart while flattening.  Bound locations are numbered
     from ℓ<depth>; every free ℓ index of the renamed term is below depth.
     """
+    if isinstance(t, Call):  # its own normal form, once renamed
+        return Call(t.name, tuple(env.get(x, x) for x in t.args))
+    if isinstance(t, Nil):
+        return t
     binders: set[str] = set()
     atoms: list[tuple[Species, dict[str, str]]] = []
     _flatten(t, env, binders, atoms)

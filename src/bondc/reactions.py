@@ -11,8 +11,9 @@ The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
 its last evaluation, since the others' products are already indexed.  A
 tuple's product is its colocated targets, committed and normalized once (by
-``primes``); when every target is closed, each is a normal form already, and
-the product is the sorted union of their primes.  It is memoized, so
+``primes``), which also canonicalizes an open target the table left raw;
+when every target is closed, each is a normal form already, and the product
+is the sorted union of their primes.  It is memoized, so
 extraction does not colocate or normalize.
 Tuples are visited in the same order either way, so prime numbering does
 not depend on any of this.  The rate of a matched tuple is the kinetic law

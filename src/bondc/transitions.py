@@ -21,6 +21,10 @@ bodies.  Targets are canonicalized once, where a transition surfaces in
 ``transitions()`` or ``ambient()``, and congruent transitions merge there,
 in order of first occurrence: every step maps congruent targets to
 congruent ones, so the table is the one canonicalizing at each step gives.
+Congruent transitions share a cluster, so ``ambient()`` leaves an open
+target raw when no other open target has its cluster: it merges with
+nothing, and the product it takes part in is normalized anyway.  Closed
+targets, which a product takes its primes from, are always canonical.
 
 The system keeps each definition's body in normal form, so a canonical term
 lists its transitions in an order that depends only on the term, not on how
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .congruence import normalize, serialize
 from .terms import (
@@ -56,7 +60,7 @@ from .terms import (
 class Transition:
     cluster: Cluster
     location: Optional[str]  # None = ambient
-    target: Abstraction  # canonical once surfaced
+    target: Abstraction  # canonical once surfaced, but for a lone open ambient one
 
 
 def canonical_abstraction(f: Abstraction) -> Abstraction:
@@ -79,11 +83,16 @@ def commit(f: Abstraction) -> Species:
     return New(f.binders, f.body) if f.arity else f.body
 
 
-def _surface(raw: Iterable[tuple[Transition, int]]) -> Counter:
-    """Canonical targets, merging the multiplicities of congruent transitions."""
+def _surface(raw: Iterable[tuple[Transition, int]], lone: Container[Cluster] = ()) -> Counter:
+    """Canonical targets, merging the multiplicities of congruent transitions.
+
+    An open target whose cluster is in ``lone`` stays raw.
+    """
     out: Counter = Counter()
     for tr, m in raw:
-        out[Transition(tr.cluster, tr.location, canonical_abstraction(tr.target))] += m
+        if not (tr.target.arity and tr.cluster in lone):
+            tr = Transition(tr.cluster, tr.location, canonical_abstraction(tr.target))
+        out[tr] += m
     return out
 
 
@@ -126,8 +135,9 @@ class TransitionSystem:
         return _surface(self._transitions(t).items())
 
     def ambient(self, t: Species) -> Counter:
-        raw = self._transitions(t).items()
-        return _surface((tr, m) for tr, m in raw if tr.location is AMBIENT)
+        raw = [(tr, m) for tr, m in self._transitions(t).items() if tr.location is AMBIENT]
+        shared = Counter(tr.cluster for tr, _ in raw if tr.target.arity)
+        return _surface(raw, {c for c, n in shared.items() if n == 1})
 
     def _transitions(self, t: Species) -> Counter:
         while isinstance(t, Call):  # a loop, so a long chain of definitions unfolds

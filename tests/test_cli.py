@@ -350,6 +350,22 @@ def test_ssa_warns_of_a_prime_that_starts_at_zero_levels(tmp_path, capsys):
     assert run(capsys, "ssa", str(path), "--h", "1.5", *argv)[2] == ""  # 1/1.5 rounds to 1
 
 
+def test_ssa_warns_of_zero_levels_before_a_run_fails(tmp_path, capsys):
+    # X fires at 1 / (X - 1): the run divides by zero once two of its three
+    # levels are gone, after the warning for Z is out
+    path = tmp_path / "fails.bond"
+    path.write_text(
+        "species X = x.0;\nspecies Z = z.0;\nlaw F(k; a) = k / (a - 1);\n"
+        "affinity { x at F(1); z at MA(1); }\nmixture { 3 X, 0.01 Z }\n"
+    )
+    code, out, err = run(capsys, "ssa", str(path), "--h", "1", "--t-end", "100", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "warning: initial concentration 0.01 of 'Z' rounds to 0 levels at h=1",
+        "error[DOMAIN]: rate evaluation failed for reaction 'x at F(1)': division by zero",
+    ]
+
+
 def test_ssa_level_count_beyond_int64_is_domain_error(tmp_path, capsys):
     # 10 S at h=1e-18 is 1e19 levels, above 2^63 - 1
     dest = tmp_path / "out.csv"

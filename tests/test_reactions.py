@@ -27,7 +27,13 @@ from bondc.reactions import (
     reaction_system_json,
 )
 from bondc.terms import AMBIENT
-from bondc.transitions import TransitionSystem, colocate, commit
+from bondc.transitions import (
+    Transition,
+    TransitionSystem,
+    canonical_abstraction,
+    colocate,
+    commit,
+)
 
 from conftest import evaluate
 
@@ -334,7 +340,7 @@ def scaffold_source(k):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_scaffold_family_counts(k):
     # 2^k occupancy states, k free ligands and the Sc call itself; per
     # state and site one bind or one unbind, plus Sc's k bindings
@@ -346,10 +352,11 @@ def test_scaffold_family_counts(k):
 
 
 def test_scaffold_normalize_budget(monkeypatch):
-    # targets are canonicalized where they surface, and a product only when
-    # some target is open: compiling scaffold k=6 took 2,954 normalize calls
-    # when every step of a transition normalized its target, and 818 when
-    # every product was normalized too (626 now)
+    # a product is normalized only when some target is open, and an open
+    # target only when another open one shares its cluster: compiling
+    # scaffold k=6 took 2,954 normalize calls when every step of a transition
+    # normalized its target, 818 when every product was normalized too, and
+    # 626 when every surfaced target was (422 now)
     real, calls = congruence.normalize, 0
 
     def counting(t):
@@ -362,7 +369,7 @@ def test_scaffold_normalize_budget(monkeypatch):
             monkeypatch.setattr(mod, "normalize", counting)
     rs = build_reaction_system(parse_model(scaffold_source(6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
-    assert 0 < calls <= 700
+    assert 0 < calls <= 450
 
 
 def witness_source(k):
@@ -476,14 +483,56 @@ def test_pruned_network_equals_unpruned(source):
 
 FAMILIES = {"scaffold": scaffold_source, "witness": witness_source, "bank": bank_source}
 
+# X unfolds to new l in (A(l) | B(l)): its s transitions from A and from B
+# have targets congruent but not equal until canonicalized, one transition x2
+CONGRUENT_OPEN_TARGETS = """
+species X = new l in (A(l) | B(l));
+species A(l) = s(m).(A(l) | C(m));
+species B(l) = s(m).(B(l) | C(m));
+species C(m) = c@m.0;
+species R = r(m).D(m);
+species D(m) = d@m.R;
+affinity { s || r at MA(1); c & d at MA(2); }
+mixture { 1 X, 1 R }
+"""
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [
+        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        for f, top in [("scaffold", 4), ("witness", 9), ("bank", 10)]
+        for k in range(1, top + 1)
+    ]
+    + [pytest.param(lambda: CONGRUENT_OPEN_TARGETS, id="congruent-open-targets")],
+)
+def test_ambient_is_the_ambient_part_of_the_table(source):
+    # ambient() leaves an open target raw when no other open target shares
+    # its cluster; canonicalized, its table is the ambient rows of
+    # transitions(), in the same order with the same multiplicities
+    m = parse_model(source())
+    index = reachable_primes(m)
+    for p in index.primes:
+        got = [
+            (Transition(tr.cluster, tr.location, canonical_abstraction(tr.target)), mult)
+            for tr, mult in index.ts.ambient(p).items()
+        ]
+        want = [(tr, mult) for tr, mult in index.ts.transitions(p).items() if tr.location is AMBIENT]
+        assert got == want
+
+
 # SHA-256 of `crn` JSON, recorded while every product and target was still
-# normalized in full: skipping terms already canonical must not change a byte
+# normalized in full (scaffold k=6 and bank k=30: while every ambient target
+# was): skipping terms already canonical, or that merge with none, must not
+# change a byte
 FAMILY_CRN_SHA256 = {
     ("scaffold", 1): "7cadfdc34be2606290cbaa8a40f05c4e9bebef4715485760c57dac35f93fe3dd",
     ("scaffold", 2): "f3c99329ce2cfc17a45096c470f623fe495fb8d1e22a8125232232da6f6c85e0",
     ("scaffold", 3): "a0e893f03d67d1203a79c4b4c3fdf6a9be6f51ea6ddb05731a137fedf372d37b",
     ("scaffold", 4): "0f24b9c4e1f76b467058e550b928ef69d35efc341a47575fef33b2ac46e3151d",
     ("scaffold", 5): "927cc4b843aafc7c4b77c4d79ce5fc035ac2b37cfb39beaa3476d88c35ceb099",
+    ("scaffold", 6): "4653050ac6e4308eaf15bcb52e77003b8f20c09c52de2e761059dc0b357eea4e",
     ("witness", 6): "80298996b2d3aacbba21a6d1cb866b22bf8f31105bf4726cec42ad9280bbe255",
     ("witness", 7): "ffb056ff5618fa47e38e4f8ad391eb2312855835e9c36860ce02744a7dab6b88",
     ("witness", 8): "91b73ae3b2b638622e6efdf51da1e46e84bf97948e80a2cfbd7875b53c03fc98",
@@ -491,6 +540,7 @@ FAMILY_CRN_SHA256 = {
     ("bank", 5): "62031ec83f27b4973880ade6faac6841864d015de7aabf11be0762d03fac018e",
     ("bank", 10): "e0cabdc839360b9c4d34fc58acc4c3b404ee5f5511973738d55da16b3e536a1a",
     ("bank", 20): "bff834ba898b3831e05224b3c8cc626dfe7343e55fb15464b0e8190dae2ecf89",
+    ("bank", 30): "c174337ef2696bd65ee24691d437b2683690b90447860abbb3701ed8230d8720",
 }
 
 

@@ -218,6 +218,16 @@ def test_ambient_merges_congruent_targets():
     assert tr.target.body == normalize(xy)
 
 
+def test_ambient_merges_congruent_open_targets():
+    # s(x).(A(x) | B) + s(y).(B | A(y)): the two open targets share cluster s,
+    # so both are canonicalized and merge into one transition x2
+    ax, ay, b = Call("A", ("x",)), Call("A", ("y",)), Call("B", ())
+    t = S(guard("s", receives=("x",), body=Par((ax, b))), guard("s", receives=("y",), body=Par((b, ay))))
+    (tr, mult), = TransitionSystem({}).ambient(t).items()
+    assert tr.cluster == ("s",) and tr.target.arity == 1 and mult == 2
+    assert tr.target.body == normalize(Par((Call("A", ("?a0",)), b)))
+
+
 def test_ambient_merges_congruent_com_combinations():
     ts = TransitionSystem({})
     xy, yx = Par((Call("X", ()), Call("Y", ()))), Par((Call("Y", ()), Call("X", ())))
