@@ -3,7 +3,8 @@
 Exit codes: 0 success (also when the reader closes stdout early), 1 model
 error (with a machine-parsable ``error[CODE]:`` line on stderr), 2 usage
 error.  The codes are PARSE (a model file that cannot be read or parsed),
-ARITY, UNBOUNDED, DOMAIN, STIFF and IO (an unwritable output file).
+ARITY, UNBOUNDED, DOMAIN, STIFF, IO (an unwritable output file) and MEMORY
+(output too large to allocate, such as a huge ``--grid``).
 
 ``main(argv)`` may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it afterwards.
@@ -147,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RecursionError:
         print("error[UNBOUNDED]: the model nests too deeply", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error[MEMORY]: {e or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as e:  # model files are read by _load, so this is --out
         print(f"error[IO]: {e}", file=sys.stderr)

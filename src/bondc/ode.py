@@ -8,8 +8,9 @@ DomainError naming its reaction, so an error inside a step needs no second
 evaluation.  The integrator is a
 Dormand-Prince 5(4) embedded pair with error-per-step control.  One attempt is
 generated per model, straight-line over Python floats with the tableau
-inlined.  The standard quartic continuous extension gives dense output, built
-only on accepted steps that reach a grid point.
+inlined.  The standard quartic continuous extension gives dense output over
+floats too (its weighted sum of stages by ``math.fsum``), built only on
+accepted steps that reach a grid point.  The rows become numpy arrays at return.
 Concentrations are clipped to zero between accepted steps: explicit solvers
 overshoot near the axes and the kinetic laws live on the nonnegative orthant.
 """
@@ -19,12 +20,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from . import expr as ex
 from .reactions import ReactionSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StiffnessError(RuntimeError):
@@ -75,7 +77,8 @@ class OdeSystem:
             lines.append(f" [{vec(f'k{s}_#')}] = k{s} = f([{vec('y#+' + comb(_A[s]))}])")
         lines.append(vec(" z# = y#+" + comb(_B5), "\n"))
         lines.append(f" [{vec('k6_#')}] = k6 = f([{vec('z#')}])")
-        lines.append(vec(f" q# = {comb(_B5 - _B4)}/(atol+rtol*max(abs(y#),abs(z#)))", "\n"))
+        e = comb([b5 - b4 for b5, b4 in zip(_B5, _B4)])  # the embedded error estimate
+        lines.append(vec(f" q# = {e}/(atol+rtol*max(abs(y#),abs(z#)))", "\n"))
         err = f"sqrt(({vec('q#*q#', '+')})/{n})"
         lines.append(f" return [{vec('z#')}], {err}, (k0, k1, k2, k3, k4, k5, k6)")
         env = {"f": self._field, "sqrt": math.sqrt}
@@ -98,6 +101,8 @@ def build_odes(rs: ReactionSystem) -> OdeSystem:
 
 def eval_field(sys: OdeSystem, x: Sequence[float]) -> np.ndarray:
     """The evolution vector at concentration vector x."""
+    import numpy as np
+
     if len(x) != len(sys.derivs):
         raise ValueError(f"expected {len(sys.derivs)} concentrations, got {len(x)}")
     return np.array(sys._field(x.tolist() if isinstance(x, np.ndarray) else x))
@@ -113,32 +118,33 @@ _A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 # dense-output coefficients (Hairer, Norsett & Wanner, DOPRI5 CONTD5)
-_D = np.array(
-    [
-        -12715105075.0 / 11282082432.0,
-        0.0,
-        87487479700.0 / 32700410799.0,
-        -10690763975.0 / 1880347072.0,
-        701980252875.0 / 199316789632.0,
-        -1453857185.0 / 822651844.0,
-        69997945.0 / 29380423.0,
-    ]
+_D = (
+    -12715105075.0 / 11282082432.0,
+    0.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
 )
 
 
 def _interpolant(y, y5, ks, h: float):
-    """The quartic continuous extension over an accepted step, as a function of theta."""
-    k, y = np.asarray(ks), np.asarray(y)
-    dy = np.asarray(y5) - y
-    r3 = h * k[0] - dy
-    r4 = dy - h * k[6] - r3
-    r5 = h * (_D @ k)
-    return lambda th: y + th * (dy + (1 - th) * (r3 + th * (r4 + (1 - th) * r5)))
+    """The quartic continuous extension over an accepted step: theta -> clipped concentrations."""
+    parts = []
+    for i, (a, b) in enumerate(zip(y, y5)):
+        dy = b - a
+        r3 = h * ks[0][i] - dy
+        r4 = dy - h * ks[6][i] - r3
+        r5 = h * math.fsum(d * k[i] for d, k in zip(_D, ks))
+        parts.append((a, dy, r3, r4, r5))
+    return lambda th: [
+        max(a + th * (dy + (1 - th) * (r3 + th * (r4 + (1 - th) * r5))), 0.0)
+        for a, dy, r3, r4, r5 in parts
+    ]
 
 
 def integrate(
@@ -151,6 +157,8 @@ def integrate(
     grid: int = 200,
 ) -> Trajectory:
     """Integrate from t=0 to t_end, sampling `grid`+1 equispaced points."""
+    import numpy as np
+
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if rtol <= 0 or atol <= 0:
@@ -166,11 +174,9 @@ def integrate(
     t = 0.0
     t_out = np.linspace(0.0, t_end, grid + 1)
     t_grid = t_out.tolist()
-    out = np.empty((len(t_out), n))
-    out[0] = y
     if not n:  # no primes: nothing to integrate
-        return Trajectory(t_out, out, 0, 0, 0)
-    next_out = 1
+        return Trajectory(t_out, np.zeros((grid + 1, 0)), 0, 0, 0)
+    out = [y]  # the sampled rows, one per grid point reached
 
     nfev = steps = rejected = 0
 
@@ -203,10 +209,9 @@ def integrate(
         if err <= 1.0:
             t_new = t + h
             u = None  # dense output over (t, t_new], built only if a grid point falls there
-            while next_out <= grid and t_grid[next_out] <= t_new + 1e-15 * t_end:
+            while len(out) <= grid and t_grid[len(out)] <= t_new + 1e-15 * t_end:
                 u = u or _interpolant(y, y5, ks, h)
-                out[next_out] = np.maximum(u((t_grid[next_out] - t) / h), 0.0)
-                next_out += 1
+                out.append(u((t_grid[len(out)] - t) / h))
             t = t_new
             steps += 1
             if min(y5) < 0.0:
@@ -219,8 +224,8 @@ def integrate(
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
 
-    out[next_out:] = y  # guard against float round-off on the last grid point
-    return Trajectory(t_out, out, steps, rejected, nfev)
+    out += [y] * (grid + 1 - len(out))  # guard against float round-off on the last grid point
+    return Trajectory(t_out, np.array(out), steps, rejected, nfev)
 
 
 def render_odes(sys: OdeSystem, fmt: str = "text") -> str:

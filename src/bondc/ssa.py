@@ -19,13 +19,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from . import expr as ex
 from .ode import write_csv
 from .reactions import Reaction, ReactionSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -106,6 +107,8 @@ def gillespie(
 
     It draws from ``Generator(PCG64(seed))``, ``seed`` an int or, as
     ``gillespie_runs`` passes for each run, a child SeedSequence."""
+    import numpy as np
+
     if sample_dt is None:
         sample_dt = t_end / 200.0
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -180,6 +183,8 @@ def gillespie_runs(
     sample_dt: Optional[float] = None,
 ) -> list[SsaRun]:
     """Independent runs with per-run child streams of the master seed."""
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(runs)
     return [gillespie(model, n0, t_end, child, sample_dt, i) for i, child in enumerate(children)]
 

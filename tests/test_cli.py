@@ -292,6 +292,33 @@ def test_closed_stdout_pipe_is_not_an_error():
         assert (proc.wait(timeout=60), err.decode()) == (0, "")
 
 
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bondc.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_compile_commands_run_without_numpy(capsys):
+    # only simulate and ssa need numpy: the compiler's commands run with it blocked
+    f = str(MODELS / "kuznetsov.bond")
+    argvs = [["check", f], ["primes", f], ["transitions", f], ["crn", f]]
+    argvs += [["odes", f, "--format", fmt] for fmt in ("text", "latex", "json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    blocked = json.loads(proc.stdout)
+    assert blocked == [[*run(capsys, *argv)[:2]] for argv in argvs]
+    assert blocked[3][1] == (CRN_GOLDEN / "kuznetsov.json").read_text(encoding="utf-8")
+
+
 def test_model_error_leaves_out_empty(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     dest.write_text("old contents\n")
@@ -401,6 +428,21 @@ def test_ssa_level_count_within_int64_runs(capsys):
     code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), *argv)
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == "0,0.0,999999999999999872,100000000000000000,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "1", "--grid", "1000000000000000"],  # 7 PiB of grid times
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--sample-dt", "1e-16"],  # 71 PiB
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_too_large_to_allocate_is_memory_error(capsys, argv):
+    # both exceed a 47-bit address space: the allocation fails without touching memory
+    code, out, err = run(capsys, argv[0], str(MODELS / "mm.bond"), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[MEMORY]: ") and err.count("\n") == 1
 
 
 def test_ssa_deterministic_reruns(capsys):
