@@ -143,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
         # stdout on /dev/null, so that the interpreter's own flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, ModelError, UnboundedError, DomainError, ode_mod.StiffnessError) as e:
+    except (ParseError, ModelError, UnboundedError, DomainError, ode_mod.StiffnessError,
+            ssa_mod.EventBudgetError) as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -11,8 +11,7 @@ compiled form computes shared sub-expressions once and guards division inline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class DomainError(ValueError):
@@ -21,18 +20,15 @@ class DomainError(ValueError):
     code = "DOMAIN"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # "add" | "sub" | "mul" | "div"
     left: "Expr"
     right: "Expr"

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, TextIO
 
 from . import expr as ex
 from .reactions import ReactionSystem
@@ -33,26 +32,17 @@ class StiffnessError(RuntimeError):
     code = "STIFF"
 
 
-@dataclass
 class OdeSystem:
-    rs: ReactionSystem
-    derivs: list[ex.Expr] = field(init=False)  # dx_P/dt per prime, constant-folded
-    # per prime, the (net change, reaction index) of each reaction changing it
-    _terms: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
-
-    @property
-    def names(self) -> list[str]:
-        return self.rs.prime_names
-
-    def __post_init__(self):
-        rates = [r.rate for r in self.rs.reactions]
-        self._terms = [[] for _ in self.names]
-        for j, r in enumerate(self.rs.reactions):
+    def __init__(self, rs: ReactionSystem):
+        self.rs, self.names = rs, rs.prime_names
+        # per prime, the (net change, reaction index) of each reaction changing it
+        self._terms: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for j, r in enumerate(rs.reactions):
             for i, d in r.jumps:
                 self._terms[i].append((d, j))
-        self.derivs = [
-            ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms
-        ]
+        rates = [r.rate for r in rs.reactions]
+        # dx_P/dt per prime, constant-folded
+        self.derivs = [ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms]
 
     @functools.cached_property
     def _field(self):
@@ -86,8 +76,7 @@ class OdeSystem:
         return env["step"]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     t: np.ndarray
     y: np.ndarray  # shape (len(t), n_primes)
     steps: int
@@ -172,6 +161,7 @@ def integrate(
         raise ValueError(f"expected {n} initial concentrations")
     y = y.tolist()
     t = 0.0
+    check_grid(grid + 1)
     t_out = np.linspace(0.0, t_end, grid + 1)
     t_grid = t_out.tolist()
     if not n:  # no primes: nothing to integrate
@@ -271,6 +261,12 @@ def _tex_escape(s: str) -> str:
     for ch in "#_&%":
         out = out.replace(ch, "\\" + ch)
     return out
+
+
+def check_grid(n: float) -> None:
+    """Raise MemoryError past 2^60 sample times, which numpy cannot size at 8 bytes each."""
+    if not n < 2**60:
+        raise MemoryError(f"a grid of {n:g} sample times does not fit in memory")
 
 
 def write_trajectory_csv(fh: TextIO, names: list[str], traj: Trajectory) -> None:

@@ -319,7 +319,7 @@ def parse_model(text: str) -> Model:
         else:
             raise p.error(f"expected a definition, found {p.found()}")
 
-    model = Model(species, laws, tuple(affinity), tuple(mixture))
+    model = Model(species, laws, tuple(affinity), tuple(mixture), [])
     validate_model(model)
     return model
 

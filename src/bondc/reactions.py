@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import expr as ex
@@ -61,7 +60,6 @@ class Match(NamedTuple):
     mult: int
 
 
-@dataclass
 class PrimeIndex:
     """Reachable canonical primes in deterministic discovery order.
 
@@ -69,17 +67,14 @@ class PrimeIndex:
     index and the products of the matched tuples evaluated so far.
     """
 
-    ts: TransitionSystem = field(repr=False, compare=False)
-    primes: list[Species] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-    by_name: dict[str, int] = field(default_factory=dict)
-    _by_cluster: dict[Cluster, list[Match]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _n_matched: int = field(default=0, repr=False, compare=False)
-    _products: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(self, ts: TransitionSystem):
+        self.ts = ts
+        self.primes: list[Species] = []
+        self.names: list[str] = []
+        self.by_name: dict[str, int] = {}
+        self._by_cluster: dict[Cluster, list[Match]] = {}
+        self._n_matched = 0
+        self._products: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
 
     def add(self, p: Species) -> tuple[int, bool]:
         key = serialize(p)
@@ -126,26 +121,21 @@ class PrimeIndex:
         return hit
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(NamedTuple):
     reactants: tuple[int, ...]  # sorted prime indices, with repetition
     products: tuple[int, ...]
     rate: ex.Expr
     provenance: str
 
-    @functools.cached_property
+    @property
     def jumps(self) -> list[tuple[int, int]]:
         """The sparse stoichiometry: sorted (prime index, net change) pairs, zeros left out."""
-        nu: dict[int, int] = {}
-        for i in self.reactants:
-            nu[i] = nu.get(i, 0) - 1
-        for i in self.products:
-            nu[i] = nu.get(i, 0) + 1
+        nu = Counter(self.products)
+        nu.subtract(self.reactants)
         return sorted((i, d) for i, d in nu.items() if d)
 
 
-@dataclass
-class ReactionSystem:
+class ReactionSystem(NamedTuple):
     index: PrimeIndex
     reactions: list[Reaction]
 

@@ -17,35 +17,39 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, TextIO
 
 from . import expr as ex
-from .ode import write_csv
+from .ode import check_grid, write_csv
 from .reactions import Reaction, ReactionSystem
 
 if TYPE_CHECKING:
     import numpy as np
 
+#: Events one run may fire, like ``integrate``'s attempt budget.
+MAX_EVENTS = 10_000_000
 
-@dataclass
+
+class EventBudgetError(RuntimeError):
+    code = "UNBOUNDED"
+
+
 class DiscreteModel:
-    """``groups``: per prime, the events whose propensity reads its level, then
-    those that read no level; ``updaters[g](n, p, slow)`` stores group g's
-    propensities in p; ``after[k]``, the updaters of the primes event k
-    changes, recompute its dependents."""
+    """``jumps[k]``: event k's ``Reaction.jumps``; ``groups``: per prime, the
+    events whose propensity reads its level, then those that read no level;
+    ``updaters[g](n, p, slow)`` stores group g's propensities in p;
+    ``after[k]``, the updaters of the primes event k changes, recompute its
+    dependents."""
 
-    events: list[Reaction]
-    h: float
-    names: list[str]
-
-    def __post_init__(self):
-        idx = {n: i for i, n in enumerate(self.names)}
-        readers: list[list[int]] = [[] for _ in self.names]
+    def __init__(self, events: list[Reaction], h: float, names: list[str]):
+        self.events, self.h, self.names = events, h, names
+        self.jumps = [e.jumps for e in events]
+        idx = {n: i for i, n in enumerate(names)}
+        readers: list[list[int]] = [[] for _ in names]
         constant, needs = [], []
-        for k, e in enumerate(self.events):
-            need = [(i, -d) for i, d in e.jumps if d < 0]
+        for k, e in enumerate(events):
+            need = [(i, -d) for i, d in self.jumps[k] if d < 0]
             read = {idx[v] for v in ex.variables(e.rate)} | {i for i, _ in need}
             for i in read:
                 readers[i].append(k)
@@ -53,14 +57,12 @@ class DiscreteModel:
                 constant.append(k)
             # a rate >= 0 is +-0 or NaN at level 0 of a factor: no check can change it
             f = _factors(e.rate)
-            plain = f is not None and all(m == 1 and self.names[i] in f for i, m in need)
+            plain = f is not None and all(m == 1 and names[i] in f for i, m in need)
             needs.append(None if plain else need)
         self.groups = [*readers, constant]
-        rates, labels = [e.rate for e in self.events], [e.provenance for e in self.events]
-        self.updaters = ex.compile_exprs(
-            rates, labels, self.names, h=self.h, groups=self.groups, needs=needs
-        )
-        self.after = [[self.updaters[i] for i, _ in e.jumps if readers[i]] for e in self.events]
+        rates, labels = [e.rate for e in events], [e.provenance for e in events]
+        self.updaters = ex.compile_exprs(rates, labels, names, h=h, groups=self.groups, needs=needs)
+        self.after = [[self.updaters[i] for i, _ in js if readers[i]] for js in self.jumps]
 
 
 def _factors(e: ex.Expr) -> Optional[set[str]]:
@@ -75,14 +77,13 @@ def _factors(e: ex.Expr) -> Optional[set[str]]:
     return a | b if e.op == "mul" else a if e.op == "div" else set()
 
 
-@dataclass
-class SsaRun:
+class SsaRun(NamedTuple):
     run_id: int
     t: np.ndarray
     levels: np.ndarray  # shape (len(t), n_primes), integer level counts
     events: int
     absorbed: bool
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def discretize(rs: ReactionSystem, h: float) -> DiscreteModel:
@@ -115,6 +116,7 @@ def gillespie(
     levels = list(n0)
     if any(n < 0 for n in levels):
         raise ValueError("initial levels must be nonnegative")
+    check_grid(t_end / sample_dt)
     n_out = int(math.floor(t_end / sample_dt + 1e-9)) + 1
     t_out = np.arange(n_out) * sample_dt
     out = np.empty((n_out, len(levels)), dtype=np.int64)
@@ -125,7 +127,7 @@ def gillespie(
     t = 0.0
     n_events = 0
     absorbed = False
-    events, after = model.events, model.after
+    events, jumps, after = model.events, model.jumps, model.after
     props = [0.0] * len(events)
     inf = math.inf
     clamped: set[int] = set()  # the events clamped to 0 up to the first warning
@@ -159,12 +161,17 @@ def gillespie(
         t += rng.exponential(1.0 / total)
         if t > t_end:
             break
+        if n_events == MAX_EVENTS:
+            raise EventBudgetError(
+                f"run {run_id} fired {MAX_EVENTS} events by t={t:.6g} at h={model.h:g}; "
+                "a larger level size takes fewer events"
+            )
         while next_out < n_out and t_out[next_out] < t:
             out[next_out] = levels
             next_out += 1
         # the last event when round-off puts u at the total, as a full scan would
         chosen = bisect_right(acc, rng.random() * total, 0, len(acc) - 1)
-        for i, d in events[chosen].jumps:
+        for i, d in jumps[chosen]:
             levels[i] += d
         n_events += 1
         for g in after[chosen]:

@@ -1,15 +1,20 @@
 """Core term language: species, abstractions, laws, affinity networks, models.
 
 Locations are plain strings; the ambient location is represented by None.
-Species terms are immutable and hashable, so they can be used directly as
-mixture keys once normalized.
+Species terms are NamedTuples, so once normalized they serve as mixture keys.
+Their equality and hashing are tuple operations, which ignore the type: that
+is sound because no two node types, rate expressions and transitions included,
+share a tuple shape.  ``Nil`` is the only 0-tuple; ``Sum`` holds ``Prefix``
+4-tuples and ``Par`` species of at most 2 fields, neither ever empty; the
+first field of ``New`` is a tuple, of ``Call`` a str, of ``Abstraction`` an
+int; ``Const`` holds a float and ``Var`` a str; a ``Transition`` 3-tuple
+starts with a tuple and a ``Bin`` with a str.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
 
@@ -35,17 +40,14 @@ class UnguardedRecursionError(ModelError):
         )
 
 
-@dataclass(frozen=True)
-class Nil:
-    def __repr__(self) -> str:
-        return "Nil()"
+class Nil(NamedTuple):
+    """The inert process 0."""
 
 
 NIL = Nil()
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(NamedTuple):
     """One guard of a choice: site@location(received...).body"""
 
     site: str
@@ -54,24 +56,20 @@ class Prefix:
     body: "Species"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     guards: tuple[Prefix, ...]
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(NamedTuple):
     parts: tuple["Species", ...]
 
 
-@dataclass(frozen=True)
-class New:
+class New(NamedTuple):
     binders: tuple[str, ...]
     body: "Species"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     """Invocation of a named species definition; opaque to normalization."""
 
     name: str
@@ -85,8 +83,7 @@ def placeholders(n: int) -> tuple[str, ...]:
     return tuple(f"?a{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(NamedTuple):
     """A body with `arity` bound locations, the placeholders ?a0, ?a1, ... free in it."""
 
     arity: int
@@ -113,10 +110,7 @@ def free_locations(t: Species) -> frozenset[str]:
             out |= free_locations(g.body) - set(g.receives)
         return frozenset(out)
     if isinstance(t, Par):
-        out = set()
-        for p in t.parts:
-            out |= free_locations(p)
-        return frozenset(out)
+        return frozenset().union(*map(free_locations, t.parts))
     if isinstance(t, New):
         return free_locations(t.body) - set(t.binders)
     raise TypeError(t)
@@ -189,8 +183,7 @@ def make_cluster(sites: list[str]) -> Cluster:
     return tuple(sorted(sites))
 
 
-@dataclass(frozen=True)
-class KineticLaw:
+class KineticLaw(NamedTuple):
     name: str
     params: tuple[str, ...]
     args: tuple[str, ...]
@@ -204,38 +197,32 @@ class KineticLaw:
         """The raw law value f(a_1,...,a_m) as an expression."""
         if self.variadic:
             return ex.prod([ex.const(param_values[0]), *arg_exprs])
-        env: dict[str, ex.Expr] = {}
-        for p, v in zip(self.params, param_values):
-            env[p] = ex.const(v)
-        for a, e in zip(self.args, arg_exprs):
-            env[a] = e
+        env = {p: ex.const(v) for p, v in zip(self.params, param_values)}
+        env.update(zip(self.args, arg_exprs))
         return ex.substitute(self.body, env)
 
 
 MASS_ACTION = KineticLaw("MA", ("k",), (), None, variadic=True)
 
 
-@dataclass(frozen=True)
-class AffinityEntry:
+class AffinityEntry(NamedTuple):
     pattern: Pattern
     law_name: str
     law_params: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SpeciesDef:
+class SpeciesDef(NamedTuple):
     name: str
     params: tuple[str, ...]
     body: Species
 
 
-@dataclass
-class Model:
+class Model(NamedTuple):
     species: dict[str, SpeciesDef]
     laws: dict[str, KineticLaw]
     affinity: tuple[AffinityEntry, ...]
     mixture: tuple[tuple[float, str], ...]  # (concentration, species name)
-    warnings: list[str] = field(default_factory=list, compare=False)
+    warnings: list[str]
 
 
 def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:

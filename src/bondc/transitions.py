@@ -34,8 +34,7 @@ a definition orders its guards and parallel parts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .congruence import normalize, serialize
 from .terms import (
@@ -56,8 +55,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     cluster: Cluster
     location: Optional[str]  # None = ambient
     target: Abstraction  # canonical once surfaced, but for a lone open ambient one
@@ -157,17 +155,13 @@ class TransitionSystem:
         if isinstance(t, Par):
             return self._par_transitions(t.parts)
         if isinstance(t, New):
-            inner = self._transitions(t.body)
             bound = set(t.binders)
-            for tr, m in inner.items():
-                if tr.location not in bound:
-                    tgt = restrict_abstraction(t.binders, tr.target)
-                    out[Transition(tr.cluster, tr.location, tgt)] += m
-                elif len(tr.cluster) >= 2:
-                    # completed internal combination: surface at ambient
-                    tgt = restrict_abstraction(t.binders, tr.target)
-                    out[Transition(tr.cluster, AMBIENT, tgt)] += m
-                # single bound site: dropped, it cannot react on its own
+            for (cluster, loc, target), m in self._transitions(t.body).items():
+                if loc in bound and len(cluster) < 2:
+                    continue  # a single bound site: it cannot react on its own
+                # a completed internal combination at a bound location surfaces at ambient
+                loc = AMBIENT if loc in bound else loc
+                out[Transition(cluster, loc, restrict_abstraction(t.binders, target))] += m
             return out
         raise TypeError(t)
 

@@ -435,6 +435,10 @@ def test_ssa_level_count_within_int64_runs(capsys):
     [
         ["simulate", "--t-end", "1", "--grid", "1000000000000000"],  # 7 PiB of grid times
         ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--sample-dt", "1e-16"],  # 71 PiB
+        pytest.param(  # t_end / sample_dt overflows to inf
+            ["ssa", "--h", "0.1", "--t-end", "1e300", "--sample-dt", "1e-300", "--seed", "1"],
+            id="ssa-inf-samples",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
@@ -443,6 +447,41 @@ def test_output_too_large_to_allocate_is_memory_error(capsys, argv):
     code, out, err = run(capsys, argv[0], str(MODELS / "mm.bond"), *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error[MEMORY]: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "1", "--grid", str(10**20)],
+        ["ssa", "--h", "0.1", "--t-end", "1e10", "--seed", "1", "--sample-dt", "1e-10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_numpy_cannot_size_is_memory_error(capsys, argv):
+    # 1e20 sample times of 8 bytes are past 2^63 bytes, where numpy raises ValueError
+    code, out, err = run(capsys, argv[0], str(MODELS / "mm.bond"), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error[MEMORY]: a grid of 1e+20 sample times does not fit in memory\n"
+
+
+def test_ssa_event_budget_is_unbounded_error(capsys, monkeypatch):
+    # at h=0.01 Kuznetsov fires millions of events per day: the budget stops run 0
+    monkeypatch.setattr(ssa, "MAX_EVENTS", 1000)
+    argv = ["--h", "0.01", "--t-end", "5", "--seed", "1", "--runs", "2"]
+    code, out, err = run(capsys, "ssa", str(MODELS / "kuznetsov.bond"), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[UNBOUNDED]: run 0 fired 1000 events by t=")
+    assert err.endswith(" at h=0.01; a larger level size takes fewer events\n")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # terms and records are NamedTuples and plain classes: the import needs neither
+    code = "import bondc.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_ssa_deterministic_reruns(capsys):

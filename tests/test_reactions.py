@@ -522,6 +522,43 @@ def test_ambient_is_the_ambient_part_of_the_table(source):
         assert got == want
 
 
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [
+        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        for f, top in [("scaffold", 4), ("witness", 9), ("bank", 10)]
+        for k in range(1, top + 1)
+    ],
+)
+def test_no_two_node_types_share_a_tuple(source):
+    # nodes compare and hash as plain tuples, which ignore the type: no node
+    # may equal a node of another type (the invariant in bondc.terms)
+    m = parse_model(source())
+    rs = build_reaction_system(m)
+    types: dict = {}
+
+    def walk(x) -> None:
+        if hasattr(x, "_fields"):  # a node
+            if x in types:
+                types[x].add(type(x))
+                return
+            types[x] = {type(x)}
+        if isinstance(x, tuple):
+            for y in x:
+                walk(y)
+
+    ts = rs.index.ts
+    for p in [*rs.index.primes, *(sd.body for sd in ts.defs.values())]:  # primes unfold to these
+        walk(p)
+        for tr in ts.ambient(p):
+            walk(tr)
+    for r in rs.reactions:
+        walk(r.rate)
+    assert {k: t for k, t in types.items() if len(t) > 1} == {}
+    assert {"Sum", "Prefix"} <= {t.__name__ for (t,) in types.values()}
+
+
 # SHA-256 of `crn` JSON, recorded while every product and target was still
 # normalized in full (scaffold k=6 and bank k=30: while every ambient target
 # was): skipping terms already canonical, or that merge with none, must not
