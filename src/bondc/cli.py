@@ -48,10 +48,9 @@ def _load(path: str):
 
 
 def _compile(model, cap: int):
-    """The model's reaction system; prints the warnings the compile adds."""
-    n = len(model.warnings)
+    """The model's reaction system; prints the compile's warnings."""
     rs = build_reaction_system(model, cap=cap)
-    _warn(model.warnings[n:])
+    _warn(rs.warnings)
     return rs
 
 

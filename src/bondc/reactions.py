@@ -138,6 +138,7 @@ class Reaction(NamedTuple):
 class ReactionSystem(NamedTuple):
     index: PrimeIndex
     reactions: list[Reaction]
+    warnings: list[str]  # the compile's, such as an affinity entry that matches no species
 
     @property
     def prime_names(self) -> list[str]:
@@ -215,13 +216,14 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
     conc = cluster_concentrations(index)
     # merged rate per (reactants, products, provenance), in first-occurrence order
     rates: dict[tuple[tuple[int, ...], tuple[int, ...], str], ex.Expr] = {}
+    warnings: list[str] = []
 
     for entry in model.affinity:
         law = model.laws[entry.law_name]
         prov = _entry_provenance(entry)
         slot_lists = [by_cluster.get(c, []) for c in entry.pattern]
         if any(not ms for ms in slot_lists):
-            model.warnings.append(f"affinity entry '{prov}' matches no species")
+            warnings.append(f"affinity entry '{prov}' matches no species")
             continue
         sym = math.prod(math.factorial(count) for count in Counter(entry.pattern).values())
         a_exprs = [conc[c] for c in entry.pattern]
@@ -249,7 +251,7 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         if not ex.finite(rate):  # a constant overflowed in the law, a product or a sum
             raise ex.non_finite(prov)
     reactions = [Reaction(r, p, rate, prov) for (r, p, prov), rate in rates.items()]
-    return ReactionSystem(index, reactions)
+    return ReactionSystem(index, reactions, warnings)
 
 
 def build_reaction_system(model: Model, cap: int = 512) -> ReactionSystem:

@@ -10,7 +10,9 @@ summed left to right as a full rescan would, so the streams equal the full
 recompute's; a non-finite one is found from the total.  Runs are
 reproducible: a run draws from numpy's PCG64 seeded with an int or a
 SeedSequence, and multi-run mode seeds run i with the master seed's i-th
-SeedSequence.spawn child.
+SeedSequence.spawn child.  A run draws its uniforms ``_BLOCK`` at a time, in
+one ``Generator.random`` call, and each event reads the next two: one for its
+waiting time, by the exponential's inverse CDF, and one for the choice.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ if TYPE_CHECKING:
 
 #: Events one run may fire, like ``integrate``'s attempt budget.
 MAX_EVENTS = 10_000_000
+#: Uniforms one ``Generator.random`` call draws: two per event.
+_BLOCK = 1024
 
 
 class EventBudgetError(RuntimeError):
@@ -106,8 +110,12 @@ def gillespie(
 ) -> SsaRun:
     """Direct-method stochastic simulation of one trajectory.
 
-    It draws from ``Generator(PCG64(seed))``, ``seed`` an int or, as
-    ``gillespie_runs`` passes for each run, a child SeedSequence."""
+    It draws blocks of ``_BLOCK`` uniforms from ``Generator(PCG64(seed))``,
+    ``seed`` an int or, as ``gillespie_runs`` passes for each run, a child
+    SeedSequence.  Each event takes the next pair (u, v) of the block, which
+    is refilled when used up: it waits ``-log1p(-u) / total``, the inverse CDF
+    of the exponential, and fires the first event whose running sum of
+    propensities exceeds ``v * total``."""
     import numpy as np
 
     if sample_dt is None:
@@ -119,6 +127,7 @@ def gillespie(
     check_grid(t_end / sample_dt)
     n_out = int(math.floor(t_end / sample_dt + 1e-9)) + 1
     t_out = np.arange(n_out) * sample_dt
+    grid = t_out.tolist()
     out = np.empty((n_out, len(levels)), dtype=np.int64)
     out[0] = levels
     next_out = 1
@@ -129,6 +138,7 @@ def gillespie(
     absorbed = False
     events, jumps, after = model.events, model.jumps, model.after
     props = [0.0] * len(events)
+    uniforms, next_u = [], 0
     inf = math.inf
     clamped: set[int] = set()  # the events clamped to 0 up to the first warning
     divided: set[int] = set()  # the events whose rate divided x != 0 by 0
@@ -158,7 +168,11 @@ def gillespie(
         if total <= 0.0:
             absorbed = True
             break
-        t += rng.exponential(1.0 / total)
+        if next_u == len(uniforms):
+            uniforms, next_u = rng.random(_BLOCK).tolist(), 0
+        u, v = uniforms[next_u], uniforms[next_u + 1]
+        next_u += 2
+        t -= math.log1p(-u) / total
         if t > t_end:
             break
         if n_events == MAX_EVENTS:
@@ -166,11 +180,11 @@ def gillespie(
                 f"run {run_id} fired {MAX_EVENTS} events by t={t:.6g} at h={model.h:g}; "
                 "a larger level size takes fewer events"
             )
-        while next_out < n_out and t_out[next_out] < t:
+        while next_out < n_out and grid[next_out] < t:
             out[next_out] = levels
             next_out += 1
-        # the last event when round-off puts u at the total, as a full scan would
-        chosen = bisect_right(acc, rng.random() * total, 0, len(acc) - 1)
+        # the last event when round-off puts v * total at the total, as a full scan would
+        chosen = bisect_right(acc, v * total, 0, len(acc) - 1)
         for i, d in jumps[chosen]:
             levels[i] += d
         n_events += 1

@@ -308,6 +308,22 @@ def test_initial_mixture_vector():
     assert by_name["S"] == 10.0 and by_name["E"] == 2.0 and by_name["P"] == 0.0
 
 
+def test_compile_warnings_leave_the_model_unchanged():
+    m = parse_model(
+        "species X = x.0;\nspecies Y = q.0;\n"
+        "affinity { x at MA(1); q at MA(1); zz at MA(2); }\nmixture { 1 X }"
+    )
+    parsed = ["site 'zz' in affinity pattern never occurs in a species"]
+    assert m.warnings == parsed
+    for _ in range(2):  # each compile reports its warnings once and leaves the model as it was
+        rs = build_reaction_system(m)
+        assert rs.warnings == [
+            "affinity entry 'q at MA(1)' matches no species",
+            "affinity entry 'zz at MA(2)' matches no species",
+        ]
+        assert m.warnings == parsed
+
+
 def test_named_species_stay_opaque_in_mixture():
     # X = (a.0 | b.0) is *not* unfolded: the name itself is the prime, and
     # only reaction products appear in structural form

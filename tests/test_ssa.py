@@ -19,6 +19,7 @@ from bondc.ssa import (
 )
 
 from conftest import evaluate, mean_std, stoichiometry
+from test_reactions import bank_source
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -154,73 +155,71 @@ def fingerprint(runs):
 
 
 def test_golden_streams_enzyme():
-    # recorded from the full-recompute direct method before local updates
+    # as reference_runs, the full-rescan direct method below, reproduces it
     dm, rs, n0 = enzyme_model(h=0.01)
     assert fingerprint(gillespie_runs(dm, n0, 5.0, seed=20261018, runs=3)) == [
-        (1357, "5bc55ebd082229bd37071beffe34bbea6176a691143aabbb6e454e58c857e952"),
-        (1380, "c8a0aa22ce051615c877975711bfc756cee4affb7663bd8d95ea067e00dce1a6"),
-        (1511, "31ddc2738db2ce39ab2ec072ceca6fd30f3c38a5581a31f13dc6e6471f246c1f"),
+        (1419, "60f1d49f0be0458bc43cb7baf8ce08a0cc3405c48fbdecb3a8f20b78937e0615"),
+        (1466, "da01e0e7b7e3eb7d8ddeb0123c45a1d377e220e083d8cf97f23745ec1d40ab9e"),
+        (1345, "144147c9fb58f9e1d639c91fcf393688730a565bc09cd8cf950aa6de984d59a2"),
     ]
 
 
 def test_golden_streams_bank_k4():
-    from test_reactions import bank_source
-
     model = parse_model(bank_source(4))
     rs = build_reaction_system(model)
     n0 = initial_levels(initial_mixture(model, rs.index), 0.05)
     runs = gillespie_runs(discretize(rs, 0.05), n0, 1000.0, seed=20261018, runs=3)
     assert all(r.absorbed for r in runs)
     assert fingerprint(runs) == [
-        (2446, "0da2c58b27a9fd13a0ac1b275c5e2e71260e310b37a99b6c48165536dfbb01a0"),
-        (2408, "f5fa34e28bd6749024f11165b9ec892cb5040dbf45ac94efb3a08c7462d93616"),
-        (2402, "251b6c095244cd13e6101bbf0e9d78b654d2edf5ce68c79ce130106cebbca349"),
+        (2386, "e58900e1234d5608c0f2ca4c3f5b58bfa0c5844802555836a709712ac4fff7fa"),
+        (2622, "9c1fb8ffe47b4d42be238c838b1c7480bdaec5f0a9f1196c73ba154cb412b0f1"),
+        (2496, "900854146b4d5aa028222587e92cd2ad590d9a469364bfcf653eb2968d6d26de"),
     ]
 
 
 def test_golden_stream_int_seed():
-    # one trajectory seeded with an int, recorded before the seeding paths were one
+    # one trajectory seeded with an int, as reference_runs reproduces it
     dm, _ = decay_model()
     assert fingerprint([gillespie(dm, [100], 5.0, seed=42)]) == [
-        (100, "96249cd216fb1732ce2f65558cb8d680367d8c382b450ada097dd22ded489dce"),
+        (100, "b742496d9057db719e5d0501d0725223cb4066a3f54cb442340dda34dfa75249"),
     ]
 
 
 # per corpus model: (h, t_end) with every prime of nonzero concentration above
-# 0 levels, and the fingerprints of two runs at seed 20261018, recorded from
-# per-reaction propensities before they were grouped per prime
+# 0 levels, and the fingerprints of two runs at seed 20261018, as reference_runs
+# reproduces them
 CORPUS_GOLDENS = {
     "dimer.bond": (0.01, 5.0, [
-        (192, "507444d37d21e38ec53f09d93e4d7fba0b76bfd7724d634ffee5b68197e459fd"),
-        (159, "2ef17cb822f9625de50e5762844b11bae019cfbfbbe50feacf1a8c0ca8d2bed5"),
+        (193, "f3807c53a330b3948107f86826dfccf94eb0a6e97410d0765484e17f815d7f53"),
+        (181, "9f823dfc2665756be0f64631955d1eeb0b9876d04a963afef8d3dcee599f58f4"),
     ]),
     "enzyme.bond": (0.01, 5.0, [
-        (1357, "5bc55ebd082229bd37071beffe34bbea6176a691143aabbb6e454e58c857e952"),
-        (1380, "c8a0aa22ce051615c877975711bfc756cee4affb7663bd8d95ea067e00dce1a6"),
+        (1419, "60f1d49f0be0458bc43cb7baf8ce08a0cc3405c48fbdecb3a8f20b78937e0615"),
+        (1466, "da01e0e7b7e3eb7d8ddeb0123c45a1d377e220e083d8cf97f23745ec1d40ab9e"),
     ]),
     "inhibitor.bond": (0.05, 5.0, [
-        (252, "16385d25426d68acf4ba4ba4a207a0bbe2b1375ef7415f54c591e6beb6384a6b"),
-        (242, "aa65cb2dc1a3736697e310de63860b6d5715ddf4982d66ed3abda57854a18421"),
+        (257, "d17f0bc86884b919cde90a14f766336c13f8a98f102219c3cb86bbc9470a0cd6"),
+        (252, "3919a32eedcaf2d2e8474bc65d028d0923486f2a13f190964bac0522d0dc41c4"),
     ]),
     "kuznetsov.bond": (1.0, 1e-4, [
-        (2864, "ad64f1514106535f093e6d80910fdb0292f57913850d06c91e62e7600c2a69ec"),
-        (2914, "8cc665bdb21f2531fafa73808b0cd2cd74aded1dcff2a657ba875a055a29eb7f"),
+        (2968, "b7a98a39c5ecfb24a3548bce279f456e6c85575827717b2606ed1549a8c3da20"),
+        (2954, "cd1f10461d5f0cdd84269e637229a7f975b57b89ec1ab4e99c9e6bda5028f2a8"),
     ]),
     "mm.bond": (0.01, 5.0, [
-        (1888, "cffd50f970a6b99b093a02b6eb47d9437980ac45bf4767c3fdeb3a9ca99619d0"),
-        (1920, "2eb0aaa7bec96ca61a76ec1d77493bff37b589c3e4d84ae949f144aa3b7aa531"),
+        (1913, "82e6f6d5122f414bd36e5a8997706f862e0d1c78198d3fb84c8c101ca7e707b3"),
+        (1904, "f294e945dc3780a592c5b7e1251ec4c1f468c2942ce5a7bdc922fd2a19bb6ef0"),
     ]),
     "monomer_twosite.bond": (0.01, 5.0, [
-        (192, "507444d37d21e38ec53f09d93e4d7fba0b76bfd7724d634ffee5b68197e459fd"),
-        (159, "2ef17cb822f9625de50e5762844b11bae019cfbfbbe50feacf1a8c0ca8d2bed5"),
+        (193, "f3807c53a330b3948107f86826dfccf94eb0a6e97410d0765484e17f815d7f53"),
+        (181, "9f823dfc2665756be0f64631955d1eeb0b9876d04a963afef8d3dcee599f58f4"),
     ]),
     "pingpong.bond": (0.05, 20.0, [
-        (100, "8b542bc6428e612c5b94d6ebb582545af203434f369053877997d107a51f0fe2"),
-        (100, "82cbf2487067075906ad48f4dc5b767b000191c07a757039d2c996e00bceeff9"),
+        (100, "9ae73c7157c12071d299b4edd983e4c2d093f797bcaf9e5a5fbf5cd5b363a311"),
+        (100, "3153670aa6dfc1dc8d5a19a908b0389b297c4bb6b8c804cb201c0b418f21cc57"),
     ]),
     "trimer.bond": (0.01, 2.0, [
-        (62, "06d5476d27ba14cc23eb8981d111462c87d1c04c5e06ff7b2a1d89474f056c40"),
-        (51, "9f77e501552b6294e4f46ae424f879cb1562f9b23e5a77b7534a305e93c4c73c"),
+        (59, "9d4cf56ad395454b35765c185fa5f75656b086d8310bec0cc7c2f4e681e37767"),
+        (49, "1b110d21027a262ee791a4944c6096d5729a75d2a227cc94d3589dddeb477629"),
     ]),
 }
 
@@ -252,8 +251,8 @@ CONSTANT = (
 def test_constant_propensity_golden_stream():
     dm = discretize(build_reaction_system(parse_model(CONSTANT)), 0.1)
     assert fingerprint(gillespie_runs(dm, [10, 0], 5.0, seed=20261018, runs=2)) == [
-        (121, "86a4367bf0d54c7c04da0ed7c6f66aa6f12cac14cd6bab715d83afbcadab9302"),
-        (103, "03fd211868f47ced52bf1120a6f4f65199dfbcd21ca63a6ab8b9a1dfdaa6caae"),
+        (107, "cf6abf0f3b6afd18389b45128a178c6d4e575fdb41b6baf4ca94a47e40823dd6"),
+        (120, "23d35fcc18b728e51f4a307c9b89a0e7e25fc02a26d05b4f244f630a58041de9"),
     ]
 
 
@@ -267,6 +266,120 @@ def test_constant_propensity_mean_tracks_rate():
     assert (runs[0].levels[:, 0] == 10).all()
     for i, ti in enumerate(t[1:], 1):
         assert abs(mean[i, 1] * h - 2 * ti) <= 3 * se[i, 1] * h, ti
+
+
+# --- a reference direct method that shares no code with gillespie ------------------
+
+
+def reference_runs(rs, h, n0, t_end, seed, runs):
+    """Gillespie's direct method with a full rescan per event, on ``runs`` spawned
+    child streams of ``seed`` (an int seeds one run).  Every propensity is
+    ``evaluate`` at n*h over h, or 0 when a reactant is short; they are summed left
+    to right.  Each event reads the next pair (u, v) of blocks of 1024 uniforms:
+    it waits -log1p(-u)/total and fires the first event whose running sum exceeds
+    v*total, or the last one.  Returns each run's (events, sha256 of its levels)."""
+    names, n_primes = rs.prime_names, len(rs.prime_names)
+    nus = [stoichiometry(r, n_primes) for r in rs.reactions]
+    dt = t_end / 200.0
+    grid = [i * dt for i in range(int(math.floor(t_end / dt + 1e-9)) + 1)]
+    seeds = [seed] if runs is None else np.random.SeedSequence(seed).spawn(runs)
+    out = []
+    for child in seeds:
+        rng = np.random.Generator(np.random.PCG64(child))
+        block: list[float] = []
+        n, t, events, rows = list(n0), 0.0, 0, [list(n0)]
+        while True:
+            env = {name: k * h for name, k in zip(names, n)}
+            props = []
+            for r, nu in zip(rs.reactions, nus):
+                a = evaluate(r.rate, env) / h
+                assert 0.0 <= a < math.inf, (r.provenance, n)
+                short = any(k < -d for k, d in zip(n, nu) if d < 0)
+                props.append(0.0 if short else a)
+            total = 0.0
+            for a in props:
+                total += a
+            if total <= 0.0:
+                break
+            if not block:
+                block = rng.random(1024).tolist()[::-1]
+            u, v = block.pop(), block.pop()
+            t -= math.log1p(-u) / total
+            if t > t_end:
+                break
+            while len(rows) < len(grid) and grid[len(rows)] < t:
+                rows.append(list(n))
+            running, chosen = 0.0, len(props) - 1
+            for k, a in enumerate(props):
+                running += a
+                if running > v * total:
+                    chosen = k
+                    break
+            n = [k + d for k, d in zip(n, nus[chosen])]
+            events += 1
+        rows += [list(n)] * (len(grid) - len(rows))
+        levels = np.array(rows, dtype=np.int64)
+        out.append((events, hashlib.sha256(levels.tobytes()).hexdigest()))
+    return out
+
+
+# name: (source, h, t_end, runs, n0 or None for the mixture's levels, seed); runs None
+# is one run seeded with the int itself
+REFERENCE_CASES = {
+    **{
+        name: ((MODELS / name).read_text(), h, t_end, 2, None, 20261018)
+        for name, (h, t_end, _) in CORPUS_GOLDENS.items()
+    },
+    "enzyme runs=3": ((MODELS / "enzyme.bond").read_text(), 0.01, 5.0, 3, None, 20261018),
+    "bank k=4": (bank_source(4), 0.05, 1000.0, 3, None, 20261018),
+    "constant": (CONSTANT, 0.1, 5.0, 2, [10, 0], 20261018),
+    "decay int seed": (DECAY, 1.0, 5.0, None, [100], 42),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_gillespie_matches_reference_direct_method(case):
+    source, h, t_end, runs, n0, seed = REFERENCE_CASES[case]
+    model = parse_model(source)
+    rs = build_reaction_system(model)
+    n0 = n0 or initial_levels(initial_mixture(model, rs.index), h)
+    dm = discretize(rs, h)
+    if runs is None:
+        got = fingerprint([gillespie(dm, n0, t_end, seed)])
+    else:
+        got = fingerprint(gillespie_runs(dm, n0, t_end, seed, runs))
+    assert got == reference_runs(rs, h, n0, t_end, seed, runs)
+    if case == "bank k=4":  # every run refills its block at least twice: over 2 * 512 events
+        assert all(events > 1024 for events, _ in got)
+
+
+# X -> X + Pk at the constant rate k, for k = 1, 2, 3: channels of propensity 1, 2 and 3 at h = 1
+THREE_CHANNELS = (
+    "species X = a.(X | P1) + b.(X | P2) + c.(X | P3);\n"
+    "species P1 = p.0;\nspecies P2 = p.0;\nspecies P3 = p.0;\nlaw C(k; a) = k;\n"
+    "affinity { a at C(1); b at C(2); c at C(3); }\nmixture { 1 X }"
+)
+
+
+def test_three_constant_channels_fire_in_proportion_and_as_a_poisson_process():
+    # the events are a Poisson process of rate 6, each channel k chosen with chance k/6;
+    # this reads only the run's output, so it holds whatever draws the sampler makes
+    rs = build_reaction_system(parse_model(THREE_CHANNELS))
+    t_end = 6000.0
+    run = gillespie(discretize(rs, 1.0), [1, 0, 0, 0], t_end, seed=20261018)
+    products = [rs.prime_names.index(f"P{k}") for k in (1, 2, 3)]
+    counts = run.levels[-1, products].tolist()
+    assert sum(counts) == run.events >= 30_000
+    # chi-square against 1:2:3 on 2 degrees of freedom, whose p-value is exp(-chi2 / 2)
+    chi2 = sum((c - run.events * k / 6) ** 2 / (run.events * k / 6) for k, c in zip((1, 2, 3), counts))
+    assert math.exp(-chi2 / 2) > 1e-3, counts
+    assert abs(run.events - 6 * t_end) <= 4 * math.sqrt(6 * t_end)
+    # each of the 200 sample intervals holds a Poisson(6 dt) count: their dispersion
+    # statistic is about chi-square on 200 degrees of freedom (mean 200, sd 20)
+    per_interval = np.diff(run.levels[:, products].sum(axis=1))
+    lam = 6 * (run.t[1] - run.t[0])
+    dispersion = float(((per_interval - lam) ** 2 / lam).sum())
+    assert abs(dispersion - len(per_interval)) <= 4 * math.sqrt(2 * len(per_interval)), dispersion
 
 
 def trigger(laws: str, entries: list[str], p: int, q: int) -> str:
