@@ -166,13 +166,14 @@ def compile_exprs(
     """Compile expressions into straight-line Python, generated in one exec.
 
     Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``).
-    ``names`` orders the variables: the function's argument holds the value of
-    ``names[i]`` at position i.  With ``sums`` (per output, its (coefficient,
-    expression index) terms) the result is one function of a value vector that
-    computes each value once, raises a DomainError naming the label (one per
-    expression) of the one that failed unless all are finite, and returns the
-    sums.  With a level size ``h`` instead, it is one function g(n, p, slow)
-    of integer levels n per index list in ``groups``, which sets p[j] =
+    ``names`` orders the variables.  With ``sums`` (per output, its
+    (coefficient, expression index) terms) the result is one function
+    f(c0, c1, ...) whose argument i is ``names[i]``'s value: it computes each
+    value once, raises a DomainError naming the label (one per expression) of
+    the one that failed unless all are finite, and returns the sums, the
+    literal 0.0 for an output with no terms.  With a level size ``h`` instead,
+    it is one function g(n, p, slow) of integer levels n (n[i] of
+    ``names[i]``) per index list in ``groups``, which sets p[j] =
     e(n*h)/h for each member j: as it is if ``needs[j]`` is None, else if
     positive, finite and n[i] >= m for each (i, m) in ``needs[j]``, else to
     slow(j, value).  An x/0 is slow(j, None).
@@ -181,7 +182,7 @@ def compile_exprs(
     names); division is guarded inline, with a call only for x/0.
     """
     var_index = {n: i for i, n in enumerate(names)}
-    var = "c[{}]" if h is None else f"(n[{{}}]*{h!r})"
+    var = "c{}" if h is None else f"(n[{{}}]*{h!r})"
 
     def value(e: Expr):  # a leaf's text or (op, left, right): equal values are bit-identical
         if isinstance(e, Bin):
@@ -254,7 +255,8 @@ def compile_exprs(
         lines.append(f"f = [{', '.join(f'g{g}' for g in range(len(groups)))}]")
     else:
         rates = [f"r{j}" for j in range(len(exprs))]
-        lines = ["def f(c):", *statements(range(len(exprs)), lambda j, t: f" r{j} = {t}")]
+        lines = [f"def f({', '.join(map(var.format, range(len(names))))}):"]
+        lines += statements(range(len(exprs)), lambda j, t: f" r{j} = {t}")
         if rates:
             lines += chain("v", ["+" + r for r in rates])
             lines.append(f" if not isfinite(v): check(({','.join(rates)},))")

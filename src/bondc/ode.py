@@ -5,12 +5,14 @@ reaction's sparse stoichiometry (``Reaction.jumps``).  The field is one
 straight-line function: it evaluates each rate once, checks them finite, and
 adds each into the primes its reaction changes; a rate that fails raises a
 DomainError naming its reaction, so an error inside a step needs no second
-evaluation.  The integrator is a
-Dormand-Prince 5(4) embedded pair with error-per-step control.  One attempt is
-generated per model, straight-line over Python floats with the tableau
-inlined.  The standard quartic continuous extension gives dense output over
-floats too (its weighted sum of stages by ``math.fsum``), built only on
-accepted steps that reach a grid point.  The rows become numpy arrays at return.
+evaluation.  The field takes its concentrations as arguments, argument i
+being ``names[i]``'s value.  The integrator is a Dormand-Prince 5(4) embedded
+pair with error-per-step control.  One attempt is generated per model,
+straight-line over Python floats with the tableau inlined; a prime that no
+reaction changes is carried as it is.  The standard quartic continuous
+extension gives dense output over floats too (its weighted sum of stages by
+``math.fsum``), built only on accepted steps that reach a grid point.  The
+rows become numpy arrays at return.
 Concentrations are clipped to zero between accepted steps: explicit solvers
 overshoot near the axes and the kinetic laws live on the nonnegative orthant.
 """
@@ -53,23 +55,33 @@ class OdeSystem:
 
     @functools.cached_property
     def _step(self):
-        """One DOPRI5 attempt, straight-line: (y5, scaled error norm, the 7 stage derivatives)."""
+        """One DOPRI5 attempt, straight-line: (y5, scaled error norm, the 7 stage derivatives).
+
+        Each stage passes the field its concentrations as arguments, argument
+        i being ``names[i]``'s value.  A prime that no reaction changes (its
+        field component is the literal 0.0) is carried as it is: y_i enters
+        every stage and y5 and adds no term to the norm, which still divides
+        by n.  That is bit-identical to integrating it: y + h*0.0 is y for
+        every y but -0.0.
+        """
         n = len(self.names)
 
-        def vec(fmt, sep=","):  # fmt per component, '#' standing for its index
-            return sep.join(fmt.replace("#", str(i)) for i in range(n))
+        def vec(fmt, sep=",", carried="y#"):  # fmt per changed prime, carried per other; '#': i
+            parts = (fmt if ts else carried for ts in self._terms)  # None leaves carried ones out
+            return sep.join(p.replace("#", str(i)) for i, p in enumerate(parts) if p)
 
         def comb(row):  # h * sum_s row[s] * k_s, zero coefficients left out
             return "h*(" + "+".join(f"{float(c)!r}*k{s}_#" for s, c in enumerate(row) if c) + ")"
 
-        lines = ["def step(y, k0, h, rtol, atol):", f" [{vec('y#')}] = y", f" [{vec('k0_#')}] = k0"]
+        lines = ["def step(y, k0, h, rtol, atol):", f" [{vec('y#')}] = y"]
+        lines.append(f" [{vec('k0_#', carried='_')}] = k0")
         for s in range(1, 6):
-            lines.append(f" [{vec(f'k{s}_#')}] = k{s} = f([{vec('y#+' + comb(_A[s]))}])")
-        lines.append(vec(" z# = y#+" + comb(_B5), "\n"))
-        lines.append(f" [{vec('k6_#')}] = k6 = f([{vec('z#')}])")
+            lines.append(f" [{vec(f'k{s}_#', carried='_')}] = k{s} = f({vec('y#+' + comb(_A[s]))})")
+        lines.append(vec(" z# = y#+" + comb(_B5), "\n", None))
+        lines.append(f" [{vec('k6_#', carried='_')}] = k6 = f({vec('z#')})")
         e = comb([b5 - b4 for b5, b4 in zip(_B5, _B4)])  # the embedded error estimate
-        lines.append(vec(f" q# = {e}/(atol+rtol*max(abs(y#),abs(z#)))", "\n"))
-        err = f"sqrt(({vec('q#*q#', '+')})/{n})"
+        lines.append(vec(f" q# = {e}/(atol+rtol*max(abs(y#),abs(z#)))", "\n", None))
+        err = f"sqrt(({vec('q#*q#', '+', None) or '0.0'})/{n})"
         lines.append(f" return [{vec('z#')}], {err}, (k0, k1, k2, k3, k4, k5, k6)")
         env = {"f": self._field, "sqrt": math.sqrt}
         exec("\n".join(lines), env)  # noqa: S102 - generated source
@@ -94,7 +106,7 @@ def eval_field(sys: OdeSystem, x: Sequence[float]) -> np.ndarray:
 
     if len(x) != len(sys.derivs):
         raise ValueError(f"expected {len(sys.derivs)} concentrations, got {len(x)}")
-    return np.array(sys._field(x.tolist() if isinstance(x, np.ndarray) else x))
+    return np.array(sys._field(*(x.tolist() if isinstance(x, np.ndarray) else x)))
 
 
 # Dormand-Prince 5(4) tableau

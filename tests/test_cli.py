@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CRN_GOLDEN = Path(__file__).resolve().parent / "data" / "crn"
 TRANSITIONS_GOLDEN = Path(__file__).resolve().parent / "data" / "transitions"
 SSA_GOLDEN = Path(__file__).resolve().parent / "data" / "ssa"
+SIMULATE_GOLDEN = Path(__file__).resolve().parent / "data" / "simulate"
 
 
 def run(capsys, *argv):
@@ -124,6 +125,18 @@ def test_ssa_matches_golden(capsys, golden):
     code, out, err = run(capsys, "ssa", str(MODELS / f"{golden.stem}.bond"), *argv)
     assert (code, err) == (0, "")
     assert out == golden.read_text(encoding="utf-8")
+
+
+# the corpus models with a prime that no reaction changes: the ODE step carries it as it is
+SIMULATE_ARGV = {"kuznetsov": ["--t-end", "1600", "--grid", "40"]}
+
+
+@pytest.mark.parametrize("golden", sorted(SIMULATE_GOLDEN.glob("*.csv")), ids=lambda p: p.stem)
+def test_simulate_matches_golden(capsys, golden):
+    argv = SIMULATE_ARGV.get(golden.stem, ["--t-end", "5", "--grid", "50"])
+    code, out, err = run(capsys, "simulate", str(MODELS / f"{golden.stem}.bond"), *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,45 @@ def test_eval_field_non_finite_rate_names_reaction():
     assert eval_field(sys_, [1.0]).tolist() == [0.0]
 
 
+def test_field_above_255_arguments():
+    # 300 independent decays X{i} -> 0 at rate (1 + i % 3)*X{i}: one field argument per prime
+    n = 300
+    src = "".join(f"species X{i} = x{i}.0;\n" for i in range(n))
+    src += "affinity {\n" + "".join(f"  x{i} at MA({1 + i % 3});\n" for i in range(n)) + "}\n"
+    src += "mixture { " + ", ".join(f"1 X{i}" for i in range(n)) + " }"
+    rs, sys_ = odes_for(src)
+    assert len(rs.prime_names) == n
+    rng = random.Random(20261019)
+    x = [rng.uniform(0.0, 5.0) for _ in range(n)]
+    env = dict(zip(rs.prime_names, x))
+    assert eval_field(sys_, x).tolist() == [evaluate(d, env) for d in sys_.derivs]
+    traj = integrate(sys_, [1.0] * n, 1.0, rtol=1e-8, atol=1e-12)
+    rate = {f"X{i}": 1 + i % 3 for i in range(n)}
+    want = [math.exp(-rate[name]) for name in rs.prime_names]
+    assert traj.y[-1].tolist() == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("model", ["mm", "pingpong", "kuznetsov"])
+def test_primes_no_reaction_changes_keep_their_value(model):
+    m = parse_model((MODELS / f"{model}.bond").read_text())
+    rs = build_reaction_system(m)
+    x0 = initial_mixture(m, rs.index)
+    sys_ = build_odes(rs)
+    carried = [i for i, d in enumerate(sys_.derivs) if d == ex.ZERO]
+    assert carried  # IS in Kuznetsov, the enzyme E in mm and pingpong
+    traj = integrate(sys_, x0, 20.0)
+    for i in carried:
+        assert {v.hex() for v in traj.y[:, i].tolist()} == {float(x0[i]).hex()}
+
+
+def test_model_no_reaction_changes_integrates_as_before():
+    # A -> A changes no prime: every stage is A itself and the error norm is sqrt(0.0/n)
+    rs, sys_ = odes_for("species A = a.A; affinity { a at MA(1); } mixture { 1 A }")
+    traj = integrate(sys_, [1.0], 5.0)
+    assert (traj.steps, traj.rejected, traj.nfev) == (51, 0, 307)
+    assert (traj.y == 1.0).all()
+
+
 # --- the generated and the numpy DOPRI5 kernels ----------------------------------
 
 
