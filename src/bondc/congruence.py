@@ -25,12 +25,18 @@ stable.  A cell of tied binders is split by trying each of them first; the
 least serialization over all orders reached wins.  A binder is not tried
 when swapping it with one already tried leaves the atoms unchanged, so k
 interchangeable binders cost k leaves, not k!.
+
+Normal forms carry their serialization, built bottom-up: every sort keys on
+it, and no level serializes the one below again.  A labelling substitutes
+into a call atom's arguments, but canonicalizes a choice atom afresh: its
+guard order depends on the binders' names.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .terms import (
     NIL,
@@ -53,39 +59,48 @@ def serialize(t: Species) -> str:
     if isinstance(t, Nil):
         return "0"
     if isinstance(t, Call):
-        if t.args:
-            return f"{t.name}({','.join(t.args)})"
-        return t.name
+        return _ser_call(t.name, t.args)
     if isinstance(t, Sum):
-        return " + ".join(_ser_prefix(g) for g in t.guards)
+        return " + ".join(_ser_prefix(g, serialize(g.body)) for g in t.guards)
     if isinstance(t, Par):
-        return "(" + " | ".join(serialize(p) for p in t.parts) + ")"
+        return _ser_par(map(serialize, t.parts))
     if isinstance(t, New):
-        return f"(new {','.join(t.binders)} in {serialize(t.body)})"
+        return _ser_new(t.binders, serialize(t.body))
     raise TypeError(t)
 
 
-def _ser_prefix(g: Prefix) -> str:
+def _ser_call(name: str, args: tuple[str, ...]) -> str:
+    return f"{name}({','.join(args)})" if args else name
+
+
+def _ser_prefix(g: Prefix, body: str) -> str:
+    """A guard, given its body's serialization."""
     s = g.site
     if g.location is not None:
         s += "@" + g.location
     if g.receives:
         s += "(" + ",".join(g.receives) + ")"
-    body = serialize(g.body)
-    if isinstance(g.body, (Nil, Call)) or (
-        isinstance(g.body, Sum) and len(g.body.guards) == 1
-    ):
-        return f"{s}.{body}"
-    return f"{s}.({body})" if not body.startswith("(") else f"{s}.{body}"
+    bare = isinstance(g.body, (Nil, Call)) or (isinstance(g.body, Sum) and len(g.body.guards) == 1)
+    return f"{s}.{body}" if bare or body.startswith("(") else f"{s}.({body})"
+
+
+def _ser_par(parts: Iterable[str]) -> str:
+    return "(" + " | ".join(parts) + ")"
+
+
+def _ser_new(binders: tuple[str, ...], body: str) -> str:
+    return f"(new {','.join(binders)} in {body})"
 
 
 # --- normalization -----------------------------------------------------------
+
+Normal = tuple[Species, str]  # a normal form and its serialization
 
 
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
     free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
-    return _canon(t, {}, max(free_l, default=-1) + 1)
+    return _canon(t, {}, max(free_l, default=-1) + 1)[0]
 
 
 def primes(t: Species) -> list[Species]:
@@ -102,6 +117,21 @@ def parts(n: Species) -> list[Species]:
     return [n]
 
 
+def _call(name: str, args: tuple[str, ...], env: dict[str, str]) -> Normal:
+    """A call with its arguments renamed by env."""
+    args = tuple(map(env.get, args, args))
+    return Call(name, args), _ser_call(name, args)
+
+
+def _par(parts: list[Normal]) -> Normal:
+    """The parallel composition of sorted normal forms."""
+    if not parts:
+        return NIL, "0"
+    if len(parts) == 1:
+        return parts[0]
+    return Par(tuple(p for p, _ in parts)), _ser_par(s for _, s in parts)
+
+
 # --- prenex form: atoms, binders and primes ----------------------------------
 
 
@@ -112,6 +142,7 @@ def _flatten(
 
     Every restricted name is renamed apart to a fresh '#n' (unparseable) and
     added to binders; an atom's env maps each name in scope to its renaming.
+    A call atom is renamed at once, and its env is empty.
     """
     if isinstance(t, New):
         fresh = {b: f"#{len(binders) + i}" for i, b in enumerate(t.binders)}
@@ -120,20 +151,22 @@ def _flatten(
     elif isinstance(t, Par):
         for p in t.parts:
             _flatten(p, env, binders, atoms)
-    elif isinstance(t, Call) or (isinstance(t, Sum) and t.guards):
+    elif isinstance(t, Call):
+        atoms.append((Call(t.name, tuple(map(env.get, t.args, t.args))), {}))
+    elif isinstance(t, Sum) and t.guards:
         atoms.append((t, env))
 
 
-def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
+def _canon(t: Species, env: dict[str, str], depth: int) -> Normal:
     """Normal form of t with its free names renamed by env.
 
     Binders are renamed apart while flattening.  Bound locations are numbered
     from ℓ<depth>; every free ℓ index of the renamed term is below depth.
     """
     if isinstance(t, Call):  # its own normal form, once renamed
-        return Call(t.name, tuple(env.get(x, x) for x in t.args))
+        return _call(t.name, t.args, env)
     if isinstance(t, Nil):
-        return t
+        return t, "0"
     binders: set[str] = set()
     atoms: list[tuple[Species, dict[str, str]]] = []
     _flatten(t, env, binders, atoms)
@@ -148,29 +181,24 @@ def _canon(t: Species, env: dict[str, str], depth: int) -> Species:
             members += g[1]
         groups.append((names, members))
 
-    out = sorted(
-        (
-            _prime([atoms[i] for i in members], [uses[i] for i in members], depth)
-            for _, members in groups
-        ),
-        key=serialize,
-    )
-    if not out:
-        return NIL
-    return out[0] if len(out) == 1 else Par(tuple(out))
+    out = [
+        _prime([atoms[i] for i in members], [uses[i] for i in members], depth)
+        for _, members in groups
+    ]
+    return _par(sorted(out, key=itemgetter(1)))
 
 
-def _atom(a: Species, env: dict[str, str], depth: int) -> Species:
-    """Canonical form of one atom: guards sorted, bodies normalized."""
-    if isinstance(a, Call):
-        return Call(a.name, tuple(env.get(x, x) for x in a.args))
+def _atom(a: Species, env: dict[str, str], depth: int) -> Normal:
+    """Canonical form of a choice atom: guards sorted, bodies normalized."""
     guards = []
     for g in a.guards:
         names = tuple(f"ℓ{depth + i}" for i in range(len(g.receives)))
         inner = {**env, **dict(zip(g.receives, names))}
-        body = _canon(g.body, inner, depth + len(names))
-        guards.append(Prefix(g.site, env.get(g.location, g.location), names, body))
-    return Sum(tuple(sorted(guards, key=_ser_prefix)))
+        body, s = _canon(g.body, inner, depth + len(names))
+        g = Prefix(g.site, env.get(g.location, g.location), names, body)
+        guards.append((g, _ser_prefix(g, s)))
+    guards.sort(key=itemgetter(1))
+    return Sum(tuple(g for g, _ in guards)), " + ".join(s for _, s in guards)
 
 
 # --- canonical labelling of a prime's binders --------------------------------
@@ -178,32 +206,38 @@ def _atom(a: Species, env: dict[str, str], depth: int) -> Species:
 
 def _prime(
     atoms: list[tuple[Species, dict[str, str]]], uses: list[set[str]], depth: int
-) -> Species:
+) -> Normal:
     """One prime: a single `new` over atoms, binders canonically labelled."""
     binders = sorted(set().union(*uses))
-    if not binders:
-        return _atom(*atoms[0], depth)
     inner = depth + len(binders)
 
-    def label(i: int, sub: dict[str, str]) -> Species:  # atom i, binders renamed by sub
+    def label(i: int, sub: dict[str, str]) -> Normal:  # atom i, binders renamed by sub
         a, env = atoms[i]
+        if isinstance(a, Call):  # relabelled by substituting into its arguments
+            return _call(a.name, a.args, sub)
         return _atom(a, {x: sub.get(v, v) for x, v in env.items()}, inner)
 
     def key(i: int, sub: dict[str, str]) -> str:
-        return serialize(label(i, sub))
+        a = atoms[i][0]
+        if isinstance(a, Call):
+            return _ser_call(a.name, tuple(map(sub.get, a.args, a.args)))
+        return label(i, sub)[1]
+
+    if not binders:
+        return label(0, {})
 
     def swap_fixes(u: str, v: str) -> bool:
         """Whether exchanging binders u and v maps the atom bag to itself."""
         hit = [i for i, used in enumerate(uses) if u in used or v in used]
         return Counter(key(i, {}) for i in hit) == Counter(key(i, {u: v, v: u}) for i in hit)
 
-    def leaves(colour: dict[str, int]) -> Iterator[Species]:
+    def leaves(colour: dict[str, int]) -> Iterator[Normal]:
         tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
         if tied is None:  # discrete: colours are 0..n-1
             sub = {b: f"ℓ{depth + colour[b]}" for b in binders}
-            body = sorted((label(i, sub) for i in range(len(atoms))), key=serialize)
+            body, s = _par(sorted((label(i, sub) for i in range(len(atoms))), key=itemgetter(1)))
             names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
-            yield New(names, body[0] if len(body) == 1 else Par(tuple(body)))
+            yield New(names, body), _ser_new(names, s)
             return
         tried: list[str] = []
         for v in (b for b in binders if colour[b] == tied):
@@ -225,15 +259,12 @@ def _prime(
     def refine(colour: dict[str, int]) -> dict[str, int]:
         """Colour refinement of binders through the atoms they share."""
         while True:
+            # atom i's binders by colour and use, the same for each binder it holds
+            near = [
+                tuple(sorted((colour[c], edge[i, c]) for c in used)) for i, used in enumerate(uses)
+            ]
             sig = {
-                b: (
-                    colour[b],
-                    *sorted(
-                        (edge[i, b], tuple(sorted((colour[c], edge[i, c]) for c in uses[i])))
-                        for i in occurs[b]
-                    ),
-                )
-                for b in binders
+                b: (colour[b], *sorted((edge[i, b], near[i]) for i in occurs[b])) for b in binders
             }
             ranks = {s: r for r, s in enumerate(sorted(set(sig.values())))}
             refined = {b: ranks[sig[b]] for b in binders}
@@ -241,4 +272,4 @@ def _prime(
                 return refined
             colour = refined
 
-    return min(leaves(refine({b: 0 for b in binders})), key=serialize)
+    return min(leaves(refine({b: 0 for b in binders})), key=itemgetter(1))

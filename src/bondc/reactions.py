@@ -71,24 +71,22 @@ class PrimeIndex:
         self.ts = ts
         self.primes: list[Species] = []
         self.names: list[str] = []
-        self.by_name: dict[str, int] = {}
+        self._ids: dict[Species, int] = {}  # canonical terms compare as tuples
         self._by_cluster: dict[Cluster, list[Match]] = {}
         self._n_matched = 0
         self._products: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
 
     def add(self, p: Species) -> tuple[int, bool]:
-        key = serialize(p)
-        idx = self.by_name.get(key)
+        idx = self._ids.get(p)
         if idx is not None:
             return idx, False
-        idx = len(self.primes)
+        idx = self._ids[p] = len(self.primes)
         self.primes.append(p)
-        self.names.append(key)
-        self.by_name[key] = idx
+        self.names.append(serialize(p))
         return idx, True
 
     def index_of(self, p: Species) -> int:
-        return self.by_name[serialize(p)]
+        return self._ids[p]
 
     def __len__(self) -> int:
         return len(self.primes)

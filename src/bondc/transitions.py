@@ -12,8 +12,10 @@ still take part in a reaction.  A transition's site bag only grows (by Com at
 a shared location) until it surfaces at ambient, where a pattern slot must
 match it exactly.  So a guard whose site lies in no cluster is dropped, and
 Com grows a combination part by part only while its bag is a sub-bag of some
-cluster: its cost follows the combinations that fit, not 2^parts.  Without
-clusters the system computes the full table.
+cluster: its cost follows the combinations that fit, not 2^parts.  Each test
+is a set lookup in every sub-bag of every cluster, listed when the system is
+built.  Without clusters the system computes the full table.  A system also
+keeps the table of each invocation it unfolds, which callers only read.
 
 Targets are positional: their bound locations are ?a0, ?a1, ..., to which
 a guard renames its received locations; Com and restriction only wrap
@@ -34,6 +36,7 @@ a definition orders its guards and parallel parts.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .congruence import normalize, serialize
@@ -107,27 +110,15 @@ class TransitionSystem:
     ):
         check_guarded(defs)
         self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
-        # site -> the distinct clusters holding it, as multisets
-        self._by_site: Optional[dict[str, list[Counter]]] = None
-        self._fit: dict[Cluster, bool] = {}
-        if clusters is not None:
-            self._by_site = {}
-            for c in dict.fromkeys(clusters):
-                for site in set(c):
-                    self._by_site.setdefault(site, []).append(Counter(c))
+        # every sub-bag of every cluster, as a sorted tuple; None keeps everything
+        self._fit: Optional[set[Cluster]] = None if clusters is None else {
+            bag for c in clusters for r in range(1, len(c) + 1) for bag in combinations(c, r)
+        }
+        self._calls: dict[Call, dict[Transition, int]] = {}  # a call's table, shared read-only
 
     def _fits(self, sites: Cluster) -> bool:
-        """Whether a sorted site bag is a sub-bag of some cluster (always, unpruned).
-
-        Each bag is tested once per system; later calls are a dict lookup.
-        """
-        if self._by_site is None:
-            return True
-        hit = self._fit.get(sites)
-        if hit is None:
-            bag = Counter(sites)
-            hit = self._fit[sites] = any(bag <= c for c in self._by_site.get(sites[0], ()))
-        return hit
+        """Whether a sorted site bag is a sub-bag of some cluster (always, unpruned)."""
+        return self._fit is None or sites in self._fit
 
     def transitions(self, t: Species) -> Counter:
         return _surface(self._transitions(t).items())
@@ -137,11 +128,16 @@ class TransitionSystem:
         shared = Counter(tr.cluster for tr, _ in raw if tr.target.arity)
         return _surface(raw, {c for c, n in shared.items() if n == 1})
 
-    def _transitions(self, t: Species) -> Counter:
-        while isinstance(t, Call):  # a loop, so a long chain of definitions unfolds
-            sd = self.defs[t.name]
-            t = rename_locations(sd.body, dict(zip(sd.params, t.args)))
-        out: Counter = Counter()
+    def _transitions(self, t: Species) -> dict[Transition, int]:
+        if isinstance(t, Call):
+            if t not in self._calls:
+                u = t
+                while isinstance(u, Call):  # a loop, so a long chain of definitions unfolds
+                    sd = self.defs[u.name]
+                    u = rename_locations(sd.body, dict(zip(sd.params, u.args)))
+                self._calls[t] = self._transitions(u)
+            return self._calls[t]
+        out: dict[Transition, int] = {}
         if isinstance(t, Nil):
             return out
         if isinstance(t, Sum):
@@ -150,7 +146,8 @@ class TransitionSystem:
                     continue
                 ph = placeholders(len(g.receives))
                 body = rename_locations(g.body, dict(zip(g.receives, ph)))
-                out[Transition((g.site,), g.location, Abstraction(len(ph), body))] += 1
+                k = Transition((g.site,), g.location, Abstraction(len(ph), body))
+                out[k] = out.get(k, 0) + 1
             return out
         if isinstance(t, Par):
             return self._par_transitions(t.parts)
@@ -161,13 +158,14 @@ class TransitionSystem:
                     continue  # a single bound site: it cannot react on its own
                 # a completed internal combination at a bound location surfaces at ambient
                 loc = AMBIENT if loc in bound else loc
-                out[Transition(cluster, loc, restrict_abstraction(t.binders, target))] += m
+                k = Transition(cluster, loc, restrict_abstraction(t.binders, target))
+                out[k] = out.get(k, 0) + m
             return out
         raise TypeError(t)
 
-    def _par_transitions(self, parts: tuple[Species, ...]) -> Counter:
+    def _par_transitions(self, parts: tuple[Species, ...]) -> dict[Transition, int]:
         sub = [self._transitions(p) for p in parts]
-        out: Counter = Counter()
+        out: dict[Transition, int] = {}
         n = len(parts)
 
         def with_rest(target: Abstraction, used: set[int]) -> Abstraction:
@@ -179,7 +177,8 @@ class TransitionSystem:
 
         for i, trs in enumerate(sub):
             for tr, m in trs.items():
-                out[Transition(tr.cluster, tr.location, with_rest(tr.target, {i}))] += m
+                k = Transition(tr.cluster, tr.location, with_rest(tr.target, {i}))
+                out[k] = out.get(k, 0) + m
 
         # Com: combine one transition each from >= 2 parts at a shared
         # named location (never at ambient, never twice from one part),
@@ -192,7 +191,8 @@ class TransitionSystem:
                         continue
                     tgt = colocate(target, tr.target) if used else tr.target
                     if used:
-                        out[Transition(bag, loc, with_rest(tgt, {*used, i}))] += mult * m
+                        k = Transition(bag, loc, with_rest(tgt, {*used, i}))
+                        out[k] = out.get(k, 0) + mult * m
                     grow(loc, per_part, i + 1, (*used, i), bag, mult * m, tgt)
 
         locs = sorted(

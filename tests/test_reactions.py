@@ -388,6 +388,26 @@ def test_scaffold_normalize_budget(monkeypatch):
     assert 0 < calls <= 450
 
 
+def test_scaffold_serialize_budget(monkeypatch):
+    # normal forms carry their serialization, so sorting them serializes
+    # nothing: compiling scaffold k=6 took 23,589 serialize calls while every
+    # sort re-serialized its keys (2,919 now, mostly for prime names and
+    # closed products)
+    real, calls = congruence.serialize, 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "bondc" and getattr(mod, "serialize", None) is real:
+            monkeypatch.setattr(mod, "serialize", counting)
+    rs = build_reaction_system(parse_model(scaffold_source(6)))
+    assert len(rs.prime_names) == 2**6 + 6 + 1
+    assert 0 < calls <= 3000
+
+
 def witness_source(k):
     """k co-located sites w_i@l under one new l; only w0 & w1 react."""
     sites = " | ".join(f"W{i}(l)" for i in range(k))
@@ -602,6 +622,58 @@ def test_family_crn_unchanged(family, k):
     rs = build_reaction_system(parse_model(FAMILIES[family](k)))
     doc = json.dumps(reaction_system_json(rs), indent=2)
     assert hashlib.sha256(doc.encode()).hexdigest() == FAMILY_CRN_SHA256[family, k]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [
+        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        for f, k in FAMILY_CRN_SHA256
+    ],
+)
+def test_carried_serialization_is_serialize(source, monkeypatch):
+    # normalize builds each normal form with its serialization; the string
+    # it carries must be the one serialize writes, at every level
+    built: dict = {}
+
+    def checking(real):
+        def wrapper(*args):
+            n, s = real(*args)
+            assert s == serialize(n)
+            built[n] = s
+            return n, s
+
+        return wrapper
+
+    for name in ("_canon", "_atom", "_prime"):
+        monkeypatch.setattr(congruence, name, checking(getattr(congruence, name)))
+    rs = build_reaction_system(parse_model(source()))
+    ts = rs.index.ts
+    outputs = [sd.body for sd in ts.defs.values()] + rs.index.primes
+    outputs += [tr.target.body for p in rs.index.primes for tr in ts.transitions(p)]
+    assert [n for n in outputs if n not in built] == []
+    assert rs.prime_names == [built[p] for p in rs.index.primes]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
+    + [
+        pytest.param(lambda: scaffold_source(5), id="scaffold-k=5"),
+        pytest.param(lambda: bank_source(10), id="bank-k=10"),
+    ],
+)
+def test_shared_call_tables_are_never_mutated(source):
+    # a system shares the table of each invocation it unfolds: after a whole
+    # compile, its ambient tables are those of a fresh system, in the same
+    # order with the same multiplicities
+    m = parse_model(source())
+    index = reachable_primes(m)
+    clusters = [c for entry in m.affinity for c in entry.pattern]
+    for p in index.primes:
+        fresh = TransitionSystem(m.species, clusters=clusters)
+        assert list(index.ts.ambient(p).items()) == list(fresh.ambient(p).items())
 
 
 @pytest.mark.parametrize(

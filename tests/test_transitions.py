@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -270,6 +271,25 @@ def test_pruned_com_skips_combinations_that_fit_no_cluster():
     pruned = TransitionSystem({}, clusters=[("w0", "w1")]).transitions(t)
     assert sum(len(tr.cluster) >= 2 for tr in full) == 2**8 - 8 - 1
     assert sorted(tr.cluster for tr in pruned) == [("w0",), ("w0", "w1"), ("w1",)]
+
+
+@pytest.mark.parametrize(
+    "clusters",
+    [
+        [("a", "a", "b")],
+        [("x", "y", "y", "z")],
+        [("a", "a", "b"), ("x", "y", "y", "z")],  # disjoint
+        [("a", "b"), ("b", "c"), ("a", "a", "b")],  # overlapping
+    ],
+)
+def test_fits_is_the_sub_bag_test(clusters):
+    # every sorted bag of up to 4 sites, one of them in no cluster
+    pruned, full = TransitionSystem({}, clusters=clusters), TransitionSystem({})
+    sites = sorted({s for c in clusters for s in c} | {"q"})
+    for n in range(1, 5):
+        for bag in itertools.combinations_with_replacement(sites, n):
+            assert pruned._fits(bag) == any(Counter(bag) <= Counter(c) for c in clusters), bag
+            assert full._fits(bag)
 
 
 # --- abstraction algebra -------------------------------------------------------
