@@ -6,7 +6,9 @@ error.  The codes are PARSE (a model file that cannot be read or parsed),
 ARITY, UNBOUNDED, DOMAIN, STIFF, IO (an unwritable output file) and MEMORY
 (output too large to allocate, such as a huge ``--grid``).
 
-``main(argv)`` may be called repeatedly in one process: it builds the
+Every subcommand reads its model first.  ``crn``, ``odes``, ``simulate`` and
+``ssa`` then open their output (``--out``, or stdout), compile the model and
+emit.  ``main(argv)`` may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it afterwards.
 """
 
@@ -47,13 +49,6 @@ def _load(path: str):
     return model
 
 
-def _compile(model, cap: int):
-    """The model's reaction system; prints the compile's warnings."""
-    rs = build_reaction_system(model, cap=cap)
-    _warn(rs.warnings)
-    return rs
-
-
 def _warn(warnings: list[str]) -> None:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -89,55 +84,45 @@ def _parser() -> argparse.ArgumentParser:
     # --help shows the docstring up to its last paragraph, which is for callers of main
     ap = argparse.ArgumentParser(prog="bondc", description=__doc__.rsplit("\n\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    # the arguments that several subcommands share, each declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("file")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=_COUNT, default=512)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--t-end", type=_POSITIVE, required=True)
+    run.add_argument("--out", help="output CSV path (default: stdout)")
 
-    p = sub.add_parser("check", help="parse and validate a model")
-    p.add_argument("file")
+    def command(name: str, help: str, *shared: argparse.ArgumentParser):
+        return sub.add_parser(name, help=help, parents=[model, *shared])
 
-    p = sub.add_parser("primes", help="list reachable prime species")
-    p.add_argument("file")
-    p.add_argument("--cap", type=_COUNT, default=512)
-
-    p = sub.add_parser("transitions", help="print the species transition table")
-    p.add_argument("file")
+    command("check", "parse and validate a model")
+    command("primes", "list reachable prime species", capped)
+    p = command("transitions", "print the species transition table")
     p.add_argument("--species", help="restrict to one defined species")
-
-    p = sub.add_parser("crn", help="emit the extracted reaction network")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--cap", type=_COUNT, default=512)
-
-    p = sub.add_parser("odes", help="emit the extracted ODE system")
-    p.add_argument("file")
+    command("crn", "emit the extracted reaction network", capped)
+    p = command("odes", "emit the extracted ODE system", capped)
     p.add_argument("--format", choices=["text", "latex", "json"], default="text")
-    p.add_argument("--cap", type=_COUNT, default=512)
 
-    p = sub.add_parser("simulate", help="deterministic (ODE) trajectory as CSV")
-    p.add_argument("file")
-    p.add_argument("--t-end", type=_POSITIVE, required=True)
+    p = command("simulate", "deterministic (ODE) trajectory as CSV", capped, run)
     p.add_argument("--rtol", type=_POSITIVE, default=1e-6)
     p.add_argument("--atol", type=_POSITIVE, default=1e-9)
     p.add_argument("--grid", type=_COUNT, default=200)
-    p.add_argument("--cap", type=_COUNT, default=512)
-    p.add_argument("--out", help="output CSV path (default: stdout)")
 
-    p = sub.add_parser("ssa", help="stochastic (Gillespie) trajectories as CSV")
-    p.add_argument("file")
+    p = command("ssa", "stochastic (Gillespie) trajectories as CSV", capped, run)
     p.add_argument("--h", type=_POSITIVE, required=True, help="concentration per level")
-    p.add_argument("--t-end", type=_POSITIVE, required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--runs", type=_COUNT, default=1)
     p.add_argument("--sample-dt", type=_POSITIVE)
-    p.add_argument("--cap", type=_COUNT, default=512)
-    p.add_argument("--out", help="output CSV path (default: stdout)")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        _dispatch(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:  # the reader of stdout stopped early: not a failure
         # stdout on /dev/null, so that the interpreter's own flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -157,21 +142,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> None:
+    model = _load(args.file)
     if args.command == "check":
-        _load(args.file)
         print("ok")
-        return 0
-
+        return
     if args.command == "primes":
-        model = _load(args.file)
-        index = reachable_primes(model, cap=args.cap)
-        for name in index.names:
+        for name in reachable_primes(model, cap=args.cap).names:
             print(name)
-        return 0
-
+        return
     if args.command == "transitions":
-        model = _load(args.file)
         ts = TransitionSystem(model.species)
         if args.species:
             if args.species not in model.species:
@@ -184,37 +164,24 @@ def _dispatch(args: argparse.Namespace) -> int:
                 format_transition(src, tr, mult) for tr, mult in ts.transitions(src).items()
             ):
                 print(line)
-        return 0
+        return
 
-    if args.command == "crn":
-        model = _load(args.file)
-        rs = _compile(model, args.cap)
-        print(json.dumps(reaction_system_json(rs), indent=2))
-        return 0
-
-    if args.command == "odes":
-        model = _load(args.file)
-        rs = _compile(model, args.cap)
-        sys_ = ode_mod.build_odes(rs)
-        print(ode_mod.render_odes(sys_, fmt=args.format), end="")
-        return 0
-
-    if args.command == "simulate":
-        model = _load(args.file)
-        with _output(args.out) as fh:  # before the run: a bad path fails fast
-            rs = _compile(model, args.cap)
+    # crn and odes have no --out and print to stdout; a bad --out fails before the compile
+    with _output(getattr(args, "out", None)) as fh:
+        rs = build_reaction_system(model, cap=args.cap)
+        _warn(rs.warnings)
+        if args.command == "crn":
+            print(json.dumps(reaction_system_json(rs), indent=2), file=fh)
+        elif args.command == "odes":
+            print(ode_mod.render_odes(ode_mod.build_odes(rs), fmt=args.format), end="", file=fh)
+        elif args.command == "simulate":
             sys_ = ode_mod.build_odes(rs)
             x0 = initial_mixture(model, rs.index)
             traj = ode_mod.integrate(
                 sys_, x0, args.t_end, rtol=args.rtol, atol=args.atol, grid=args.grid
             )
             ode_mod.write_trajectory_csv(fh, sys_.names, traj)
-        return 0
-
-    if args.command == "ssa":
-        model = _load(args.file)
-        with _output(args.out) as fh:
-            rs = _compile(model, args.cap)
+        else:
             dm = ssa_mod.discretize(rs, args.h)
             x0 = initial_mixture(model, rs.index)
             for name, c in zip(dm.names, x0):
@@ -233,9 +200,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 for w in r.warnings:
                     print(f"warning: run {r.run_id}: {w}", file=sys.stderr)
             ssa_mod.write_runs_csv(fh, dm, runs)
-        return 0
-
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

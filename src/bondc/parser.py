@@ -24,7 +24,6 @@ token, which is worked out from its offset only when the error is raised.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from . import expr as ex
 from .terms import (
@@ -62,11 +61,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Position(NamedTuple):
-    line: int
-    col: int
-
-
 class ParseError(ValueError):
     code = "PARSE"
 
@@ -74,7 +68,6 @@ class ParseError(ValueError):
         line = text.count("\n", 0, pos) + 1
         col = pos - text.rfind("\n", 0, pos)
         super().__init__(f"{line}:{col}: {message}")
-        self.span = Position(line, col)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -147,8 +147,7 @@ def initial_mixture(model: Model, index: PrimeIndex) -> list[float]:
     """Initial concentration vector over the prime index; a non-finite sum is a DomainError."""
     x = [0.0] * len(index)
     for conc, name in model.mixture:
-        for p in primes(Call(name, ())):
-            x[index.index_of(p)] += conc
+        x[index.index_of(Call(name, ()))] += conc
     for name, c in zip(index.names, x):
         if not math.isfinite(c):
             raise ex.DomainError(f"the mixture's concentrations of '{name}' sum to {c:g}")
@@ -166,9 +165,8 @@ def reachable_primes(
         clusters = [c for entry in model.affinity for c in entry.pattern]
         ts = TransitionSystem(model.species, clusters=clusters)
     index = PrimeIndex(ts)
-    for conc, name in model.mixture:
-        for p in primes(Call(name, ())):
-            index.add(p)
+    for conc, name in model.mixture:  # a call is its own normal form, and one prime
+        index.add(Call(name, ()))
     if len(index) > cap:
         raise UnboundedError(cap)
 

@@ -1,8 +1,19 @@
+import types
 from fractions import Fraction
 
 import numpy as np
 
 from bondc import expr as ex
+
+import families
+
+# perfbench's family generators shuffle their models' parts; this rng keeps them as written
+_IN_ORDER = types.SimpleNamespace(shuffle=lambda parts: None)
+
+
+def family_source(family, k):
+    """The model text of ``perfbench/families.py``'s ``family`` at size k, parts in order."""
+    return getattr(families, family)(k, _IN_ORDER)
 
 
 def rational_left_nullspace(rows):

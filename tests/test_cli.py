@@ -551,9 +551,51 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         codes = [run(capsys, *argv)[0] for argv in calls]
         assert codes == [0] * 8 + [1, 1]
         assert built.count("bondc") == 1
-        assert len(built) == 8  # bondc and its 7 subcommands, once
+        assert len(built) == 11  # bondc, its 3 shared-argument parents and 7 subcommands, once
     finally:
         cli._parser.cache_clear()
+
+
+CAP = {"--cap": (False, 512, None)}
+OUT = {"--out": (False, None, None)}
+OPTIONS = {  # subcommand: {argument: (required, default, choices)}
+    "check": {},
+    "primes": CAP,
+    "transitions": {"--species": (False, None, None)},
+    "crn": CAP,
+    "odes": {"--format": (False, "text", ["text", "latex", "json"]), **CAP},
+    "simulate": {
+        "--t-end": (True, None, None),
+        "--rtol": (False, 1e-6, None),
+        "--atol": (False, 1e-9, None),
+        "--grid": (False, 200, None),
+        **CAP,
+        **OUT,
+    },
+    "ssa": {
+        "--h": (True, None, None),
+        "--t-end": (True, None, None),
+        "--seed": (True, None, None),
+        "--runs": (False, 1, None),
+        "--sample-dt": (False, None, None),
+        **CAP,
+        **OUT,
+    },
+}
+
+
+def test_option_surface():
+    # every subcommand takes its model file, then exactly these options
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {
+            " ".join(a.option_strings) or a.dest: (a.required, a.default, a.choices)
+            for a in parser._actions
+            if a.dest != "help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert got == {name: {"file": (True, None, None), **o} for name, o in OPTIONS.items()}
 
 
 def test_repeated_calls_do_not_share_state(capsys):

