@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .terms import (
     NIL,
@@ -99,8 +99,7 @@ Normal = tuple[Species, str]  # a normal form and its serialization
 
 def normalize(t: Species) -> Species:
     """Canonical representative of t's structural-congruence class."""
-    free_l = [int(a[1:]) for a in free_locations(t) if a.startswith("ℓ")]
-    return _canon(t, {}, max(free_l, default=-1) + 1)[0]
+    return _canon(t, {}, None)[0]
 
 
 def primes(t: Species) -> list[Species]:
@@ -157,11 +156,12 @@ def _flatten(
         atoms.append((t, env))
 
 
-def _canon(t: Species, env: dict[str, str], depth: int) -> Normal:
+def _canon(t: Species, env: dict[str, str], depth: Optional[int]) -> Normal:
     """Normal form of t with its free names renamed by env.
 
     Binders are renamed apart while flattening.  Bound locations are numbered
     from ℓ<depth>; every free ℓ index of the renamed term is below depth.
+    Depth None starts one above the largest free ℓ index of the atoms.
     """
     if isinstance(t, Call):  # its own normal form, once renamed
         return _call(t.name, t.args, env)
@@ -170,21 +170,29 @@ def _canon(t: Species, env: dict[str, str], depth: int) -> Normal:
     binders: set[str] = set()
     atoms: list[tuple[Species, dict[str, str]]] = []
     _flatten(t, env, binders, atoms)
-    # connected components of the atoms, linked by the bound names they share
-    uses = [{e.get(x, x) for x in free_locations(a)} & binders for a, e in atoms]
+    if binders or depth is None:  # each atom's free names, a binder's as its '#n'
+        free = [{e.get(x, x) for x in free_locations(a)} for a, e in atoms]
+    if depth is None:
+        free_l = [int(x[1:]) for xs in free for x in xs if x.startswith("ℓ")]
+        depth = max(free_l, default=-1) + 1
+    # an atom using no binder is a prime of its own (a call atom as renamed); the
+    # others form connected components, linked by the bound names they share
+    out: list[Normal] = []
     groups: list[tuple[set[str], list[int]]] = []
-    for i, used in enumerate(uses):
+    for i, (a, e) in enumerate(atoms):
+        used = free[i] & binders if binders else None
+        if not used:
+            out.append((a, _ser_call(*a)) if isinstance(a, Call) else _atom(a, e, depth))
+            continue
         names, members = set(used), [i]
         for g in [g for g in groups if g[0] & used]:
             groups.remove(g)
             names |= g[0]
             members += g[1]
         groups.append((names, members))
-
-    out = [
-        _prime([atoms[i] for i in members], [uses[i] for i in members], depth)
-        for _, members in groups
-    ]
+    for names, members in groups:
+        uses = [free[i] & names for i in members]
+        out.append(_prime([atoms[i] for i in members], uses, depth))
     return _par(sorted(out, key=itemgetter(1)))
 
 
@@ -217,27 +225,26 @@ def _prime(
             return _call(a.name, a.args, sub)
         return _atom(a, {x: sub.get(v, v) for x, v in env.items()}, inner)
 
-    def key(i: int, sub: dict[str, str]) -> str:
-        a = atoms[i][0]
-        if isinstance(a, Call):
-            return _ser_call(a.name, tuple(map(sub.get, a.args, a.args)))
-        return label(i, sub)[1]
-
-    if not binders:
-        return label(0, {})
-
     def swap_fixes(u: str, v: str) -> bool:
         """Whether exchanging binders u and v maps the atom bag to itself."""
         hit = [i for i, used in enumerate(uses) if u in used or v in used]
-        return Counter(key(i, {}) for i in hit) == Counter(key(i, {u: v, v: u}) for i in hit)
+        swap = {u: v, v: u}
+        return Counter(label(i, {})[1] for i in hit) == Counter(label(i, swap)[1] for i in hit)
+
+    def close(order: list[str]) -> Normal:
+        """The prime with its binders named ℓ<depth>, ... in this order."""
+        names = tuple(f"ℓ{depth + i}" for i in range(len(order)))
+        sub = dict(zip(order, names))
+        body, s = _par(sorted((label(i, sub) for i in range(len(atoms))), key=itemgetter(1)))
+        return New(names, body), _ser_new(names, s)
+
+    if len(binders) == 1:
+        return close(binders)
 
     def leaves(colour: dict[str, int]) -> Iterator[Normal]:
         tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
         if tied is None:  # discrete: colours are 0..n-1
-            sub = {b: f"ℓ{depth + colour[b]}" for b in binders}
-            body, s = _par(sorted((label(i, sub) for i in range(len(atoms))), key=itemgetter(1)))
-            names = tuple(f"ℓ{depth + i}" for i in range(len(binders)))
-            yield New(names, body), _ser_new(names, s)
+            yield close(sorted(binders, key=colour.__getitem__))
             return
         tried: list[str] = []
         for v in (b for b in binders if colour[b] == tied):
@@ -246,14 +253,15 @@ def _prime(
             tried.append(v)
             yield from leaves(refine({b: 2 * c + (b != v) for b, c in colour.items()}))
 
-    if len(binders) == 1:  # one binder: the colouring is discrete already
-        return next(leaves({binders[0]: 0}))
-    # how atom i uses binder b: the atom with b marked '!', other binders '?'
+    # how atom i uses binder b: the atom with b marked '!', other binders '?',
+    # as the rank of that string among all of them
     edge = {
-        (i, b): key(i, {c: "!" if c == b else "?" for c in used})
+        (i, b): label(i, {c: "!" if c == b else "?" for c in used})[1]
         for i, used in enumerate(uses)
         for b in used
     }
+    rank = {e: r for r, e in enumerate(sorted(set(edge.values())))}
+    edge = {ib: rank[e] for ib, e in edge.items()}
     occurs = {b: [i for i, used in enumerate(uses) if b in used] for b in binders}
 
     def refine(colour: dict[str, int]) -> dict[str, int]:

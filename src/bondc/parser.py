@@ -16,9 +16,10 @@
 separates the clusters of different reactants.  "#" starts a line comment.
 A guard's continuation is a single atom; parenthesize sums and parallels.
 
-The text is lexed in one regex pass into (kind, text, offset) tokens.  A
-ParseError's message starts with the 1-based ``line:col`` of the offending
-token, which is worked out from its offset only when the error is raised.
+The text is lexed by one ``re.split`` into alternating skipped text and
+tokens; a token's kind is read from its first character.  A ParseError's
+message starts with the 1-based ``line:col`` of the offending token, whose
+offset is summed from the split only when the error is raised.
 """
 
 from __future__ import annotations
@@ -45,20 +46,15 @@ from .terms import (
 
 _KEYWORDS = {"species", "law", "affinity", "mixture", "new", "in", "at"}
 
-# each match skips the whitespace and comments before one token
+# (skip, token): the whitespace and comments before a token, then the token: a
+# number, a name, an operator, "" at the end of the text or a character that starts none
 _TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|\#[^\n]*)*
-    (?:
-      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<op>\|\||[(){};,.+\-*/=@&|])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
-    )
-    """,
-    re.VERBOSE,
+    r"((?:\s+|#[^\n]*)*)"
+    r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_']*|\|\||[(){};,.+\-*/=@&|]|\Z|[^\s#])"
 )
+# the kind of a token by its first character; a number's, any decimal digit, is not listed
+_KIND = {"": "eof", **dict.fromkeys("(){};,.+-*/=@&|", "op")}
+_KIND.update(dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"))
 
 
 class ParseError(ValueError):
@@ -70,46 +66,41 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", text, m.start(kind))
-        tokens.append((kind, m[kind], m.start(kind)))
-        if kind == "eof":
-            break
-    return tokens
-
-
 class _Parser:
     """Recursive descent over the tokens.  Keywords, operators and the nil
-    "0" are matched by their text alone: no other kind of token has it."""
+    "0" are matched by their text alone: no other kind of token has it.
+    Positions are token indices until an error needs an offset."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.parts = _TOKEN_RE.split(text)
+        self.tokens = self.parts[2::3]  # ends with "" (end of input), once or twice
         self.i = 0
+        if bad := {t for t in set(self.tokens) if t[:1] not in _KIND and not t[0].isdecimal()}:
+            i = next(i for i, t in enumerate(self.tokens) if t in bad)
+            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
 
     @property
-    def tok(self) -> tuple[str, str, int]:
+    def tok(self) -> str:
         return self.tokens[self.i]
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
-        return ParseError(message, self.text, self.tok[2] if pos is None else pos)
+        """An error at token index ``pos``, by default the current one."""
+        i = self.i if pos is None else pos
+        return ParseError(message, self.text, sum(map(len, self.parts[: 3 * i + 2])))
 
     def found(self) -> str:
-        return repr(self.tok[1] or "end of input")
+        return repr(self.tok or "end of input")
 
     def advance(self) -> str:
         self.i += 1
-        return self.tokens[self.i - 1][1]
+        return self.tokens[self.i - 1]
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.i][1] == text
+        return self.tokens[self.i] == text
 
     def accept(self, text: str) -> bool:
-        if self.tokens[self.i][1] == text:
+        if self.tokens[self.i] == text:
             self.i += 1
             return True
         return False
@@ -126,21 +117,21 @@ class _Parser:
         return out
 
     def name(self, what: str = "identifier") -> str:
-        kind, text, _ = self.tok
-        if kind != "name" or text in _KEYWORDS:
+        text = self.tokens[self.i]
+        if _KIND.get(text[:1]) != "name" or text in _KEYWORDS:
             raise self.error(f"expected {what}, found {self.found()}")
         self.i += 1
         return text
 
     def number(self) -> float:
         sign = -1.0 if self.accept("-") else 1.0
-        if self.tok[0] != "num":
+        if not self.tok[:1].isdecimal():
             raise self.error(f"expected number, found {self.found()}")
         return sign * float(self.advance())
 
     def amount(self) -> tuple[float, str]:
         """A mixture entry: a finite concentration >= 0 and a species name."""
-        pos = self.tok[2]
+        pos = self.i
         c = self.number()
         if not 0.0 <= c < float("inf"):
             raise self.error(f"expected a finite concentration >= 0, found {c:g}", pos)
@@ -148,7 +139,7 @@ class _Parser:
 
     def finite(self, what: str) -> float:
         """A finite number, such as a law parameter or a number in a law body."""
-        pos = self.tok[2]
+        pos = self.i
         v = self.number()
         if not abs(v) < float("inf"):
             raise self.error(f"expected {what}, found {v:g}", pos)
@@ -178,7 +169,7 @@ class _Parser:
         if isinstance(first, Prefix):
             guards = [first]
             while self.accept("+"):
-                start = self.tok[2]
+                start = self.i
                 g = self.guard_or_call()
                 if not isinstance(g, Prefix):
                     raise self.error("a choice may only contain prefix guards", start)
@@ -223,8 +214,8 @@ class _Parser:
         """``operand (op operand)*`` for op in ``ops``, folded left to right: a
         constant x/0, or a fold to a non-finite constant, is an error at its operator."""
         e = operand()
-        while self.tok[1] in ops:
-            pos, op = self.tok[2], self.advance()
+        while self.tok in ops:
+            pos, op = self.i, self.advance()
             rhs = operand()
             try:
                 e = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[op](e, rhs)
@@ -241,7 +232,7 @@ class _Parser:
             e = self.law_expr()
             self.expect(")")
             return e
-        if self.tok[0] == "num":
+        if self.tok[:1].isdecimal():
             return ex.const(self.finite("a finite number"))
         return ex.Var(self.name("parameter or argument"))
 
@@ -259,8 +250,8 @@ def parse_model(text: str) -> Model:
     affinity: list[AffinityEntry] = []
     mixture: list[tuple[float, str]] = []
 
-    while p.tok[0] != "eof":
-        start = p.tok[2]
+    while p.tok:  # "" is the end of input
+        start = p.i
         if p.accept("species"):
             name = p.name("species name")
             params: list[str] = []
@@ -297,7 +288,7 @@ def parse_model(text: str) -> Model:
                 p.expect("at")
                 law_name = p.name("law name")
                 p.expect("(")
-                pos = p.tok[2]
+                pos = p.i
                 values = p.sep_list(",", p.finite, "a finite law parameter")
                 if law_name == MASS_ACTION.name and values[0] < 0.0:
                     raise p.error(f"expected a rate constant >= 0, found {values[0]:g}", pos)

@@ -44,7 +44,7 @@ class DiscreteModel:
     events whose propensity reads its level, then those that read no level;
     ``updaters[g](n, p, slow)`` stores group g's propensities in p;
     ``after[k]``, the updaters of the primes event k changes, recompute its
-    dependents."""
+    dependents, less those whose events another of them recomputes too."""
 
     def __init__(self, events: list[Reaction], h: float, names: list[str]):
         self.events, self.h, self.names = events, h, names
@@ -66,7 +66,13 @@ class DiscreteModel:
         self.groups = [*readers, constant]
         rates, labels = [e.rate for e in events], [e.provenance for e in events]
         self.updaters = ex.compile_exprs(rates, labels, names, h=h, groups=self.groups, needs=needs)
-        self.after = [[self.updaters[i] for i, _ in js if readers[i]] for js in self.jumps]
+        self.after = []
+        for js in self.jumps:
+            first = {}  # each group of the changed primes, with the first prime that has it
+            for i, _ in js:
+                first.setdefault(frozenset(readers[i]), i)
+            kept = [i for g, i in first.items() if g and not any(g < o for o in first)]
+            self.after.append([self.updaters[i] for i in kept])
 
 
 def _factors(e: ex.Expr) -> Optional[set[str]]:

@@ -13,7 +13,6 @@ starts with a tuple and a ``Bin`` with a str.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
@@ -229,6 +228,8 @@ def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
     """Reject a definition that reaches itself through "|" and "new" alone.
 
     Unfolding it never reaches a guard, so it has no finite transition table.
+    One depth-first search walks from callee to caller, names in order of first
+    mention, and the first cycle it meets is worded from caller to callee.
     """
 
     def calls(t: Species) -> list[str]:
@@ -238,10 +239,22 @@ def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
             return [c for p in t.parts for c in calls(p)]
         return calls(t.body) if isinstance(t, New) else []
 
-    try:
-        TopologicalSorter({n: calls(sd.body) for n, sd in defs.items()}).prepare()
-    except CycleError as e:  # its cycle runs from callee to caller
-        raise UnguardedRecursionError(e.args[1][::-1]) from None
+    callers: dict[str, list[str]] = {}
+    for n, sd in defs.items():
+        callers.setdefault(n, [])
+        for c in calls(sd.body):
+            callers.setdefault(c, []).append(n)
+    at: dict[Optional[str], int] = {}  # a name's index on the path, -1 once it is left
+    path = [(None, iter(callers))]  # every name is a root, in order
+    while path:
+        n = next(path[-1][1], None)
+        if n is None:
+            at[path.pop()[0]] = -1
+        elif n not in at:
+            at[n] = len(path)
+            path.append((n, iter(callers[n])))
+        elif at[n] >= 0:
+            raise UnguardedRecursionError([n, *(m for m, _ in reversed(path[at[n] :]))])
 
 
 def validate_model(m: Model) -> None:

@@ -1,13 +1,16 @@
+import ast
+import re
+import time
 from pathlib import Path
 
 import pytest
 
 from bondc import expr as ex
 from bondc.congruence import normalize, serialize
-from bondc.parser import ParseError, parse_model
+from bondc.parser import _KIND, ParseError, _Parser, parse_model
 from bondc.terms import AMBIENT, NIL, Call, Model, ModelError, New, Par, Prefix, Sum
 
-from conftest import evaluate
+from conftest import evaluate, family_source
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -330,3 +333,81 @@ def test_mixture_requires_defined_nullary_species():
 def test_warning_for_pattern_site_not_in_species():
     m = parse_model("species X = x.0;\naffinity { zz at MA(1); }\n")
     assert any("zz" in w for w in m.warnings)
+
+
+# --- the lexer against the finditer lexer it replaced -------------------------
+
+# each match skips the whitespace and comments before one token
+_REFERENCE_RE = re.compile(
+    r"""
+    (?:\s+|\#[^\n]*)*
+    (?:
+      (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<op>\|\||[(){};,.+\-*/=@&|])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token up to and including the end of input."""
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", text, m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            break
+    return tokens
+
+
+def lexer_sources():
+    """Every corpus model, family member with k <= 8 and string in this file."""
+    yield from (path.read_text() for path in sorted(MODELS.glob("*.bond")))
+    yield from (family_source(f, k) for f in ("scaffold", "witness", "bank") for k in range(1, 9))
+    tree = ast.parse(Path(__file__).read_text())
+    constants = (n.value for n in ast.walk(tree) if isinstance(n, ast.Constant))
+    yield from (c for c in constants if isinstance(c, str))
+    yield "species X = x.0;  # a trailing comment, no final newline"
+    yield "species X = x.0;\n# comment one\n   # comment two"
+
+
+def test_lexer_matches_reference():
+    sources = list(lexer_sources())
+    assert len(sources) > 150
+    for text in sources:
+        try:
+            ref = reference_tokenize(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as ei:
+                _Parser(text)
+            assert str(ei.value) == str(err), text
+            continue
+        p = _Parser(text)
+        assert p.tokens[: len(ref)] == [tok for _, tok, _ in ref], text
+        assert not any(p.tokens[len(ref) :]), text  # at most one more end of input
+        for i, (kind, tok, offset) in enumerate(ref):
+            assert _KIND.get(tok[:1], "num") == kind, tok  # a kind is read from its first character
+            assert (kind == "num") == tok[:1].isdecimal(), tok
+            # a raised error's line:col is the reference offset's
+            assert str(p.error("x", i)) == str(ParseError("x", text, offset)), (text, i)
+
+
+def test_bad_character_after_long_input():
+    # the lexer is linear: it does not backtrack over skipped text or a long name
+    cases = [
+        (" " * 100_000 + "$", "1:100001: unexpected character '$'"),
+        ("a" * 100_000 + "$", "1:100001: unexpected character '$'"),
+        ("# a comment\n" * 10_000 + "$", "10001:1: unexpected character '$'"),
+    ]
+    start = time.perf_counter()
+    for text, message in cases:
+        with pytest.raises(ParseError) as ei:
+            parse_model(text)
+        assert str(ei.value) == message
+    assert time.perf_counter() - start < 2.0

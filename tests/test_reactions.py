@@ -663,3 +663,15 @@ def test_closed_products_match_general_path(source):
                 assert got == primes(commit(target))
                 closed += 1
     assert closed > 0
+
+
+def test_wide_cluster_of_sites_no_guard_offers():
+    # 2^31 sub-bags if every site of the wide cluster were listed; only "a" is offered
+    wide = " & ".join(["a"] + [f"z{i}" for i in range(30)])
+    affinity = f"affinity {{ {wide} at MA(1.0); a at MA(1.0); }}"
+    m = parse_model(f"species X = a.X;\n{affinity}\nmixture {{ 1 X }}\n")
+    rs = build_reaction_system(m)
+    assert len(rs.index.ts._fit) <= 2
+    unpruned = extract_reactions(m, reachable_primes(m, ts=TransitionSystem(m.species)))
+    assert reaction_system_json(rs) == reaction_system_json(unpruned)
+    assert len(rs.reactions) == 1

@@ -455,7 +455,13 @@ def test_dependency_graph_matches_brute_force(name):
         # the updaters an event calls recompute exactly its dependents
         deps = {k for i in changed for k in dm.groups[i]}
         assert sorted(deps) == [k for k in range(len(nus)) if reads[k] & changed], j
-        assert dm.after[j] == [dm.updaters[i] for i in sorted(changed) if dm.groups[i]], j
+        # they are a subsequence of the changed primes' updaters, none redundant
+        full = [dm.updaters[i] for i in sorted(changed) if dm.groups[i]]
+        at = [full.index(u) for u in dm.after[j]]
+        assert at == sorted(set(at)), j
+        listed = [set(dm.groups[dm.updaters.index(u)]) for u in dm.after[j]]
+        assert set().union(*listed) == deps, j
+        assert not any(a <= b for x, a in enumerate(listed) for b in listed[x + 1 :] + listed[:x]), j
         assert rs.reactions[j].jumps == [(i, nu[i]) for i in range(n) if nu[i]], j
 
 

@@ -1,3 +1,6 @@
+import random
+from graphlib import CycleError, TopologicalSorter
+
 import pytest
 
 from bondc.terms import (
@@ -9,7 +12,10 @@ from bondc.terms import (
     New,
     Par,
     Prefix,
+    SpeciesDef,
     Sum,
+    UnguardedRecursionError,
+    check_guarded,
     free_locations,
     fresh_name,
     make_cluster,
@@ -103,3 +109,32 @@ def test_law_apply_substitutes_args():
     r = law.apply((10.0, 2.0), [ex.Var("S"), ex.Var("E")])
     assert evaluate(r, {"S": 3.0, "E": 2.0}) == pytest.approx(60.0 / 4.0)
     assert ex.variables(r) == {"S", "E"}
+
+
+def graphlib_cycle(calls: dict[str, list[str]]):
+    """The reference: graphlib's cycle over callee -> caller edges, reversed."""
+    try:
+        TopologicalSorter(calls).prepare()
+    except CycleError as e:
+        return e.args[1][::-1]
+    return None
+
+
+def test_check_guarded_words_the_cycle_graphlib_finds():
+    # random unguarded call graphs, some names undefined, some calls repeated
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"N{i}" for i in range(rng.randint(1, 8))]
+        defined = rng.sample(names, rng.randint(1, len(names)))
+        calls = {n: [rng.choice(names) for _ in range(rng.randint(0, 3))] for n in defined}
+        defs = {
+            n: SpeciesDef(n, (), New(("l",), Par((*(Call(c, ()) for c in cs), NIL))))
+            for n, cs in calls.items()
+        }
+        cycle = graphlib_cycle(calls)
+        if cycle is None:
+            check_guarded(defs)
+            continue
+        with pytest.raises(UnguardedRecursionError) as ei:
+            check_guarded(defs)
+        assert str(ei.value) == str(UnguardedRecursionError(cycle)), seed
