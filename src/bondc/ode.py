@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from . import expr as ex
 from .reactions import ReactionSystem
@@ -154,7 +154,6 @@ def integrate(
     t_end: float,
     rtol: float = 1e-6,
     atol: float = 1e-9,
-    max_step: Optional[float] = None,
     grid: int = 200,
 ) -> Trajectory:
     """Integrate from t=0 to t_end, sampling `grid`+1 equispaced points."""
@@ -164,8 +163,7 @@ def integrate(
         raise ValueError("t_end must be positive")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    if max_step is None:
-        max_step = t_end / 50.0
+    max_step = t_end / 50.0  # no step is longer
 
     n = len(sys.names)
     y = np.asarray(x0, dtype=float)
@@ -189,7 +187,7 @@ def integrate(
 
     step = sys._step
     k0 = f(y)
-    h = min(max_step, t_end / 100.0)
+    h = t_end / 100.0
     h_min = 1e-14 * t_end
 
     max_steps = 10_000_000

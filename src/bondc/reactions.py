@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .congruence import parts, primes, serialize
-from .terms import AffinityEntry, Call, Cluster, Model, New, Par, Species, Sum
+from .terms import AffinityEntry, Call, Cluster, Model, Species
 from .transitions import Transition, TransitionSystem, colocate, commit
 
 
@@ -154,27 +154,15 @@ def initial_mixture(model: Model, index: PrimeIndex) -> list[float]:
     return x
 
 
-def _sites(t: Species) -> set[str]:
-    """The sites of t's guards."""
-    if isinstance(t, Sum):
-        return {g.site for g in t.guards}.union(*(_sites(g.body) for g in t.guards))
-    if isinstance(t, Par):
-        return set().union(*map(_sites, t.parts))
-    return _sites(t.body) if isinstance(t, New) else set()
-
-
 def reachable_primes(
     model: Model, cap: int = 512, ts: Optional[TransitionSystem] = None
 ) -> PrimeIndex:
     """Least fixpoint of the initial primes under all affinity reactions.
 
-    ``ts`` defaults to the transition system pruned to the model's clusters,
-    less the sites that no guard offers: they are in no transition's bag.
+    ``ts`` defaults to the transition system pruned to the model's clusters.
     """
     if ts is None:
-        offered = set().union(*(_sites(sd.body) for sd in model.species.values()))
-        pattern_clusters = (c for entry in model.affinity for c in entry.pattern)
-        clusters = [tuple(s for s in c if s in offered) for c in pattern_clusters]
+        clusters = [c for entry in model.affinity for c in entry.pattern]
         ts = TransitionSystem(model.species, clusters=clusters)
     index = PrimeIndex(ts)
     for conc, name in model.mixture:  # a call is its own normal form, and one prime

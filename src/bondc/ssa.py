@@ -7,7 +7,7 @@ updater per prime it changed recomputes the events whose rate reads, or whose
 negative jump checks, that level (Gibson & Bruck, 2000), checking a value only
 where a check can change it.  Propensities are pure functions of the levels,
 summed left to right as a full rescan would, so the streams equal the full
-recompute's; a non-finite one is found from the total.  Runs are
+recompute's; a non-finite total names the non-finite one, if any.  Runs are
 reproducible: a run draws from numpy's PCG64 seeded with an int or a
 SeedSequence, and multi-run mode seeds run i with the master seed's i-th
 SeedSequence.spawn child.  A run draws its uniforms ``_BLOCK`` at a time, in
@@ -171,6 +171,7 @@ def gillespie(
                 if not -inf < props[k] < inf:
                     error = ex.division_by_zero if k in divided else ex.non_finite
                     raise error(events[k].provenance)
+            raise ex.DomainError(f"run {run_id}: finite propensities sum to inf at t={t:.6g}")
         if total <= 0.0:
             absorbed = True
             break

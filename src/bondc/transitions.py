@@ -12,9 +12,9 @@ still take part in a reaction.  A transition's site bag only grows (by Com at
 a shared location) until it surfaces at ambient, where a pattern slot must
 match it exactly.  So a guard whose site lies in no cluster is dropped, and
 Com grows a combination part by part only while its bag is a sub-bag of some
-cluster: its cost follows the combinations that fit, not 2^parts.  Each test
-is a set lookup in every sub-bag of every cluster, listed when the system is
-built.  Without clusters the system computes the full table.  A system also
+cluster: its cost follows the combinations that fit, not 2^parts.  A bag is
+tested once, when first formed, against the clusters that hold its first
+site.  Without clusters the system computes the full table.  A system also
 keeps the table of each invocation it unfolds, which callers only read.
 
 Targets are positional: their bound locations are ?a0, ?a1, ..., to which
@@ -36,7 +36,6 @@ a definition orders its guards and parallel parts.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Optional
 
 from .congruence import normalize, serialize
@@ -110,15 +109,25 @@ class TransitionSystem:
     ):
         check_guarded(defs)
         self.defs = {n: SpeciesDef(n, sd.params, normalize(sd.body)) for n, sd in defs.items()}
-        # every sub-bag of every cluster, as a sorted tuple; None keeps everything
-        self._fit: Optional[set[Cluster]] = None if clusters is None else {
-            bag for c in clusters for r in range(1, len(c) + 1) for bag in combinations(c, r)
-        }
+        self._holding: dict[str, set[Cluster]] = {}  # each site's clusters
+        for c in clusters or ():
+            for s in c:
+                self._holding.setdefault(s, set()).add(c)
+        # each bag tested so far: whether it fits; None keeps everything
+        self._fit: Optional[dict[Cluster, bool]] = None if clusters is None else {}
         self._calls: dict[Call, dict[Transition, int]] = {}  # a call's table, shared read-only
 
     def _fits(self, sites: Cluster) -> bool:
-        """Whether a sorted site bag is a sub-bag of some cluster (always, unpruned)."""
-        return self._fit is None or sites in self._fit
+        """Whether a site bag is a sub-bag of some cluster (always, unpruned)."""
+        if self._fit is None:
+            return True
+        fit = self._fit.get(sites)
+        if fit is None:
+            fit = self._fit[sites] = any(
+                all(sites.count(s) <= c.count(s) for s in sites)
+                for c in self._holding.get(sites[0], ())
+            )
+        return fit
 
     def transitions(self, t: Species) -> Counter:
         return _surface(self._transitions(t).items())

@@ -89,10 +89,10 @@ def test_error_shrinks_with_tolerance():
     rs = build_reaction_system(parse_model((MODELS / "mm.bond").read_text()))
     sys_ = build_odes(rs)
     x0 = initial_mixture(parse_model((MODELS / "mm.bond").read_text()), rs.index)
-    ref = integrate(sys_, x0, 2.0, rtol=1e-12, atol=1e-14, max_step=2.0).y[-1]
+    ref = integrate(sys_, x0, 2.0, rtol=1e-12, atol=1e-14).y[-1]
     errs = []
     for rtol in (1e-3, 1e-7):
-        traj = integrate(sys_, x0, 2.0, rtol=rtol, atol=1e-12, max_step=2.0)
+        traj = integrate(sys_, x0, 2.0, rtol=rtol, atol=1e-12)
         errs.append(float(np.max(np.abs(traj.y[-1] - ref))))
     assert errs[1] < errs[0]
 

@@ -675,3 +675,21 @@ def test_wide_cluster_of_sites_no_guard_offers():
     unpruned = extract_reactions(m, reachable_primes(m, ts=TransitionSystem(m.species)))
     assert reaction_system_json(rs) == reaction_system_json(unpruned)
     assert len(rs.reactions) == 1
+
+
+def test_wide_cluster_of_offered_sites():
+    # every site is offered but none is co-located with another: each bag a
+    # transition forms has one site, where listing the cluster's sub-bags
+    # would take 2^31 - 1
+    sites = ["a"] + [f"z{i}" for i in range(30)]
+    src = (
+        f"species X = ({' | '.join(f'{s}.0' for s in sites)});\n"
+        f"affinity {{ {' & '.join(sites)} at MA(1.0); a at MA(1.0); }}\nmixture {{ 1 X }}\n"
+    )
+    m = parse_model(src)
+    t0 = time.perf_counter()
+    rs = build_reaction_system(m)
+    assert time.perf_counter() - t0 < 0.25
+    unpruned = extract_reactions(m, reachable_primes(m, ts=TransitionSystem(m.species)))
+    assert reaction_system_json(rs) == reaction_system_json(unpruned)
+    assert [r.provenance for r in rs.reactions] == ["a at MA(1)"]

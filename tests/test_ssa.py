@@ -486,6 +486,18 @@ def test_negative_infinite_propensity_names_reaction():
         gillespie(dm, [10**5], 1.0, seed=1)
 
 
+def test_overflowing_total_of_finite_propensities_stops_the_run():
+    # 1e308 + 1.5e308 overflows: with a total of inf every event would wait 0
+    # and the choice would always fall on the last one
+    src = (
+        "species A = a.A; species B = b.B;\n"
+        "affinity { a at MA(1e308); b at MA(1.5e308); }\nmixture { 1 A, 1 B }"
+    )
+    dm = discretize(build_reaction_system(parse_model(src)), 1.0)
+    with pytest.raises(ex.DomainError, match=r"^run 3: finite propensities sum to inf at t=0$"):
+        gillespie(dm, [1, 1], 1.0, seed=1, run_id=3)
+
+
 def test_rate_division_by_zero_names_reaction():
     src = "species X = x.0;\nlaw F(k; x) = k / (x - 1);\naffinity { x at F(2); }\nmixture { 1 X }"
     rs = build_reaction_system(parse_model(src))
