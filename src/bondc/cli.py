@@ -91,6 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     capped.add_argument("--cap", type=_COUNT, default=512)
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--t-end", type=_POSITIVE, required=True)
+    run.add_argument("--grid", type=_COUNT, default=200)
     run.add_argument("--out", help="output CSV path (default: stdout)")
 
     def command(name: str, help: str, *shared: argparse.ArgumentParser):
@@ -107,13 +108,11 @@ def _parser() -> argparse.ArgumentParser:
     p = command("simulate", "deterministic (ODE) trajectory as CSV", capped, run)
     p.add_argument("--rtol", type=_POSITIVE, default=1e-6)
     p.add_argument("--atol", type=_POSITIVE, default=1e-9)
-    p.add_argument("--grid", type=_COUNT, default=200)
 
     p = command("ssa", "stochastic (Gillespie) trajectories as CSV", capped, run)
     p.add_argument("--h", type=_POSITIVE, required=True, help="concentration per level")
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--runs", type=_COUNT, default=1)
-    p.add_argument("--sample-dt", type=_POSITIVE)
     return ap
 
 
@@ -193,9 +192,7 @@ def _dispatch(args: argparse.Namespace) -> None:
                 if c and not n:
                     w = f"initial concentration {c:g} of '{name}' rounds to 0 levels"
                     print(f"warning: {w} at h={args.h:g}", file=sys.stderr)
-            runs = ssa_mod.gillespie_runs(
-                dm, n0, args.t_end, args.seed, args.runs, sample_dt=args.sample_dt
-            )
+            runs = ssa_mod.gillespie_runs(dm, n0, args.t_end, args.seed, args.runs, args.grid)
             for r in runs:
                 for w in r.warnings:
                     print(f"warning: run {r.run_id}: {w}", file=sys.stderr)

@@ -11,8 +11,8 @@ pair with error-per-step control.  One attempt is generated per model,
 straight-line over Python floats with the tableau inlined; a prime that no
 reaction changes is carried as it is.  The standard quartic continuous
 extension gives dense output over floats too (its weighted sum of stages by
-``math.fsum``), built only on accepted steps that reach a grid point.  The
-rows become numpy arrays at return.
+``math.fsum``), built only on accepted steps that reach a point of the grid
+``sample_times``, which ``gillespie`` samples too.  Rows become arrays at return.
 Concentrations are clipped to zero between accepted steps: explicit solvers
 overshoot near the axes and the kinetic laws live on the nonnegative orthant.
 """
@@ -171,8 +171,7 @@ def integrate(
         raise ValueError(f"expected {n} initial concentrations")
     y = y.tolist()
     t = 0.0
-    check_grid(grid + 1)
-    t_out = np.linspace(0.0, t_end, grid + 1)
+    t_out = sample_times(t_end, grid)
     t_grid = t_out.tolist()
     if not n:  # no primes: nothing to integrate
         return Trajectory(t_out, np.zeros((grid + 1, 0)), 0, 0, 0)
@@ -273,10 +272,14 @@ def _tex_escape(s: str) -> str:
     return out
 
 
-def check_grid(n: float) -> None:
-    """Raise MemoryError past 2^60 sample times, which numpy cannot size at 8 bytes each."""
-    if not n < 2**60:
-        raise MemoryError(f"a grid of {n:g} sample times does not fit in memory")
+def sample_times(t_end: float, grid: int) -> np.ndarray:
+    """The grid + 1 equispaced times from 0 to t_end that ``integrate`` and ``gillespie``
+    sample; MemoryError past 2^60 of them, which numpy cannot size at 8 bytes each."""
+    import numpy as np
+
+    if not grid + 1 < 2**60:
+        raise MemoryError(f"a grid of {grid + 1:g} sample times does not fit in memory")
+    return np.linspace(0.0, t_end, grid + 1)
 
 
 def write_trajectory_csv(fh: TextIO, names: list[str], traj: Trajectory) -> None:

@@ -10,9 +10,9 @@ summed left to right as a full rescan would, so the streams equal the full
 recompute's; a non-finite total names the non-finite one, if any.  Runs are
 reproducible: a run draws from numpy's PCG64 seeded with an int or a
 SeedSequence, and multi-run mode seeds run i with the master seed's i-th
-SeedSequence.spawn child.  A run draws its uniforms ``_BLOCK`` at a time, in
-one ``Generator.random`` call, and each event reads the next two: one for its
-waiting time, by the exponential's inverse CDF, and one for the choice.
+SeedSequence.spawn child.  A run samples its levels at ``ode.sample_times``,
+as ``integrate`` does, into a list of rows that becomes one int64 array at
+return; a sampled level past 2^63 - 1 is a DomainError there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, TextIO
 
 from . import expr as ex
-from .ode import check_grid, write_csv
+from .ode import sample_times, write_csv
 from .reactions import Reaction, ReactionSystem
 
 if TYPE_CHECKING:
@@ -111,7 +111,7 @@ def gillespie(
     n0: Sequence[int],
     t_end: float,
     seed: int | np.random.SeedSequence,
-    sample_dt: Optional[float] = None,
+    grid: int = 200,
     run_id: int = 0,
 ) -> SsaRun:
     """Direct-method stochastic simulation of one trajectory.
@@ -124,19 +124,13 @@ def gillespie(
     propensities exceeds ``v * total``."""
     import numpy as np
 
-    if sample_dt is None:
-        sample_dt = t_end / 200.0
     rng = np.random.Generator(np.random.PCG64(seed))
     levels = list(n0)
     if any(n < 0 for n in levels):
         raise ValueError("initial levels must be nonnegative")
-    check_grid(t_end / sample_dt)
-    n_out = int(math.floor(t_end / sample_dt + 1e-9)) + 1
-    t_out = np.arange(n_out) * sample_dt
-    grid = t_out.tolist()
-    out = np.empty((n_out, len(levels)), dtype=np.int64)
-    out[0] = levels
-    next_out = 1
+    t_out = sample_times(t_end, grid)
+    times = [*t_out.tolist(), math.inf]  # inf: no event samples past the last time
+    out, k = [levels.copy()], 1  # the sampled rows; times[k] is the next time to sample
 
     run_warnings: list[str] = []
     t = 0.0
@@ -187,9 +181,9 @@ def gillespie(
                 f"run {run_id} fired {MAX_EVENTS} events by t={t:.6g} at h={model.h:g}; "
                 "a larger level size takes fewer events"
             )
-        while next_out < n_out and grid[next_out] < t:
-            out[next_out] = levels
-            next_out += 1
+        while times[k] < t:
+            out.append(levels.copy())
+            k += 1
         # the last event when round-off puts v * total at the total, as a full scan would
         chosen = bisect_right(acc, v * total, 0, len(acc) - 1)
         for i, d in jumps[chosen]:
@@ -198,8 +192,14 @@ def gillespie(
         for g in after[chosen]:
             g(levels, props, slow)
 
-    out[next_out:] = levels
-    return SsaRun(run_id, t_out, out, n_events, absorbed, run_warnings)
+    out += [levels] * (grid + 1 - k)
+    try:
+        rows = np.array(out, dtype=np.int64)
+    except OverflowError:  # a Python int holds any level, an int64 row does not
+        n, i = max((n, i) for row in out for i, n in enumerate(row))
+        at = f"'{model.names[i]}' reaches {n} levels at h={model.h:g}"
+        raise ex.DomainError(f"run {run_id}: {at}, more than a level count holds (2^63 - 1)")
+    return SsaRun(run_id, t_out, rows, n_events, absorbed, run_warnings)
 
 
 def gillespie_runs(
@@ -208,13 +208,13 @@ def gillespie_runs(
     t_end: float,
     seed: int,
     runs: int,
-    sample_dt: Optional[float] = None,
+    grid: int = 200,
 ) -> list[SsaRun]:
     """Independent runs with per-run child streams of the master seed."""
     import numpy as np
 
     children = np.random.SeedSequence(seed).spawn(runs)
-    return [gillespie(model, n0, t_end, child, sample_dt, i) for i, child in enumerate(children)]
+    return [gillespie(model, n0, t_end, child, grid, i) for i, child in enumerate(children)]
 
 
 def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:

@@ -239,10 +239,10 @@ def test_ssa_mean_tracks_ode():
 
     dm = discretize(rs, h)
     seed = 20260826
-    runs = gillespie_runs(dm, n0, 0.5, seed=seed, runs=200, sample_dt=0.1)
+    runs = gillespie_runs(dm, n0, 0.5, seed=seed, runs=200, grid=5)
     t, mean, std = mean_std(runs)
     ref = integrate(sys_, x0, 0.5, rtol=1e-8, atol=1e-12, grid=5)
-    assert np.allclose(t, ref.t)
+    assert np.array_equal(t, ref.t)
     checkpoints = [j for j, tj in enumerate(t) if tj > 0]
     assert len(checkpoints) == 5
     for j in checkpoints:
@@ -250,7 +250,7 @@ def test_ssa_mean_tracks_ode():
             se = std[j, k] / math.sqrt(len(runs))
             assert abs(mean[j, k] - ref.y[j, k] / h) <= 3 * se
 
-    rerun = gillespie_runs(dm, n0, 0.5, seed=seed, runs=200, sample_dt=0.1)
+    rerun = gillespie_runs(dm, n0, 0.5, seed=seed, runs=200, grid=5)
     for a, b in zip(runs, rerun):
         assert np.array_equal(a.levels, b.levels)
         assert a.events == b.events

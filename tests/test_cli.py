@@ -296,7 +296,7 @@ def test_closed_stdout_pipe_is_not_an_error():
     # about 250 kB of CSV, more than a pipe holds: bondc writes on after the reader has gone
     argv = ["ssa", str(MODELS / "enzyme.bond"), "--h", "0.01", "--seed", "1", "--t-end", "5"]
     with subprocess.Popen(
-        [sys.executable, "-m", "bondc.cli", *argv, "--sample-dt", "0.0005"],
+        [sys.executable, "-m", "bondc.cli", *argv, "--grid", "10000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
     ) as proc:
         assert proc.stdout.readline().startswith(b"run,t,")
@@ -371,8 +371,8 @@ def test_ssa_stdout_csv(capsys):
         "1.0",
         "--seed",
         "42",
-        "--sample-dt",
-        "0.5",
+        "--grid",
+        "2",
     )
     assert code == 0
     lines = out.splitlines()
@@ -383,7 +383,7 @@ def test_ssa_stdout_csv(capsys):
 def test_ssa_warns_of_a_prime_that_starts_at_zero_levels(tmp_path, capsys):
     path = tmp_path / "tiny.bond"
     path.write_text("species X = x.(X | X);\naffinity { x at MA(1); }\nmixture { 1 X }\n")
-    argv = ["--seed", "1", "--t-end", "1", "--sample-dt", "0.5"]
+    argv = ["--seed", "1", "--t-end", "1", "--grid", "2"]
     code, out, err = run(capsys, "ssa", str(path), "--h", "1e9", *argv)
     assert (code, out) == (0, "run,t,X\n0,0.0,0\n0,0.5,0\n0,1.0,0\n")
     assert err == "warning: initial concentration 1 of 'X' rounds to 0 levels at h=1e+09\n"
@@ -437,21 +437,46 @@ def test_mixture_sum_that_is_not_finite_is_domain_error(tmp_path, capsys, comman
 
 def test_ssa_level_count_within_int64_runs(capsys):
     # 1e18 levels of S fit; at t-end 1e-30 the first event comes after the end
-    argv = ["--h", "1e-17", "--t-end", "1e-30", "--seed", "1", "--sample-dt", "1e-30"]
+    argv = ["--h", "1e-17", "--t-end", "1e-30", "--seed", "1", "--grid", "1"]
     code, out, err = run(capsys, "ssa", str(MODELS / "mm.bond"), *argv)
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == "0,0.0,999999999999999872,100000000000000000,0"
+
+
+def test_ssa_level_count_past_int64_during_a_run_is_domain_error(tmp_path, capsys):
+    # A starts 1,023 levels below 2^63 - 1 and gains one at each event
+    path = tmp_path / "grows.bond"
+    path.write_text(
+        "species A = a.(A | A);\naffinity { a at MA(1.0); }\nmixture { 9.223372036854775e18 A }\n"
+    )
+    dest = tmp_path / "out.csv"
+    argv = ["--h", "1", "--t-end", "1e-15", "--seed", "1", "--out", str(dest)]
+    code, out, err = run(capsys, "ssa", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[DOMAIN]: run 0: 'A' reaches ") and err.count("\n") == 1
+    assert err.endswith(" levels at h=1, more than a level count holds (2^63 - 1)\n")
+    assert dest.read_text() == ""
+
+
+@pytest.mark.parametrize("t_end, grid", [("1", "3"), ("5", "50"), ("0.9", "200"), ("3", "7")])
+def test_simulate_and_ssa_sample_one_grid(capsys, t_end, grid):
+    # a third and 0.9 / 200 are inexact in binary: the last time is still exactly --t-end
+    f = str(MODELS / "mm.bond")
+    code, ode_out, err = run(capsys, "simulate", f, "--t-end", t_end, "--grid", grid)
+    assert (code, err) == (0, "")
+    argv = ["--h", "0.01", "--seed", "1", "--t-end", t_end, "--grid", grid]
+    code, ssa_out, err = run(capsys, "ssa", f, *argv)
+    assert (code, err) == (0, "")
+    times = [row.split(",")[0] for row in ode_out.splitlines()[1:]]
+    assert times == [row.split(",")[1] for row in ssa_out.splitlines()[1:]]
+    assert len(times) == int(grid) + 1 and float(times[-1]) == float(t_end)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--t-end", "1", "--grid", "1000000000000000"],  # 7 PiB of grid times
-        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--sample-dt", "1e-16"],  # 71 PiB
-        pytest.param(  # t_end / sample_dt overflows to inf
-            ["ssa", "--h", "0.1", "--t-end", "1e300", "--sample-dt", "1e-300", "--seed", "1"],
-            id="ssa-inf-samples",
-        ),
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--grid", "1000000000000000"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -466,7 +491,7 @@ def test_output_too_large_to_allocate_is_memory_error(capsys, argv):
     "argv",
     [
         ["simulate", "--t-end", "1", "--grid", str(10**20)],
-        ["ssa", "--h", "0.1", "--t-end", "1e10", "--seed", "1", "--sample-dt", "1e-10"],
+        ["ssa", "--h", "0.1", "--t-end", "1e10", "--seed", "1", "--grid", str(10**20)],
     ],
     ids=lambda argv: argv[0],
 )
@@ -577,7 +602,7 @@ OPTIONS = {  # subcommand: {argument: (required, default, choices)}
         "--t-end": (True, None, None),
         "--seed": (True, None, None),
         "--runs": (False, 1, None),
-        "--sample-dt": (False, None, None),
+        "--grid": (False, 200, None),
         **CAP,
         **OUT,
     },
@@ -635,7 +660,7 @@ def test_no_command_exit_2(capsys):
         ["ssa", "--h", "0", "--t-end", "1", "--seed", "1"],
         ["ssa", "--h", "0.1", "--t-end", "-1", "--seed", "1"],
         ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "-1"],
-        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--sample-dt", "0"],
+        ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--grid", "0"],
         ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1", "--runs", "0"],
         ["ssa", "--h", "0.1", "--t-end", "1", "--seed", "1.5"],
         ["primes", "--cap", "0"],

@@ -85,7 +85,7 @@ def test_runs_bit_identical_and_independent():
 def test_decay_mean_matches_exponential():
     # E[N(t)] = N0 * exp(-k t) for unit-rate decay
     dm, _ = decay_model()
-    runs = gillespie_runs(dm, [400], 2.0, seed=3, runs=200, sample_dt=0.5)
+    runs = gillespie_runs(dm, [400], 2.0, seed=3, runs=200, grid=4)
     t, mean, std = mean_std(runs)
     se = std / math.sqrt(len(runs))
     for i, ti in enumerate(t):
@@ -105,16 +105,16 @@ def test_enzyme_conservation_exact_per_run():
     dm, rs, n0 = enzyme_model(h=0.1)
     i_e = dm.names.index("E")
     i_c = next(i for i, n in enumerate(dm.names) if n not in ("S", "E", "P"))
-    for run in gillespie_runs(dm, n0, 5.0, seed=11, runs=10, sample_dt=1.0):
+    for run in gillespie_runs(dm, n0, 5.0, seed=11, runs=10, grid=5):
         totals = run.levels[:, i_e] + run.levels[:, i_c]
         assert (totals == totals[0]).all()
 
 
 def test_sampling_grid():
     dm, _ = decay_model()
-    run = gillespie(dm, [50], 2.0, seed=5, sample_dt=0.25)
+    run = gillespie(dm, [50], 2.0, seed=5, grid=8)
     assert len(run.t) == 9
-    assert run.t[0] == 0.0 and run.t[-1] == pytest.approx(2.0)
+    assert run.t[0] == 0.0 and run.t[-1] == 2.0
     assert run.levels[0, 0] == 50
 
 
@@ -126,7 +126,7 @@ def test_negative_initial_levels_rejected():
 
 def test_write_runs_csv_format():
     dm, _ = decay_model()
-    runs = gillespie_runs(dm, [10], 1.0, seed=13, runs=2, sample_dt=0.5)
+    runs = gillespie_runs(dm, [10], 1.0, seed=13, runs=2, grid=2)
     buf = io.StringIO()
     write_runs_csv(buf, dm, runs)
     lines = buf.getvalue().splitlines()
@@ -138,7 +138,7 @@ def test_write_runs_csv_format():
 
 def test_mean_std_shapes():
     dm, _ = decay_model()
-    runs = gillespie_runs(dm, [30], 1.0, seed=17, runs=4, sample_dt=0.5)
+    runs = gillespie_runs(dm, [30], 1.0, seed=17, runs=4, grid=2)
     t, mean, std = mean_std(runs)
     assert mean.shape == (len(t), 1) and std.shape == mean.shape
     assert (std >= 0).all()
@@ -259,7 +259,7 @@ def test_constant_propensity_mean_tracks_rate():
     # Y is a Poisson count of mean 2t/h levels: its mean concentration is 2t
     h = 0.1
     dm = discretize(build_reaction_system(parse_model(CONSTANT)), h)
-    runs = gillespie_runs(dm, [10, 0], 4.0, seed=5, runs=200, sample_dt=1.0)
+    runs = gillespie_runs(dm, [10, 0], 4.0, seed=5, runs=200, grid=4)
     t, mean, std = mean_std(runs)
     se = std / math.sqrt(len(runs))
     assert (runs[0].levels[:, 0] == 10).all()
@@ -279,8 +279,7 @@ def reference_runs(rs, h, n0, t_end, seed, runs):
     v*total, or the last one.  Returns each run's (events, sha256 of its levels)."""
     names, n_primes = rs.prime_names, len(rs.prime_names)
     nus = [stoichiometry(r, n_primes) for r in rs.reactions]
-    dt = t_end / 200.0
-    grid = [i * dt for i in range(int(math.floor(t_end / dt + 1e-9)) + 1)]
+    grid = [i * (t_end / 200) for i in range(200)] + [t_end]
     seeds = [seed] if runs is None else np.random.SeedSequence(seed).spawn(runs)
     out = []
     for child in seeds:
