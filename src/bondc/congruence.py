@@ -21,10 +21,12 @@ body is numbered from there.
 The canonical order of a prime's binders comes from individualization-
 refinement (McKay & Piperno, Practical graph isomorphism II, 2014).  Binders
 are coloured by how the atoms use them, and the colours are refined until
-stable.  A cell of tied binders is split by trying each of them first; the
-least serialization over all orders reached wins.  A binder is not tried
-when swapping it with one already tried leaves the atoms unchanged, so k
-interchangeable binders cost k leaves, not k!.
+stable or discrete.  A cell of tied binders is split by trying each of them
+first; the least serialization over all orders reached wins.  Two orders
+that serialize equally map the atoms onto themselves: this automorphism is
+recorded, and the search backs up to where the two paths part.  A binder is
+not tried when an automorphism fixing the binders tried above it maps a
+tried one to it, so the d-cube costs d + 1 leaves, not 2^d d!.
 
 Normal forms carry their serialization, built bottom-up: every sort keys on
 it, and no level serializes the one below again.  A labelling substitutes
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional, Sequence
 
 from .terms import (
     NIL,
@@ -69,7 +71,7 @@ def serialize(t: Species) -> str:
     raise TypeError(t)
 
 
-def _ser_call(name: str, args: tuple[str, ...]) -> str:
+def _ser_call(name: str, args: Sequence[str]) -> str:
     return f"{name}({','.join(args)})" if args else name
 
 
@@ -225,12 +227,6 @@ def _prime(
             return _call(a.name, a.args, sub)
         return _atom(a, {x: sub.get(v, v) for x, v in env.items()}, inner)
 
-    def swap_fixes(u: str, v: str) -> bool:
-        """Whether exchanging binders u and v maps the atom bag to itself."""
-        hit = [i for i, used in enumerate(uses) if u in used or v in used]
-        swap = {u: v, v: u}
-        return Counter(label(i, {})[1] for i in hit) == Counter(label(i, swap)[1] for i in hit)
-
     def close(order: list[str]) -> Normal:
         """The prime with its binders named ℓ<depth>, ... in this order."""
         names = tuple(f"ℓ{depth + i}" for i in range(len(order)))
@@ -241,31 +237,19 @@ def _prime(
     if len(binders) == 1:
         return close(binders)
 
-    def leaves(colour: dict[str, int]) -> Iterator[Normal]:
-        tied = min((c for c, k in Counter(colour.values()).items() if k > 1), default=None)
-        if tied is None:  # discrete: colours are 0..n-1
-            yield close(sorted(binders, key=colour.__getitem__))
-            return
-        tried: list[str] = []
-        for v in (b for b in binders if colour[b] == tied):
-            if any(swap_fixes(u, v) for u in tried):
-                continue
-            tried.append(v)
-            yield from leaves(refine({b: 2 * c + (b != v) for b, c in colour.items()}))
-
     # how atom i uses binder b: the atom with b marked '!', other binders '?',
     # as the rank of that string among all of them
     edge = {
-        (i, b): label(i, {c: "!" if c == b else "?" for c in used})[1]
-        for i, used in enumerate(uses)
-        for b in used
+        (i, b): _ser_call(a.name, ["!" if x == b else "?" if x in used else x for x in a.args])
+        if isinstance(a, Call) else label(i, {c: "!" if c == b else "?" for c in used})[1]
+        for i, ((a, _), used) in enumerate(zip(atoms, uses)) for b in used
     }
     rank = {e: r for r, e in enumerate(sorted(set(edge.values())))}
     edge = {ib: rank[e] for ib, e in edge.items()}
     occurs = {b: [i for i, used in enumerate(uses) if b in used] for b in binders}
 
-    def refine(colour: dict[str, int]) -> dict[str, int]:
-        """Colour refinement of binders through the atoms they share."""
+    def refine(colour: dict[str, int], k: int) -> tuple[dict[str, int], int]:
+        """Colour refinement of binders through the atoms they share, from k colours."""
         while True:
             # atom i's binders by colour and use, the same for each binder it holds
             near = [
@@ -275,9 +259,45 @@ def _prime(
                 b: (colour[b], *sorted((edge[i, b], near[i]) for i in occurs[b])) for b in binders
             }
             ranks = {s: r for r, s in enumerate(sorted(set(sig.values())))}
-            refined = {b: ranks[sig[b]] for b in binders}
-            if len(ranks) == len(set(colour.values())):
-                return refined
-            colour = refined
+            colour = {b: ranks[sig[b]] for b in binders}
+            if len(ranks) in (k, len(binders)):  # stable, or discrete and so stable
+                return colour, len(ranks)
+            k = len(ranks)
 
-    return min(leaves(refine({b: 0 for b in binders})), key=itemgetter(1))
+    # each leaf's serialization: the first leaf giving it, its order and its path
+    found: dict[str, tuple[Normal, list[str], tuple[str, ...]]] = {}
+    autos: list[dict[str, str]] = []
+    nodes: list = []  # the open path: each node's path, colouring, colour count, cell, tried
+
+    def visit(path: tuple[str, ...], colour: dict[str, int], k: int) -> None:
+        if k < len(binders):
+            tied = min(c for c, m in Counter(colour.values()).items() if m > 1)
+            nodes.append((path, colour, k, (b for b in binders if colour[b] == tied), []))
+            return
+        order = sorted(binders, key=colour.__getitem__)
+        leaf = close(order)
+        _, first, at = found.setdefault(leaf[1], (leaf, order, path))
+        if first is not order:
+            # an automorphism: where the two paths part, it maps the first leaf's
+            # branch onto this one's, so the rest of this branch is not searched
+            autos.append(dict(zip(order, first)))
+            del nodes[1 + next(j for j, (u, v) in enumerate(zip(path, at)) if u != v) :]
+
+    visit((), *refine(dict.fromkeys(binders, 0), 1))
+    while nodes:
+        path, colour, k, cell, tried = nodes[-1]
+        v = next(cell, None)
+        if v is None:
+            nodes.pop()
+        elif v not in _orbit(tried, [g for g in autos if all(g[u] == u for u in path)]):
+            tried.append(v)
+            visit((*path, v), *refine({b: 2 * c + (b != v) for b, c in colour.items()}, k + 1))
+    return found[min(found)][0]
+
+
+def _orbit(xs: list[str], maps: list[dict[str, str]]) -> set[str]:
+    """Every image of xs under the maps, applied any number of times."""
+    orbit = set(xs)
+    while more := {g[x] for g in maps for x in orbit} - orbit:
+        orbit |= more
+    return orbit

@@ -9,30 +9,33 @@ matched, and kept in table order, which depends only on the canonical prime.
 The index is built once, by ``reachable_primes``, and serves extraction too.
 The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
-its last evaluation, since the others' products are already indexed.  A
-tuple's product is its colocated targets, committed and normalized once (by
-``primes``), which also canonicalizes an open target the table left raw;
+its last evaluation, since the others' products are already indexed; a
+tuple whose other slots hold old primes only takes the last slot's new ones.
+A tuple's product is its colocated targets, committed and normalized once
+(by ``primes``), which also canonicalizes an open target the table left raw;
 when every target is closed, each is a normal form already, and the product
-is the sorted union of their primes.  It is memoized, so
-extraction does not colocate or normalize.
-Tuples are visited in the same order either way, so prime numbering does
-not depend on any of this.  The rate of a matched tuple is the kinetic law
-applied to the total cluster concentrations, divided by those concentrations
-and multiplied back by each participant's own contribution; a slot whose
-cluster is matched by a single (prime, transition) pair cancels exactly.
-The law is applied once per entry.  Repeated clusters in a pattern contribute
-the standard 1/multiplicity! symmetry correction, so e.g. a homodimerization
-under mass-action k fires at (1/2) k [A]^2.  Tuples with equal reactants,
-products and entry sum into one reaction; a non-finite constant in a rate is
-an error.
+is the sorted union of their primes.  It is memoized, so extraction does not
+colocate or normalize.  Tuples are visited in the same order either way, so
+prime numbering does not depend on any of this.  The rate of a matched tuple
+is the kinetic law applied to the total cluster concentrations, divided by
+those concentrations and multiplied back by each participant's own
+contribution; a slot whose cluster is matched by a single (prime, transition)
+pair cancels exactly.  The law is applied once per entry, and the totals are
+built only for a law that reads them: mass action does not.  Repeated
+clusters in a pattern contribute the standard 1/multiplicity! symmetry
+correction, so e.g. a homodimerization under mass-action k fires at
+(1/2) k [A]^2.  Tuples with equal reactants, products and entry sum into one
+reaction; a non-finite constant in a rate is an error.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from collections import Counter
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import expr as ex
@@ -111,7 +114,9 @@ class PrimeIndex:
             targets = [mt.tr.target for mt in combo]
             if all(f.arity == 0 for f in targets):
                 # closed targets are normal forms: the product's primes are theirs, merged
-                ps = sorted((p for f in targets for p in parts(f.body)), key=serialize)
+                ps = [p for f in targets for p in parts(f.body)]  # sorted within each target
+                if len(targets) > 1:
+                    ps.sort(key=serialize)
             else:
                 ps = primes(commit(functools.reduce(colocate, targets)))
             hit = tuple(self.add(p)[0] for p in ps)
@@ -177,13 +182,14 @@ def reachable_primes(
         for e, entry in enumerate(model.affinity):
             by_cluster = index.matches()
             old, seen[e] = seen[e], len(index)
-            slot_lists = [by_cluster.get(c, []) for c in entry.pattern]
-            for combo in itertools.product(*slot_lists):
-                if all(mt.prime < old for mt in combo):
-                    continue
-                index.products(combo)
-                if len(index) > cap:
-                    raise UnboundedError(cap)
+            *heads, last = [by_cluster.get(c, []) for c in entry.pattern]
+            # each list runs in prime order: an all-old head takes only the last slot's new matches
+            new = last[bisect.bisect_left(last, old, key=attrgetter("prime")) :]
+            for head in itertools.product(*heads):
+                for mt in last if any(h.prime >= old for h in head) else new:
+                    index.products((*head, mt))
+                    if len(index) > cap:
+                        raise UnboundedError(cap)
     return index
 
 
@@ -209,7 +215,7 @@ def _entry_provenance(entry: AffinityEntry) -> str:
 
 def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
     by_cluster = index.matches()
-    conc = cluster_concentrations(index)
+    conc: Optional[dict[Cluster, ex.Expr]] = None  # built when a law first reads it
     # merged rate per (reactants, products, provenance), in first-occurrence order
     rates: dict[tuple[tuple[int, ...], tuple[int, ...], str], ex.Expr] = {}
     warnings: list[str] = []
@@ -222,7 +228,9 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
             warnings.append(f"affinity entry '{prov}' matches no species")
             continue
         sym = math.prod(math.factorial(count) for count in Counter(entry.pattern).values())
-        a_exprs = [conc[c] for c in entry.pattern]
+        if not law.variadic:
+            conc = conc or cluster_concentrations(index)
+            a_exprs = [conc[c] for c in entry.pattern]
         params = entry.law_params
         try:  # the law's value f(a_1..a_m), once per entry; mass action's f/prod(a_j) is k
             value = ex.const(params[0]) if law.variadic else law.apply(params, a_exprs)

@@ -231,19 +231,18 @@ def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
     One depth-first search walks from callee to caller, names in order of first
     mention, and the first cycle it meets is worded from caller to callee.
     """
-
-    def calls(t: Species) -> list[str]:
-        if isinstance(t, Call):
-            return [t.name]
-        if isinstance(t, Par):
-            return [c for p in t.parts for c in calls(p)]
-        return calls(t.body) if isinstance(t, New) else []
-
     callers: dict[str, list[str]] = {}
     for n, sd in defs.items():
         callers.setdefault(n, [])
-        for c in calls(sd.body):
-            callers.setdefault(c, []).append(n)
+        todo = [sd.body]  # the calls it reaches through "|" and "new", in order
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Call):
+                callers.setdefault(t.name, []).append(n)
+            elif isinstance(t, Par):
+                todo += reversed(t.parts)
+            elif isinstance(t, New):
+                todo.append(t.body)
     at: dict[Optional[str], int] = {}  # a name's index on the path, -1 once it is left
     path = [(None, iter(callers))]  # every name is a root, in order
     while path:
@@ -262,20 +261,23 @@ def validate_model(m: Model) -> None:
     sites: set[str] = set()
     locations: set[str] = set()
 
-    def scan(t: Species) -> None:
+    for sd in m.species.values():
+        locations.update(sd.params)
+    todo = [sd.body for sd in reversed(m.species.values())]  # depth first, in order
+    while todo:
+        t = todo.pop()
         if isinstance(t, Sum):
             for g in t.guards:
                 sites.add(g.site)
                 if g.location is not None:
                     locations.add(g.location)
                 locations.update(g.receives)
-                scan(g.body)
+            todo += reversed([g.body for g in t.guards])
         elif isinstance(t, Par):
-            for p in t.parts:
-                scan(p)
+            todo += reversed(t.parts)
         elif isinstance(t, New):
             locations.update(t.binders)
-            scan(t.body)
+            todo.append(t.body)
         elif isinstance(t, Call):
             locations.update(t.args)
             sd = m.species.get(t.name)
@@ -287,10 +289,6 @@ def validate_model(m: Model) -> None:
                     f"got {len(t.args)}",
                     code="ARITY",
                 )
-
-    for sd in m.species.values():
-        locations.update(sd.params)
-        scan(sd.body)
     check_guarded(m.species)
 
     clash = sites & locations

@@ -191,19 +191,8 @@ class TransitionSystem:
 
         # Com: combine one transition each from >= 2 parts at a shared
         # named location (never at ambient, never twice from one part),
-        # extending a combination only while its site bag fits a cluster
-        def grow(loc, per_part, start, used, sites, mult, target):
-            for i in range(start, n):
-                for tr, m in per_part[i]:
-                    bag = tuple(sorted(sites + tr.cluster))
-                    if not self._fits(bag):
-                        continue
-                    tgt = colocate(target, tr.target) if used else tr.target
-                    if used:
-                        k = Transition(bag, loc, with_rest(tgt, {*used, i}))
-                        out[k] = out.get(k, 0) + mult * m
-                    grow(loc, per_part, i + 1, (*used, i), bag, mult * m, tgt)
-
+        # extending a combination only while its site bag fits a cluster,
+        # depth first: each combination comes before its extensions
         locs = sorted(
             {tr.location for trs in sub for tr in trs if tr.location is not None}
         )
@@ -211,7 +200,20 @@ class TransitionSystem:
             per_part = [
                 [(tr, m) for tr, m in trs.items() if tr.location == loc] for trs in sub
             ]
-            grow(loc, per_part, 0, (), (), 1, None)
+            todo = [(0, (), (), 1, None)]  # next part, parts used, site bag, multiplicity, target
+            while todo:
+                start, used, sites, mult, target = todo.pop()
+                if len(used) > 1:
+                    k = Transition(sites, loc, with_rest(target, set(used)))
+                    out[k] = out.get(k, 0) + mult
+                grown = []
+                for i in range(start, n):
+                    for tr, m in per_part[i]:
+                        bag = tuple(sorted(sites + tr.cluster))
+                        if self._fits(bag):
+                            tgt = colocate(target, tr.target) if used else tr.target
+                            grown.append((i + 1, (*used, i), bag, mult * m, tgt))
+                todo += reversed(grown)
         return out
 
 

@@ -16,6 +16,23 @@ def family_source(family, k):
     return getattr(families, family)(k, _IN_ORDER)
 
 
+def cube_edges(d):
+    """The edges of the d-cube, on vertices 0 .. 2^d - 1."""
+    return [(v, v | 1 << i) for v in range(2**d) for i in range(d) if not v >> i & 1]
+
+
+def bond_graph_source(edges):
+    """A model whose one reaction, on site go, releases binders v0, v1, ... bonded
+    by one atom (e@x.0 + e@y.0) per edge: its product is labelled as the graph."""
+    n = 1 + max(max(e) for e in edges)
+    atoms = " | ".join(f"(e@v{x}.0 + e@v{y}.0)" for x, y in edges)
+    binders = ",".join(f"v{v}" for v in range(n))
+    return (
+        f"species Q = go.(new {binders} in ({atoms}));\n"
+        "affinity { go at MA(1.0); }\nmixture { 1 Q }\n"
+    )
+
+
 def rational_left_nullspace(rows):
     """Basis of {v : v @ M == 0} for an integer matrix given as rows.
 

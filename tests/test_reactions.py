@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bondc import congruence
+from bondc import congruence, reactions
 from bondc import expr as ex
 from bondc.congruence import primes, serialize
 from bondc.parser import parse_model
@@ -373,8 +374,8 @@ def test_scaffold_normalize_budget(monkeypatch):
 def test_scaffold_serialize_budget(monkeypatch):
     # normal forms carry their serialization, so sorting them serializes
     # nothing: compiling scaffold k=6 took 23,589 serialize calls while every
-    # sort re-serialized its keys (2,919 now, mostly for prime names and
-    # closed products)
+    # sort re-serialized its keys, and 2,919 while a lone closed target's
+    # parts were sorted again (711 now, mostly for prime names)
     real, calls = congruence.serialize, 0
 
     def counting(t):
@@ -387,7 +388,50 @@ def test_scaffold_serialize_budget(monkeypatch):
             monkeypatch.setattr(mod, "serialize", counting)
     rs = build_reaction_system(parse_model(family_source("scaffold", 6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
-    assert 0 < calls <= 3000
+    assert 0 < calls <= 800
+
+
+def test_scaffold_call_budget(monkeypatch):
+    # a call atom's edge strings are read off its arguments: compiling scaffold
+    # k=6 took 8,148 _call calls while each edge relabelled the atom (3,528 now)
+    real, calls = congruence._call, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(congruence, "_call", counting)
+    rs = build_reaction_system(parse_model(family_source("scaffold", 6)))
+    assert len(rs.prime_names) == 2**6 + 6 + 1
+    assert 0 < calls <= 4000
+
+
+def test_cluster_totals_built_only_for_laws_that_read_them(monkeypatch):
+    # mass action's rate is k times the matched shares: it reads no cluster total
+    def refuse(index):
+        raise AssertionError("cluster totals built")
+
+    monkeypatch.setattr(reactions, "cluster_concentrations", refuse)
+    for family in ("scaffold", "witness", "bank"):
+        assert build_reaction_system(parse_model(family_source(family, 4))).reactions
+    assert system("dimer.bond").reactions
+    with pytest.raises(AssertionError, match="cluster totals built"):
+        system("kuznetsov.bond")  # Response and Logistic read them
+
+
+def test_a_compile_leaves_no_cyclic_garbage():
+    # recursive closures held each compile's data, its Model and TransitionSystem
+    # among them, in reference cycles until the cyclic collector ran
+    sources = [family_source("scaffold", 4)] + [(MODELS / n).read_text() for n in CORPUS]
+    gc.collect()
+    gc.disable()
+    try:
+        for source in sources:
+            reaction_system_json(build_reaction_system(parse_model(source)))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_witness_k12_compiles_fast():
