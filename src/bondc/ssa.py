@@ -8,11 +8,10 @@ negative jump checks, that level (Gibson & Bruck, 2000), checking a value only
 where a check can change it.  Propensities are pure functions of the levels,
 summed left to right as a full rescan would, so the streams equal the full
 recompute's; a non-finite total names the non-finite one, if any.  Runs are
-reproducible: a run draws from numpy's PCG64 seeded with an int or a
-SeedSequence, and multi-run mode seeds run i with the master seed's i-th
-SeedSequence.spawn child.  A run samples its levels at ``ode.sample_times``,
-as ``integrate`` does, into a list of rows that becomes one int64 array at
-return; a sampled level past 2^63 - 1 is a DomainError there.
+reproducible: run i of master seed s draws from ``random.Random(f"{s}:{i}")``.
+A run samples its levels at ``ode.sample_times``, as ``integrate`` does, into
+a list of rows that becomes one int64 array at return; a sampled level past
+2^63 - 1 is a DomainError there.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ if TYPE_CHECKING:
 
 #: Events one run may fire, like ``integrate``'s attempt budget.
 MAX_EVENTS = 10_000_000
-#: Uniforms one ``Generator.random`` call draws: two per event.
-_BLOCK = 1024
 
 
 class EventBudgetError(RuntimeError):
@@ -110,21 +107,23 @@ def gillespie(
     model: DiscreteModel,
     n0: Sequence[int],
     t_end: float,
-    seed: int | np.random.SeedSequence,
+    seed: int,
     grid: int = 200,
     run_id: int = 0,
 ) -> SsaRun:
     """Direct-method stochastic simulation of one trajectory.
 
-    It draws blocks of ``_BLOCK`` uniforms from ``Generator(PCG64(seed))``,
-    ``seed`` an int or, as ``gillespie_runs`` passes for each run, a child
-    SeedSequence.  Each event takes the next pair (u, v) of the block, which
-    is refilled when used up: it waits ``-log1p(-u) / total``, the inverse CDF
-    of the exponential, and fires the first event whose running sum of
-    propensities exceeds ``v * total``."""
+    It draws from ``random.Random(f"{seed}:{run_id}")``, which turns its str
+    seed into an int through SHA-512, so one pair gives one stream on every
+    Python version and whatever ``PYTHONHASHSEED`` is.
+    Each event takes two uniforms u, v: it waits ``-log1p(-u) / total``, the
+    inverse CDF of the exponential, and fires the first event whose running sum
+    of propensities exceeds ``v * total``."""
+    import random
+
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rnd = random.Random(f"{seed}:{run_id}").random
     levels = list(n0)
     if any(n < 0 for n in levels):
         raise ValueError("initial levels must be nonnegative")
@@ -138,7 +137,6 @@ def gillespie(
     absorbed = False
     events, jumps, after = model.events, model.jumps, model.after
     props = [0.0] * len(events)
-    uniforms, next_u = [], 0
     inf = math.inf
     clamped: set[int] = set()  # the events clamped to 0 up to the first warning
     divided: set[int] = set()  # the events whose rate divided x != 0 by 0
@@ -169,10 +167,7 @@ def gillespie(
         if total <= 0.0:
             absorbed = True
             break
-        if next_u == len(uniforms):
-            uniforms, next_u = rng.random(_BLOCK).tolist(), 0
-        u, v = uniforms[next_u], uniforms[next_u + 1]
-        next_u += 2
+        u, v = rnd(), rnd()
         t -= math.log1p(-u) / total
         if t > t_end:
             break
@@ -210,11 +205,8 @@ def gillespie_runs(
     runs: int,
     grid: int = 200,
 ) -> list[SsaRun]:
-    """Independent runs with per-run child streams of the master seed."""
-    import numpy as np
-
-    children = np.random.SeedSequence(seed).spawn(runs)
-    return [gillespie(model, n0, t_end, child, grid, i) for i, child in enumerate(children)]
+    """Independent runs: run i is ``gillespie``'s run i of the master seed."""
+    return [gillespie(model, n0, t_end, seed, grid, i) for i in range(runs)]
 
 
 def write_runs_csv(fh: TextIO, model: DiscreteModel, runs: list[SsaRun]) -> None:

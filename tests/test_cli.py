@@ -308,12 +308,12 @@ def test_closed_stdout_pipe_is_not_an_error():
         assert (proc.wait(timeout=60), err.decode()) == (0, "")
 
 
-WITHOUT_NUMPY = """
+WITHOUT = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.modules[sys.argv[1]] = None  # any import of that module now raises ImportError
 from bondc.cli import main
 results = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         results.append([main(argv), out.getvalue()])
 print(json.dumps(results))
@@ -326,13 +326,27 @@ def test_compile_commands_run_without_numpy(capsys):
     argvs = [["check", f], ["primes", f], ["transitions", f], ["crn", f]]
     argvs += [["odes", f, "--format", fmt] for fmt in ("text", "latex", "json")]
     proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(argvs)],
+        [sys.executable, "-c", WITHOUT, "numpy", json.dumps(argvs)],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     blocked = json.loads(proc.stdout)
     assert blocked == [[*run(capsys, *argv)[:2]] for argv in argvs]
     assert blocked[3][1] == (CRN_GOLDEN / "kuznetsov.json").read_text(encoding="utf-8")
+
+
+def test_ssa_runs_without_numpy_random():
+    # the SSA draws from the standard library's generator, so its goldens need no
+    # numpy.random (which numpy 2 imports only when it is first used)
+    goldens = sorted(SSA_GOLDEN.glob("*.csv"))
+    argv = ["--h", "0.01", "--t-end", "5", "--seed", "1", "--runs", "2"]
+    argvs = [["ssa", str(MODELS / f"{golden.stem}.bond"), *argv] for golden in goldens]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT, "numpy.random", json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[0, g.read_text(encoding="utf-8")] for g in goldens]
 
 
 def test_model_error_leaves_out_empty(tmp_path, capsys):

@@ -18,7 +18,7 @@ from bondc.ssa import (
     write_runs_csv,
 )
 
-from conftest import evaluate, family_source, mean_std, stoichiometry
+from conftest import evaluate, family_source, mean_std, rational_left_nullspace, stoichiometry
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -157,9 +157,9 @@ def test_golden_streams_enzyme():
     # as reference_runs, the full-rescan direct method below, reproduces it
     dm, rs, n0 = enzyme_model(h=0.01)
     assert fingerprint(gillespie_runs(dm, n0, 5.0, seed=20261018, runs=3)) == [
-        (1419, "60f1d49f0be0458bc43cb7baf8ce08a0cc3405c48fbdecb3a8f20b78937e0615"),
-        (1466, "da01e0e7b7e3eb7d8ddeb0123c45a1d377e220e083d8cf97f23745ec1d40ab9e"),
-        (1345, "144147c9fb58f9e1d639c91fcf393688730a565bc09cd8cf950aa6de984d59a2"),
+        (1407, "5fa9092c76641b582813db013654dc6ffd063b4ea01ee9073aa303815dff2f3d"),
+        (1409, "86a81de7df79f82463e7b95cefafa579a01ca8e5c5738a6229170a8de01cd418"),
+        (1391, "03e746b9b5d62b3ff1adc5679edb31779d8bd9e06045fbf5d13dce7a1a56402c"),
     ]
 
 
@@ -170,9 +170,9 @@ def test_golden_streams_bank_k4():
     runs = gillespie_runs(discretize(rs, 0.05), n0, 1000.0, seed=20261018, runs=3)
     assert all(r.absorbed for r in runs)
     assert fingerprint(runs) == [
-        (2386, "e58900e1234d5608c0f2ca4c3f5b58bfa0c5844802555836a709712ac4fff7fa"),
-        (2622, "9c1fb8ffe47b4d42be238c838b1c7480bdaec5f0a9f1196c73ba154cb412b0f1"),
-        (2496, "900854146b4d5aa028222587e92cd2ad590d9a469364bfcf653eb2968d6d26de"),
+        (2466, "a6bc5c538cce0e71630ac388d5d2a3fed13da9bce12b3068bb3ae9a9e8084742"),
+        (2660, "adceab5d1f82548f7426dbdcadf3c5096e5396f7fb8032ac68b2942b322779fa"),
+        (2562, "5c9af33571c20ea7e6bde27e06bd967a9b919d669ec8d7c8320d14774c81afc8"),
     ]
 
 
@@ -180,7 +180,7 @@ def test_golden_stream_int_seed():
     # one trajectory seeded with an int, as reference_runs reproduces it
     dm, _ = decay_model()
     assert fingerprint([gillespie(dm, [100], 5.0, seed=42)]) == [
-        (100, "b742496d9057db719e5d0501d0725223cb4066a3f54cb442340dda34dfa75249"),
+        (98, "c7b01c0f225defbec0dc3435f90afb080e105827ca761c4e1dcecc8707dfcbec"),
     ]
 
 
@@ -189,36 +189,36 @@ def test_golden_stream_int_seed():
 # reproduces them
 CORPUS_GOLDENS = {
     "dimer.bond": (0.01, 5.0, [
-        (193, "f3807c53a330b3948107f86826dfccf94eb0a6e97410d0765484e17f815d7f53"),
-        (181, "9f823dfc2665756be0f64631955d1eeb0b9876d04a963afef8d3dcee599f58f4"),
+        (188, "ec1fbf7a94349eb31a4bf03109ed0734b5f08be87b08c55d45d288b8eadcd2c6"),
+        (156, "b72b8ba6673aff71b822557f54f5e6027875dc07110a561ff982056ccab8df48"),
     ]),
     "enzyme.bond": (0.01, 5.0, [
-        (1419, "60f1d49f0be0458bc43cb7baf8ce08a0cc3405c48fbdecb3a8f20b78937e0615"),
-        (1466, "da01e0e7b7e3eb7d8ddeb0123c45a1d377e220e083d8cf97f23745ec1d40ab9e"),
+        (1407, "5fa9092c76641b582813db013654dc6ffd063b4ea01ee9073aa303815dff2f3d"),
+        (1409, "86a81de7df79f82463e7b95cefafa579a01ca8e5c5738a6229170a8de01cd418"),
     ]),
     "inhibitor.bond": (0.05, 5.0, [
-        (257, "d17f0bc86884b919cde90a14f766336c13f8a98f102219c3cb86bbc9470a0cd6"),
-        (252, "3919a32eedcaf2d2e8474bc65d028d0923486f2a13f190964bac0522d0dc41c4"),
+        (255, "85244f9ffc4cca06fc505401c242ea21ea8ba5f6b30382b835b73c2b028b9edf"),
+        (250, "6511fae46d72d67938365712789275d148aed849b613d64a796b28329fc2df04"),
     ]),
     "kuznetsov.bond": (1.0, 1e-4, [
-        (2968, "b7a98a39c5ecfb24a3548bce279f456e6c85575827717b2606ed1549a8c3da20"),
-        (2954, "cd1f10461d5f0cdd84269e637229a7f975b57b89ec1ab4e99c9e6bda5028f2a8"),
+        (3012, "605c66dfae81dd8ed5a95a7293c6f0018ba275d88c961e0f0956a1ebe8804aae"),
+        (2886, "4fb140847751103e7e84eec401cd92be197ec47e81502ca6c6f0dd4b8b007451"),
     ]),
     "mm.bond": (0.01, 5.0, [
-        (1913, "82e6f6d5122f414bd36e5a8997706f862e0d1c78198d3fb84c8c101ca7e707b3"),
-        (1904, "f294e945dc3780a592c5b7e1251ec4c1f468c2942ce5a7bdc922fd2a19bb6ef0"),
+        (1930, "84fa2d8b753b2c764517b8a69b43e83b33bef6cc287cc0fe941a1e610da5e2b8"),
+        (1894, "933ed70cdc406b6771907b621c891bfb9ae440dd04a7a972f450c1fb98180284"),
     ]),
     "monomer_twosite.bond": (0.01, 5.0, [
-        (193, "f3807c53a330b3948107f86826dfccf94eb0a6e97410d0765484e17f815d7f53"),
-        (181, "9f823dfc2665756be0f64631955d1eeb0b9876d04a963afef8d3dcee599f58f4"),
+        (188, "ec1fbf7a94349eb31a4bf03109ed0734b5f08be87b08c55d45d288b8eadcd2c6"),
+        (156, "b72b8ba6673aff71b822557f54f5e6027875dc07110a561ff982056ccab8df48"),
     ]),
     "pingpong.bond": (0.05, 20.0, [
-        (100, "9ae73c7157c12071d299b4edd983e4c2d093f797bcaf9e5a5fbf5cd5b363a311"),
-        (100, "3153670aa6dfc1dc8d5a19a908b0389b297c4bb6b8c804cb201c0b418f21cc57"),
+        (100, "c94476d212414d80446125308983a125d5f9239c4b611220649c03ee7e463bb8"),
+        (100, "acad4929f745c6eccee3b6bcdc62fb920a8533ed56f74a0e859425fcff861cb3"),
     ]),
     "trimer.bond": (0.01, 2.0, [
-        (59, "9d4cf56ad395454b35765c185fa5f75656b086d8310bec0cc7c2f4e681e37767"),
-        (49, "1b110d21027a262ee791a4944c6096d5729a75d2a227cc94d3589dddeb477629"),
+        (62, "853411266f2da12d741375f0f56dbce1d2dc7ec4908dfc6ccd82dbec2afc14c1"),
+        (57, "d02f8383b9b79ef69e88930ee0174a3f575bbb77b57a6bddeb80b21f3c3b3d83"),
     ]),
 }
 
@@ -240,6 +240,31 @@ def test_golden_streams_corpus(name):
     assert fingerprint(runs) == golden
 
 
+# name: (source, h, t_end); the corpus as in its goldens, the families at 20 levels a unit
+CONSERVATION_CASES = {
+    **{name: ((MODELS / name).read_text(), h, t) for name, (h, t, _) in CORPUS_GOLDENS.items()},
+    **{f"scaffold k={k}": (family_source("scaffold", k), 0.05, 5.0) for k in range(1, 5)},
+    "bank k=4": (family_source("bank", 4), 0.05, 5.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
+def test_every_row_keeps_each_conserved_total_exactly(case):
+    # each left-null vector of the stoichiometry, scaled to integers, weighs every row alike
+    source, h, t_end = CONSERVATION_CASES[case]
+    model = parse_model(source)
+    rs = build_reaction_system(model)
+    basis = rational_left_nullspace([stoichiometry(r, len(rs.prime_names)) for r in rs.reactions])
+    assert basis, case
+    n0 = initial_levels(initial_mixture(model, rs.index), h)
+    run = gillespie(discretize(rs, h), n0, t_end, seed=20261018)
+    assert run.events > 0
+    for v in basis:
+        scale = math.lcm(*(c.denominator for c in v))
+        totals = run.levels @ np.array([int(c * scale) for c in v])
+        assert (totals == totals[0]).all(), (case, v)
+
+
 # X -> X + Y at the constant rate 2: its propensity reads no level
 CONSTANT = (
     "species X = x.(X | Y);\nspecies Y = y.0;\nlaw C(k; a) = k;\n"
@@ -250,8 +275,8 @@ CONSTANT = (
 def test_constant_propensity_golden_stream():
     dm = discretize(build_reaction_system(parse_model(CONSTANT)), 0.1)
     assert fingerprint(gillespie_runs(dm, [10, 0], 5.0, seed=20261018, runs=2)) == [
-        (107, "cf6abf0f3b6afd18389b45128a178c6d4e575fdb41b6baf4ca94a47e40823dd6"),
-        (120, "23d35fcc18b728e51f4a307c9b89a0e7e25fc02a26d05b4f244f630a58041de9"),
+        (104, "c190bf7f8130917bc94b9ac76d7c055e451e016c5ae001f816650f268772dad9"),
+        (96, "07e33c3e8a9830a895f1e0b6d3579411e5ab78e7f733fac9f6315aed7efbfdab"),
     ]
 
 
@@ -267,41 +292,53 @@ def test_constant_propensity_mean_tracks_rate():
         assert abs(mean[i, 1] * h - 2 * ti) <= 3 * se[i, 1] * h, ti
 
 
+def trigger(laws: str, entries: list[str], p: int, q: int) -> str:
+    """T -> P + Q at rate 1, P -> P and Q -> Q at the given laws."""
+    return (
+        f"species T = t.(P | Q);\nspecies P = p.P;\nspecies Q = q.Q;\n{laws}\n"
+        f"affinity {{ t at MA(1); {' '.join(entries)} }}\nmixture {{ 1 T, {p} P, {q} Q }}"
+    )
+
+
+def clamped(first: str) -> str:
+    """``trigger`` with P and Q at k * (1.5 - x), first's entry listed first: T -> P + Q
+    takes both below 0 in one update."""
+    entries = [f"{first} at N(1);", f"{'pq'[first == 'p']} at N(1);"]
+    return trigger("law N(k; x) = k * (1.5 - x);", entries, 1, 1)
+
+
 # --- a reference direct method that shares no code with gillespie ------------------
 
 
 def reference_runs(rs, h, n0, t_end, seed, runs):
-    """Gillespie's direct method with a full rescan per event, on ``runs`` spawned
-    child streams of ``seed`` (an int seeds one run).  Every propensity is
-    ``evaluate`` at n*h over h, or 0 when a reactant is short; they are summed left
-    to right.  Each event reads the next pair (u, v) of blocks of 1024 uniforms:
-    it waits -log1p(-u)/total and fires the first event whose running sum exceeds
-    v*total, or the last one.  Returns each run's (events, sha256 of its levels)."""
+    """Gillespie's direct method with a full rescan per event, run i of ``runs`` (None
+    is one run) drawing from ``random.Random(f"{seed}:{i}")``.  Every propensity is
+    ``evaluate`` at n*h over h, or 0 when it is negative or a reactant is short; they
+    are summed left to right.  Each event draws u, then v: it waits -log1p(-u)/total
+    and fires the first event whose running sum exceeds v*total, or the last one.
+    Returns each run's (events, sha256 of its levels)."""
     names, n_primes = rs.prime_names, len(rs.prime_names)
     nus = [stoichiometry(r, n_primes) for r in rs.reactions]
     grid = [i * (t_end / 200) for i in range(200)] + [t_end]
-    seeds = [seed] if runs is None else np.random.SeedSequence(seed).spawn(runs)
     out = []
-    for child in seeds:
-        rng = np.random.Generator(np.random.PCG64(child))
-        block: list[float] = []
+    for run_id in range(runs or 1):
+        rng = random.Random(f"{seed}:{run_id}")
         n, t, events, rows = list(n0), 0.0, 0, [list(n0)]
         while True:
             env = {name: k * h for name, k in zip(names, n)}
             props = []
             for r, nu in zip(rs.reactions, nus):
                 a = evaluate(r.rate, env) / h
-                assert 0.0 <= a < math.inf, (r.provenance, n)
+                assert -math.inf < a < math.inf, (r.provenance, n)
                 short = any(k < -d for k, d in zip(n, nu) if d < 0)
-                props.append(0.0 if short else a)
+                props.append(0.0 if short or a < 0.0 else a)
             total = 0.0
             for a in props:
                 total += a
             if total <= 0.0:
                 break
-            if not block:
-                block = rng.random(1024).tolist()[::-1]
-            u, v = block.pop(), block.pop()
+            u = rng.random()
+            v = rng.random()
             t -= math.log1p(-u) / total
             if t > t_end:
                 break
@@ -322,7 +359,7 @@ def reference_runs(rs, h, n0, t_end, seed, runs):
 
 
 # name: (source, h, t_end, runs, n0 or None for the mixture's levels, seed); runs None
-# is one run seeded with the int itself
+# is one run of gillespie itself
 REFERENCE_CASES = {
     **{
         name: ((MODELS / name).read_text(), h, t_end, 2, None, 20261018)
@@ -332,6 +369,10 @@ REFERENCE_CASES = {
     "bank k=4": (family_source("bank", 4), 0.05, 1000.0, 3, None, 20261018),
     "constant": (CONSTANT, 0.1, 5.0, 2, [10, 0], 20261018),
     "decay int seed": (DECAY, 1.0, 5.0, None, [100], 42),
+    **{
+        f"clamped {first}": (clamped(first), 1.0, 100.0, None, [1, 1, 1], 3)
+        for first in "qp"
+    },
 }
 
 
@@ -347,8 +388,6 @@ def test_gillespie_matches_reference_direct_method(case):
     else:
         got = fingerprint(gillespie_runs(dm, n0, t_end, seed, runs))
     assert got == reference_runs(rs, h, n0, t_end, seed, runs)
-    if case == "bank k=4":  # every run refills its block at least twice: over 2 * 512 events
-        assert all(events > 1024 for events, _ in got)
 
 
 # X -> X + Pk at the constant rate k, for k = 1, 2, 3: channels of propensity 1, 2 and 3 at h = 1
@@ -380,12 +419,90 @@ def test_three_constant_channels_fire_in_proportion_and_as_a_poisson_process():
     assert abs(dispersion - len(per_interval)) <= 4 * math.sqrt(2 * len(per_interval)), dispersion
 
 
-def trigger(laws: str, entries: list[str], p: int, q: int) -> str:
-    """T -> P + Q at rate 1, P -> P and Q -> Q at the given laws."""
-    return (
-        f"species T = t.(P | Q);\nspecies P = p.P;\nspecies Q = q.Q;\n{laws}\n"
-        f"affinity {{ t at MA(1); {' '.join(entries)} }}\nmixture {{ 1 T, {p} P, {q} Q }}"
-    )
+# --- an exact master-equation oracle that shares no code with ssa -------------------
+
+
+def master_equation(rs, h, n0, t_end):
+    """The states reachable from n0 and their exact probabilities at t_end.  A state
+    moves by a reaction's stoichiometry at ``evaluate`` at n*h over h, unless that
+    takes a level below 0.  Uniformization (Jensen, 1953): with lam the largest exit
+    rate, p(t_end) is the Poisson(lam * t_end)-weighted sum of p(0) (I + Q/lam)^k."""
+    names, nus = rs.prime_names, [stoichiometry(r, len(rs.prime_names)) for r in rs.reactions]
+    states, index, moves = [tuple(n0)], {tuple(n0): 0}, []
+    for state in states:  # breadth first: the list grows as it is walked
+        env = {name: k * h for name, k in zip(names, state)}
+        out = []
+        for r, nu in zip(rs.reactions, nus):
+            a = evaluate(r.rate, env) / h
+            assert 0.0 <= a < math.inf, (r.provenance, state)
+            target = tuple(k + d for k, d in zip(state, nu))
+            if a > 0.0 and min(target) >= 0:
+                if target not in index:
+                    index[target] = len(states)
+                    states.append(target)
+                out.append((index[target], a))
+        moves.append(out)
+    lam = max(sum(a for _, a in out) for out in moves)
+    step = np.eye(len(states))
+    for i, out in enumerate(moves):
+        for j, a in out:
+            step[i, j] += a / lam
+            step[i, i] -= a / lam
+    p = np.zeros(len(states))
+    p[0] = weight = total = math.exp(-lam * t_end)
+    term, k = p.copy(), 0
+    while total < 1 - 1e-12:
+        k += 1
+        term = term @ step * (lam * t_end / k)
+        weight *= lam * t_end / k
+        p += term
+        total += weight
+    return states, p
+
+
+def chi_square_p(chi2, df):
+    """P(X >= chi2) for X chi-square on df degrees of freedom: one minus the series
+    of the regularized lower incomplete gamma function P(df/2, chi2/2)."""
+    a, x = df / 2, chi2 / 2
+    term = series = 1 / a
+    n = 0
+    while term > 1e-17 * series:
+        n += 1
+        term *= x / (a + n)
+        series += term
+    return 1 - math.exp(a * math.log(x) - x - math.lgamma(a)) * series
+
+
+# model, h, t_end: each has 10 to 200 reachable states, most of them within reach by t_end
+MASTER_EQUATION_CASES = [
+    ("mm.bond", 1.0, 0.05),
+    ("enzyme.bond", 1.0, 0.5),
+    ("dimer.bond", 0.05, 1.0),
+]
+
+
+@pytest.mark.parametrize("name, h, t_end", MASTER_EQUATION_CASES)
+def test_end_states_follow_the_master_equation(name, h, t_end):
+    model = parse_model((MODELS / name).read_text())
+    rs = build_reaction_system(model)
+    n0 = initial_levels(initial_mixture(model, rs.index), h)
+    states, p = master_equation(rs, h, n0, t_end)
+    runs = gillespie_runs(discretize(rs, h), n0, t_end, seed=20261018, runs=4000, grid=1)
+    index = {s: i for i, s in enumerate(states)}
+    observed = np.zeros(len(states))
+    for run in runs:
+        observed[index[tuple(run.levels[-1].tolist())]] += 1
+    expected = len(runs) * p
+    # the states expected fewer than 5 times are pooled, and the pool joins the
+    # least of the other cells if it is still under 5
+    big = expected >= 5
+    obs, exp = [*observed[big], observed[~big].sum()], [*expected[big], expected[~big].sum()]
+    if exp[-1] < 5:
+        least = int(np.argmin(exp[:-1]))
+        obs[least] += obs.pop()
+        exp[least] += exp.pop()
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+    assert chi_square_p(chi2, len(obs) - 1) > 1e-3, (chi2, len(obs) - 1)
 
 
 # at P = 3, 1/(3 - P) divides by zero; at Q = 13408 the two products overflow
@@ -413,27 +530,32 @@ def test_two_failures_in_one_update_name_the_lower_index(entries, message, p, q)
 
 @pytest.mark.parametrize("first", ["q", "p"])
 def test_negative_propensity_warning_names_the_lower_index(first):
-    # T -> P + Q takes both k * (1.5 - x) below 0 in one update
-    entries = [f"{first} at N(1);", f"{'pq'[first == 'p']} at N(1);"]
-    rs = build_reaction_system(parse_model(trigger("law N(k; x) = k * (1.5 - x);", entries, 1, 1)))
+    rs = build_reaction_system(parse_model(clamped(first)))
     run = gillespie(discretize(rs, 1.0), [1, 1, 1], 100.0, seed=3)
     assert run.warnings == [f"negative propensity for '{first} at N(1)' clamped to 0"]
     assert run.absorbed and fingerprint([run]) == [
-        (1, "1aa629aba2ff5371b72230e97a16a8a1872290b5cce84117d35d82de884eaa88"),
+        (2, "e48c3db594416c701947480827978425f562a812a78e2d005dfad6bca1dbf4d5"),
     ]
 
 
 @pytest.mark.parametrize("seed", [0, 20261018])
-def test_runs_are_gillespie_seeded_with_spawned_children(seed):
+def test_run_i_of_runs_is_gillespie_run_i(seed):
     dm, _, n0 = enzyme_model(h=0.05)
     runs = gillespie_runs(dm, n0, 2.0, seed=seed, runs=3)
-    children = np.random.SeedSequence(seed).spawn(3)
-    for i, child in enumerate(children):
-        one = gillespie(dm, n0, 2.0, child, run_id=i)
+    for i in range(3):
+        one = gillespie(dm, n0, 2.0, seed, run_id=i)
         assert fingerprint([runs[i]]) == fingerprint([one])
         assert runs[i].run_id == one.run_id == i
         assert runs[i].absorbed == one.absorbed
         assert np.array_equal(runs[i].t, one.t)
+
+
+def test_seed_and_run_id_pairs_give_different_streams():
+    # (1, 23) and (12, 3) join to the same digits: the separator keeps them apart
+    dm, _ = decay_model()
+    a = gillespie(dm, [100], 5.0, seed=1, run_id=23)
+    b = gillespie(dm, [100], 5.0, seed=12, run_id=3)
+    assert fingerprint([a]) != fingerprint([b])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -522,7 +644,7 @@ def test_rate_division_by_zero_names_reaction():
 ORACLE_MODELS = [(MODELS / name).read_text() for name in CORPUS] + [
     CONSTANT,
     trigger(TWO_FAILURES, ["q at G(1e300);", "p at D(1);"], 2, 13407),
-    trigger("law N(k; x) = k * (1.5 - x);", ["q at N(1);", "p at N(1);"], 1, 1),
+    clamped("q"),
 ]
 
 
