@@ -10,6 +10,10 @@ term is pulled out into one binder list over its choice and invocation
 atoms, renaming each binder apart as it is flattened; atoms linked by shared
 bound locations form one prime, written with a single `new` over its parts.
 Choices sort their guards, and guard bodies are normalized recursively.
+Flattening also records each atom's free names as renamed: under a `new`,
+they link the atom to the binders it uses; at the top level, they give the
+largest free ℓ index (below).  A lone choice atom needs neither: it is a
+prime of its own, and it goes straight to sorting its guards.
 
 Canonical bound locations are written ℓ0, ℓ1, ... (non-ASCII on purpose:
 the parser cannot produce them, so they never collide with user names).
@@ -97,6 +101,7 @@ def _ser_new(binders: tuple[str, ...], body: str) -> str:
 # --- normalization -----------------------------------------------------------
 
 Normal = tuple[Species, str]  # a normal form and its serialization
+Atom = tuple[Species, dict[str, str], Optional[set[str]]]  # see _flatten
 
 
 def normalize(t: Species) -> Species:
@@ -130,32 +135,43 @@ def _par(parts: list[Normal]) -> Normal:
         return NIL, "0"
     if len(parts) == 1:
         return parts[0]
-    return Par(tuple(p for p, _ in parts)), _ser_par(s for _, s in parts)
+    ps, ss = zip(*parts)
+    return Par(ps), _ser_par(ss)
 
 
 # --- prenex form: atoms, binders and primes ----------------------------------
 
 
 def _flatten(
-    t: Species, env: dict[str, str], binders: set[str], atoms: list[tuple[Species, dict[str, str]]]
+    t: Species, env: dict[str, str], binders: set[str], atoms: list[Atom], names: bool
 ) -> None:
     """Collect the Sum/Call atoms of t, each with the renaming of its names.
 
     Every restricted name is renamed apart to a fresh '#n' (unparseable) and
     added to binders; an atom's env maps each name in scope to its renaming.
-    A call atom is renamed at once, and its env is empty.
+    A call atom is renamed at once, and its env is empty.  Under a `new`, or
+    everywhere if names is set, an atom also carries its free names as
+    renamed, a binder's as its '#n'; elsewhere it uses no binder, and None.
     """
     if isinstance(t, New):
         fresh = {b: f"#{len(binders) + i}" for i, b in enumerate(t.binders)}
         binders.update(fresh.values())
-        _flatten(t.body, {**env, **fresh}, binders, atoms)
+        _flatten(t.body, {**env, **fresh}, binders, atoms, True)
     elif isinstance(t, Par):
         for p in t.parts:
-            _flatten(p, env, binders, atoms)
+            _flatten(p, env, binders, atoms, names)
     elif isinstance(t, Call):
-        atoms.append((Call(t.name, tuple(map(env.get, t.args, t.args))), {}))
+        t = Call(t.name, tuple(map(env.get, t.args, t.args)))
+        atoms.append((t, {}, set(t.args) if names else None))
     elif isinstance(t, Sum) and t.guards:
-        atoms.append((t, env))
+        atoms.append((t, env, {env.get(x, x) for x in free_locations(t)} if names else None))
+
+
+def _top(names: set[str]) -> int:
+    """The largest ℓ index among names, -1 if there is none."""
+    if not names or max(names) < "ℓ":  # every ℓ name sorts at or above "ℓ"
+        return -1
+    return max([int(x[1:]) for x in names if x[:1] == "ℓ"], default=-1)
 
 
 def _canon(t: Species, env: dict[str, str], depth: Optional[int]) -> Normal:
@@ -163,26 +179,28 @@ def _canon(t: Species, env: dict[str, str], depth: Optional[int]) -> Normal:
 
     Binders are renamed apart while flattening.  Bound locations are numbered
     from ℓ<depth>; every free ℓ index of the renamed term is below depth.
-    Depth None starts one above the largest free ℓ index of the atoms.
+    Depth None starts one above the largest free ℓ index of the atoms.  A
+    lone choice atom is its own prime, canonical as it stands.
     """
     if isinstance(t, Call):  # its own normal form, once renamed
         return _call(t.name, t.args, env)
     if isinstance(t, Nil):
         return t, "0"
+    if isinstance(t, Sum) and t.guards:  # a lone choice atom: a prime of its own
+        if depth is None:
+            depth = 1 + _top({env.get(x, x) for x in free_locations(t)})
+        return _atom(t, env, depth)
     binders: set[str] = set()
-    atoms: list[tuple[Species, dict[str, str]]] = []
-    _flatten(t, env, binders, atoms)
-    if binders or depth is None:  # each atom's free names, a binder's as its '#n'
-        free = [{e.get(x, x) for x in free_locations(a)} for a, e in atoms]
+    atoms: list[Atom] = []
+    _flatten(t, env, binders, atoms, depth is None)
     if depth is None:
-        free_l = [int(x[1:]) for xs in free for x in xs if x.startswith("ℓ")]
-        depth = max(free_l, default=-1) + 1
+        depth = 1 + _top(set().union(*[free for *_, free in atoms]))
     # an atom using no binder is a prime of its own (a call atom as renamed); the
     # others form connected components, linked by the bound names they share
     out: list[Normal] = []
     groups: list[tuple[set[str], list[int]]] = []
-    for i, (a, e) in enumerate(atoms):
-        used = free[i] & binders if binders else None
+    for i, (a, e, free) in enumerate(atoms):
+        used = free & binders if binders and free else None
         if not used:
             out.append((a, _ser_call(*a)) if isinstance(a, Call) else _atom(a, e, depth))
             continue
@@ -193,8 +211,8 @@ def _canon(t: Species, env: dict[str, str], depth: Optional[int]) -> Normal:
             members += g[1]
         groups.append((names, members))
     for names, members in groups:
-        uses = [free[i] & names for i in members]
-        out.append(_prime([atoms[i] for i in members], uses, depth))
+        uses = [atoms[i][2] & names for i in members]
+        out.append(_prime([atoms[i][:2] for i in members], uses, depth))
     return _par(sorted(out, key=itemgetter(1)))
 
 
@@ -202,13 +220,14 @@ def _atom(a: Species, env: dict[str, str], depth: int) -> Normal:
     """Canonical form of a choice atom: guards sorted, bodies normalized."""
     guards = []
     for g in a.guards:
-        names = tuple(f"ℓ{depth + i}" for i in range(len(g.receives)))
-        inner = {**env, **dict(zip(g.receives, names))}
+        names = tuple(f"ℓ{depth + i}" for i in range(len(g.receives))) if g.receives else ()
+        inner = {**env, **dict(zip(g.receives, names))} if names else env
         body, s = _canon(g.body, inner, depth + len(names))
         g = Prefix(g.site, env.get(g.location, g.location), names, body)
         guards.append((g, _ser_prefix(g, s)))
     guards.sort(key=itemgetter(1))
-    return Sum(tuple(g for g, _ in guards)), " + ".join(s for _, s in guards)
+    gs, ss = zip(*guards)
+    return Sum(gs), " + ".join(ss)
 
 
 # --- canonical labelling of a prime's binders --------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from . import expr as ex
@@ -136,11 +137,11 @@ _D = (
 def _interpolant(y, y5, ks, h: float):
     """The quartic continuous extension over an accepted step: theta -> clipped concentrations."""
     parts = []
-    for i, (a, b) in enumerate(zip(y, y5)):
+    for a, b, col in zip(y, y5, zip(*ks)):  # col: prime i's value at each stage
         dy = b - a
-        r3 = h * ks[0][i] - dy
-        r4 = dy - h * ks[6][i] - r3
-        r5 = h * math.fsum(d * k[i] for d, k in zip(_D, ks))
+        r3 = h * col[0] - dy
+        r4 = dy - h * col[6] - r3
+        r5 = h * math.fsum(map(mul, _D, col))
         parts.append((a, dy, r3, r4, r5))
     return lambda th: [
         max(a + th * (dy + (1 - th) * (r3 + th * (r4 + (1 - th) * r5))), 0.0)

@@ -16,15 +16,19 @@
 separates the clusters of different reactants.  "#" starts a line comment.
 A guard's continuation is a single atom; parenthesize sums and parallels.
 
-The text is lexed by one ``re.split`` into alternating skipped text and
-tokens; a token's kind is read from its first character.  A ParseError's
-message starts with the 1-based ``line:col`` of the offending token, whose
-offset is summed from the split only when the error is raised.
+The text is lexed by one ``findall``, whose pattern skips whitespace and
+comments without capturing them; a token's kind is read from its first
+character.  A ParseError's message starts with the 1-based ``line:col`` of
+the offending token, whose offset is found by lexing again up to it, only
+when the error is raised.  While it builds the species bodies, the parser
+gathers what ``validate_model`` checks: their sites, their locations and
+their calls in text order.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from . import expr as ex
 from .terms import (
@@ -46,10 +50,10 @@ from .terms import (
 
 _KEYWORDS = {"species", "law", "affinity", "mixture", "new", "in", "at"}
 
-# (skip, token): the whitespace and comments before a token, then the token: a
-# number, a name, an operator, "" at the end of the text or a character that starts none
+# the whitespace and comments before a token, skipped, then the token: a number,
+# a name, an operator, "" at the end of the text or a character that starts none
 _TOKEN_RE = re.compile(
-    r"((?:\s+|#[^\n]*)*)"
+    r"(?:\s+|#[^\n]*)*"
     r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_']*|\|\||[(){};,.+\-*/=@&|]|\Z|[^\s#])"
 )
 # the kind of a token by its first character; a number's, any decimal digit, is not listed
@@ -73,9 +77,11 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.parts = _TOKEN_RE.split(text)
-        self.tokens = self.parts[2::3]  # ends with "" (end of input), once or twice
+        self.tokens = _TOKEN_RE.findall(text)  # ends with "" (end of input), once or twice
         self.i = 0
+        # for validate_model, from the species bodies as they are built: their sites,
+        # their locations, and each call's (name, argument count) in text order
+        self.sites, self.locations, self.calls = set(), set(), []
         if bad := {t for t in set(self.tokens) if t[:1] not in _KIND and not t[0].isdecimal()}:
             i = next(i for i, t in enumerate(self.tokens) if t in bad)
             raise self.error(f"unexpected character {self.tokens[i]!r}", i)
@@ -86,8 +92,8 @@ class _Parser:
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         """An error at token index ``pos``, by default the current one."""
-        i = self.i if pos is None else pos
-        return ParseError(message, self.text, sum(map(len, self.parts[: 3 * i + 2])))
+        token = next(islice(_TOKEN_RE.finditer(self.text), self.i if pos is None else pos, None))
+        return ParseError(message, self.text, token.start(1))
 
     def found(self) -> str:
         return repr(self.tok or "end of input")
@@ -156,6 +162,7 @@ class _Parser:
         self.expect("new")
         names = self.sep_list(",", self.name, "location")
         self.expect("in")
+        self.locations.update(names)
         return New(tuple(names), self.spec())
 
     def group(self) -> Species:
@@ -186,10 +193,13 @@ class _Parser:
             self.expect(")")
             if len(set(names)) != len(names):
                 raise self.error("received locations must be pairwise distinct")
+        self.locations.update(names, () if loc is None else (loc,))
         if self.accept("."):
+            self.sites.add(ident)
             return Prefix(ident, loc, tuple(names), self.continuation())
         if loc is not None:
             raise self.error("'@location' is only valid on a prefix guard")
+        self.calls.append((ident, len(names)))
         return Call(ident, tuple(names))
 
     def continuation(self) -> Species:
@@ -258,6 +268,7 @@ def parse_model(text: str) -> Model:
             if p.accept("("):
                 params = p.sep_list(",", p.name, "location")
                 p.expect(")")
+            p.locations.update(params)
             p.expect("=")
             body = p.spec()
             p.expect(";")
@@ -304,6 +315,6 @@ def parse_model(text: str) -> Model:
             raise p.error(f"expected a definition, found {p.found()}")
 
     model = Model(species, laws, tuple(affinity), tuple(mixture), [])
-    validate_model(model)
+    validate_model(model, p.sites, p.locations, p.calls)
     return model
 

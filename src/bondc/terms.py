@@ -256,39 +256,21 @@ def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
             raise UnguardedRecursionError([n, *(m for m, _ in reversed(path[at[n] :]))])
 
 
-def validate_model(m: Model) -> None:
-    """Check cross-references and the site/location namespace split."""
-    sites: set[str] = set()
-    locations: set[str] = set()
+def validate_model(m: Model, sites: set[str], locations: set[str], calls: list) -> None:
+    """Check cross-references and the site/location namespace split.
 
-    for sd in m.species.values():
-        locations.update(sd.params)
-    todo = [sd.body for sd in reversed(m.species.values())]  # depth first, in order
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Sum):
-            for g in t.guards:
-                sites.add(g.site)
-                if g.location is not None:
-                    locations.add(g.location)
-                locations.update(g.receives)
-            todo += reversed([g.body for g in t.guards])
-        elif isinstance(t, Par):
-            todo += reversed(t.parts)
-        elif isinstance(t, New):
-            locations.update(t.binders)
-            todo.append(t.body)
-        elif isinstance(t, Call):
-            locations.update(t.args)
-            sd = m.species.get(t.name)
-            if sd is None:
-                raise ModelError(f"unknown species '{t.name}'")
-            if len(sd.params) != len(t.args):
-                raise ModelError(
-                    f"species '{t.name}' takes {len(sd.params)} location(s), "
-                    f"got {len(t.args)}",
-                    code="ARITY",
-                )
+    The parser gathers what this needs as it builds the species bodies, so no
+    walk repeats: their guards' sites, every location they name, and each call's
+    (name, argument count) in text order, which is the order a walk meets them.
+    """
+    for name, n in calls:
+        sd = m.species.get(name)
+        if sd is None:
+            raise ModelError(f"unknown species '{name}'")
+        if len(sd.params) != n:
+            raise ModelError(
+                f"species '{name}' takes {len(sd.params)} location(s), got {n}", code="ARITY"
+            )
     check_guarded(m.species)
 
     clash = sites & locations

@@ -411,3 +411,108 @@ def test_bad_character_after_long_input():
             parse_model(text)
         assert str(ei.value) == message
     assert time.perf_counter() - start < 2.0
+
+
+# --- the first of several faults ---------------------------------------------
+
+# each model has two faults; the one reported, and its text, were recorded
+# when validation still walked every species body after parsing
+TWO_FAULTS = [
+    pytest.param(
+        'species A = a.X;\nspecies B = b.A(l);\nmixture { 1 A }',
+        'PARSE',
+        "unknown species 'X'",
+        id='unknown species, then an arity mismatch',
+    ),
+    pytest.param(
+        'species B(l) = b.B;\nspecies A = a.X;\nmixture { 1 A }',
+        'ARITY',
+        "species 'B' takes 1 location(s), got 0",
+        id='an arity mismatch, then an unknown species',
+    ),
+    pytest.param(
+        'species A = a.(b.X | Y(l)) + c.A(m);\nspecies Y = y.0;',
+        'PARSE',
+        "unknown species 'X'",
+        id='two faults in one body, the nested one first',
+    ),
+    pytest.param(
+        'species A = a.(new l in Y(l)) + b.Z;\nspecies Y = y.0;',
+        'ARITY',
+        "species 'Y' takes 0 location(s), got 1",
+        id="a later guard's fault after an earlier guard's",
+    ),
+    pytest.param(
+        'species A = s@s.0;\nspecies B = b.Q;',
+        'PARSE',
+        "unknown species 'Q'",
+        id='a call fault before a clash',
+    ),
+    pytest.param(
+        'species A = (B | s@s.0);\nspecies B = (new l in A);',
+        'UNBOUNDED',
+        "species 'A' recurses without a guard: A -> B -> A",
+        id='an unguarded cycle before a clash',
+    ),
+    pytest.param(
+        'species A(s) = s@s.0;\naffinity { s at Nope(1.0); }',
+        'PARSE',
+        'name used as both site and location: s',
+        id='a clash before an unknown law',
+    ),
+    pytest.param(
+        'species A = a.0;\naffinity { a at Nope(1.0); a at MA(1.0, 2.0); }',
+        'PARSE',
+        "unknown law 'Nope'",
+        id='an unknown law before a parameter count',
+    ),
+    pytest.param(
+        'species A = a.0;\nlaw F(k; x) = k * x;\naffinity { a at F(1.0, 2.0); }\nmixture { 1 Q }',
+        'ARITY',
+        "law 'F' takes 1 parameter(s), got 2",
+        id='a parameter count before an unknown mixture species',
+    ),
+    pytest.param(
+        'law F(k; x) = k * x;\nspecies A = a.0;\naffinity { a at MA(1.0, 2.0); a || a at F(1.0); }',
+        'ARITY',
+        "law 'MA' takes 1 parameter",
+        id="MA's parameter count before a cluster count",
+    ),
+    pytest.param(
+        'law F(k; x) = k * x;\nspecies A = a.0;\naffinity { a || a at F(1.0); }\nmixture { 1 Q }',
+        'ARITY',
+        "law 'F' expects 1 cluster(s), pattern has 2",
+        id='a cluster count before a mixture fault',
+    ),
+    pytest.param(
+        'species A(l) = a@l.0;\nmixture { 1 Q, 1 A }',
+        'PARSE',
+        "unknown species 'Q' in mixture",
+        id='unknown mixture species before a parameterized one',
+    ),
+    pytest.param(
+        'species A(l) = a@l.0;\nmixture { 1 A, 1 Q }',
+        'ARITY',
+        "mixture species 'A' must not take location parameters",
+        id='a parameterized mixture species before an unknown one',
+    ),
+    pytest.param(
+        'species A = a@l.0;\nmixture { 1 A, 1 Q }',
+        'PARSE',
+        "mixture species 'A' has free locations ['l']",
+        id='free locations before an unknown mixture species',
+    ),
+    pytest.param(
+        'species A = a@l.B(l);\nspecies B = b.0;\nmixture { 1 A }',
+        'ARITY',
+        "species 'B' takes 0 location(s), got 1",
+        id="an arity mismatch in the mixture's species, then its free locations",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, code, message", TWO_FAULTS)
+def test_first_of_two_faults_is_reported(src, code, message):
+    with pytest.raises(ModelError) as ei:
+        parse_model(src)
+    assert (ei.value.code, str(ei.value)) == (code, message)

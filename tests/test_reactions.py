@@ -355,7 +355,7 @@ def test_scaffold_normalize_budget(monkeypatch):
     # target only when another open one shares its cluster: compiling
     # scaffold k=6 took 2,954 normalize calls when every step of a transition
     # normalized its target, 818 when every product was normalized too, and
-    # 626 when every surfaced target was (422 now)
+    # 626 when every surfaced target was (415 now)
     real, calls = congruence.normalize, 0
 
     def counting(t):
@@ -369,6 +369,34 @@ def test_scaffold_normalize_budget(monkeypatch):
     rs = build_reaction_system(parse_model(family_source("scaffold", 6)))
     assert len(rs.prime_names) == 2**6 + 6 + 1
     assert 0 < calls <= 450
+
+
+@pytest.mark.parametrize(
+    "family, k, normalizes, walks", [("scaffold", 6, 415, 24), ("bank", 30, 211, 121)]
+)
+def test_free_name_walks_are_pinned(monkeypatch, family, k, normalizes, walks):
+    # congruence gathers an atom's free names while flattening, and only under a
+    # `new` or at the top level; a lone choice atom is canonical without them.
+    # free_locations calls from congruence went 3,720 -> 24 for scaffold k=6
+    # and 271 -> 121 for bank k=30; the normalize calls did not change
+    counts = Counter()
+
+    def counting(name, real):
+        def f(t):
+            counts[name] += 1
+            return real(t)
+
+        return f
+
+    real = congruence.normalize
+    for modname, mod in list(sys.modules.items()):
+        if modname.partition(".")[0] == "bondc" and getattr(mod, "normalize", None) is real:
+            monkeypatch.setattr(mod, "normalize", counting("normalize", real))
+    monkeypatch.setattr(
+        congruence, "free_locations", counting("free_locations", congruence.free_locations)
+    )
+    build_reaction_system(parse_model(family_source(family, k)))
+    assert (counts["normalize"], counts["free_locations"]) == (normalizes, walks)
 
 
 def test_scaffold_serialize_budget(monkeypatch):
