@@ -267,10 +267,10 @@ def render_odes(sys: OdeSystem, fmt: str = "text") -> str:
 
 
 def _tex_escape(s: str) -> str:
-    out = s
+    """A name in math mode, as ASCII: ``#_&%`` escaped, ℓ as ``\\ell{}``, a space as ``\\ ``."""
     for ch in "#_&%":
-        out = out.replace(ch, "\\" + ch)
-    return out
+        s = s.replace(ch, "\\" + ch)
+    return s.replace("ℓ", r"\ell{}").replace(" ", "\\ ")
 
 
 def sample_times(t_end: float, grid: int) -> np.ndarray:

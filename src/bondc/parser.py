@@ -21,8 +21,9 @@ comments without capturing them; a token's kind is read from its first
 character.  A ParseError's message starts with the 1-based ``line:col`` of
 the offending token, whose offset is found by lexing again up to it, only
 when the error is raised.  While it builds the species bodies, the parser
-gathers what ``validate_model`` checks: their sites, their locations and
-their calls in text order.
+gathers their sites, their locations and their calls in text order, and
+``parse_model`` checks the model's cross-references on these records before
+it builds the ``Model``.
 """
 
 from __future__ import annotations
@@ -38,14 +39,16 @@ from .terms import (
     Call,
     KineticLaw,
     Model,
+    ModelError,
     New,
     Par,
     Prefix,
     Species,
     SpeciesDef,
     Sum,
+    check_guarded,
+    free_locations,
     make_cluster,
-    validate_model,
 )
 
 _KEYWORDS = {"species", "law", "affinity", "mixture", "new", "in", "at"}
@@ -79,8 +82,8 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)  # ends with "" (end of input), once or twice
         self.i = 0
-        # for validate_model, from the species bodies as they are built: their sites,
-        # their locations, and each call's (name, argument count) in text order
+        # for parse_model's checks, from the species bodies as they are built: their
+        # sites, their locations, and each call's (name, argument count) in text order
         self.sites, self.locations, self.calls = set(), set(), []
         if bad := {t for t in set(self.tokens) if t[:1] not in _KIND and not t[0].isdecimal()}:
             i = next(i for i, t in enumerate(self.tokens) if t in bad)
@@ -253,7 +256,7 @@ class _Parser:
 
 
 def parse_model(text: str) -> Model:
-    """Parse and validate a complete model."""
+    """Parse and check a complete model."""
     p = _Parser(text)
     species: dict[str, SpeciesDef] = {}
     laws: dict[str, KineticLaw] = {MASS_ACTION.name: MASS_ACTION}
@@ -314,7 +317,53 @@ def parse_model(text: str) -> Model:
         else:
             raise p.error(f"expected a definition, found {p.found()}")
 
-    model = Model(species, laws, tuple(affinity), tuple(mixture), [])
-    validate_model(model, p.sites, p.locations, p.calls)
-    return model
-
+    # the model's cross-references and its site/location split, on the records gathered
+    # above; the calls come in text order, the order a walk of the bodies meets them
+    for name, n in p.calls:
+        sd = species.get(name)
+        if sd is None:
+            raise ModelError(f"unknown species '{name}'")
+        if len(sd.params) != n:
+            raise ModelError(
+                f"species '{name}' takes {len(sd.params)} location(s), got {n}", code="ARITY"
+            )
+    check_guarded(species)
+    if clash := p.sites & p.locations:
+        raise ModelError(f"name used as both site and location: {sorted(clash)[0]}")
+    warnings = []
+    for entry in affinity:
+        law = laws.get(entry.law_name)
+        if law is None:
+            raise ModelError(f"unknown law '{entry.law_name}'")
+        if law.variadic:
+            if len(entry.law_params) != 1:
+                raise ModelError("law 'MA' takes 1 parameter", code="ARITY")
+        elif len(entry.law_params) != len(law.params):
+            raise ModelError(
+                f"law '{law.name}' takes {len(law.params)} parameter(s), "
+                f"got {len(entry.law_params)}",
+                code="ARITY",
+            )
+        elif len(law.args) != len(entry.pattern):
+            raise ModelError(
+                f"law '{law.name}' expects {len(law.args)} cluster(s), pattern "
+                f"has {len(entry.pattern)}",
+                code="ARITY",
+            )
+        warnings += (
+            f"site '{s}' in affinity pattern never occurs in a species"
+            for cluster in entry.pattern
+            for s in cluster
+            if s not in p.sites
+        )
+    for _, name in mixture:
+        sd = species.get(name)
+        if sd is None:
+            raise ModelError(f"unknown species '{name}' in mixture")
+        if sd.params:
+            raise ModelError(
+                f"mixture species '{name}' must not take location parameters", code="ARITY"
+            )
+        if free := free_locations(sd.body):
+            raise ModelError(f"mixture species '{name}' has free locations {sorted(free)}")
+    return Model(species, laws, tuple(affinity), tuple(mixture), warnings)

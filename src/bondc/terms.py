@@ -1,6 +1,8 @@
 """Core term language: species, abstractions, laws, affinity networks, models.
 
 Locations are plain strings; the ambient location is represented by None.
+Renaming is capture-avoiding and takes one pass (see ``_rename_under``);
+the parser checks a model's cross-references, on the records it gathers.
 Species terms are NamedTuples, so once normalized they serve as mixture keys.
 Their equality and hashing are tuple operations, which ignore the type: that
 is sound because no two node types, rate expressions and transitions included,
@@ -129,44 +131,34 @@ def rename_locations(t: Species, sub: dict[str, str]) -> Species:
     if isinstance(t, Call):
         return Call(t.name, tuple(sub.get(a, a) for a in t.args))
     if isinstance(t, Sum):
-        return Sum(tuple(_rename_prefix(g, sub) for g in t.guards))
+        return Sum(
+            tuple(
+                Prefix(site, sub.get(loc, loc), *_rename_under(receives, body, sub))
+                for site, loc, receives, body in t.guards
+            )
+        )
     if isinstance(t, Par):
         return Par(tuple(rename_locations(p, sub) for p in t.parts))
     if isinstance(t, New):
-        binders, body = _rename_under(t.binders, t.body, sub)
-        return New(binders, body)
+        return New(*_rename_under(t.binders, t.body, sub))
     raise TypeError(t)
-
-
-def _rename_prefix(g: Prefix, sub: dict[str, str]) -> Prefix:
-    loc = g.location if g.location is None else sub.get(g.location, g.location)
-    receives, body = _rename_under(g.receives, g.body, sub)
-    return Prefix(g.site, loc, receives, body)
 
 
 def _rename_under(
     binders: tuple[str, ...], body: Species, sub: dict[str, str]
 ) -> tuple[tuple[str, ...], Species]:
+    """Rename ``body``'s free names under ``binders`` in one pass: a binder that
+    would capture an incoming name joins the substitution under a fresh name."""
     free = free_locations(body)
     inner = {k: v for k, v in sub.items() if k not in binders and k in free}
-    # freshen binders that would capture an incoming name
     incoming = set(inner.values())
-    if incoming & set(binders):
-        avoid = set(free) | incoming | set(binders) | set(inner)
-        fresh: dict[str, str] = {}
-        new_binders = []
+    if not incoming.isdisjoint(binders):
+        avoid = {*free, *incoming, *binders}
         for b in binders:
             if b in incoming:
-                nb = fresh_name(b, avoid)
-                avoid.add(nb)
-                fresh[b] = nb
-                new_binders.append(nb)
-            else:
-                new_binders.append(b)
-        body = rename_locations(body, fresh)
-        binders = tuple(new_binders)
-    if not inner:
-        return binders, body
+                inner[b] = fresh_name(b, avoid)
+                avoid.add(inner[b])
+        binders = tuple(inner.get(b, b) for b in binders)
     return binders, rename_locations(body, inner)
 
 
@@ -188,9 +180,6 @@ class KineticLaw(NamedTuple):
     args: tuple[str, ...]
     body: Optional[ex.Expr]  # None for the builtin variadic mass-action law
     variadic: bool = False
-
-    def arity_ok(self, n_clusters: int) -> bool:
-        return self.variadic or len(self.args) == n_clusters
 
     def apply(self, param_values: tuple[float, ...], arg_exprs: list[ex.Expr]) -> ex.Expr:
         """The raw law value f(a_1,...,a_m) as an expression."""
@@ -254,65 +243,3 @@ def check_guarded(defs: Mapping[str, SpeciesDef]) -> None:
             path.append((n, iter(callers[n])))
         elif at[n] >= 0:
             raise UnguardedRecursionError([n, *(m for m, _ in reversed(path[at[n] :]))])
-
-
-def validate_model(m: Model, sites: set[str], locations: set[str], calls: list) -> None:
-    """Check cross-references and the site/location namespace split.
-
-    The parser gathers what this needs as it builds the species bodies, so no
-    walk repeats: their guards' sites, every location they name, and each call's
-    (name, argument count) in text order, which is the order a walk meets them.
-    """
-    for name, n in calls:
-        sd = m.species.get(name)
-        if sd is None:
-            raise ModelError(f"unknown species '{name}'")
-        if len(sd.params) != n:
-            raise ModelError(
-                f"species '{name}' takes {len(sd.params)} location(s), got {n}", code="ARITY"
-            )
-    check_guarded(m.species)
-
-    clash = sites & locations
-    if clash:
-        raise ModelError(f"name used as both site and location: {sorted(clash)[0]}")
-
-    for entry in m.affinity:
-        law = m.laws.get(entry.law_name)
-        if law is None:
-            raise ModelError(f"unknown law '{entry.law_name}'")
-        if not law.variadic and len(entry.law_params) != len(law.params):
-            raise ModelError(
-                f"law '{law.name}' takes {len(law.params)} parameter(s), "
-                f"got {len(entry.law_params)}",
-                code="ARITY",
-            )
-        if law.variadic and len(entry.law_params) != 1:
-            raise ModelError("law 'MA' takes 1 parameter", code="ARITY")
-        if not law.arity_ok(len(entry.pattern)):
-            raise ModelError(
-                f"law '{law.name}' expects {len(law.args)} cluster(s), pattern "
-                f"has {len(entry.pattern)}",
-                code="ARITY",
-            )
-        for cluster in entry.pattern:
-            for s in cluster:
-                if s not in sites:
-                    m.warnings.append(
-                        f"site '{s}' in affinity pattern never occurs in a species"
-                    )
-
-    for _, name in m.mixture:
-        sd = m.species.get(name)
-        if sd is None:
-            raise ModelError(f"unknown species '{name}' in mixture")
-        if sd.params:
-            raise ModelError(
-                f"mixture species '{name}' must not take location parameters",
-                code="ARITY",
-            )
-        if free_locations(sd.body):
-            raise ModelError(
-                f"mixture species '{name}' has free locations "
-                f"{sorted(free_locations(sd.body))}"
-            )

@@ -167,6 +167,19 @@ def test_odes_latex(capsys):
     assert r"\begin{align*}" in out
 
 
+@pytest.mark.parametrize("golden", sorted(CRN_GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_odes_latex_is_ascii_with_a_row_per_prime(capsys, golden):
+    # pdflatex's default UTF-8 set-up has no ℓ, and math mode drops spaces: a prime
+    # such as (new ℓ0 in (A'(ℓ0) | A'(ℓ0))) is written with \ell{} and "\ "
+    code, out, err = run(capsys, "odes", str(MODELS / f"{golden.stem}.bond"), "--format", "latex")
+    assert code == 0
+    assert out.isascii()
+    primes = json.loads(golden.read_text(encoding="utf-8"))["primes"]
+    rows = [line for line in out.splitlines() if line.startswith(r"\frac")]
+    assert len(rows) == len(primes)
+    assert not any(" " in p for p in primes) or r"\ " in out
+
+
 def test_odes_json(capsys):
     code, out, err = run(capsys, "odes", str(MODELS / "mm.bond"), "--format", "json")
     assert code == 0

@@ -21,6 +21,7 @@ from bondc.ode import (
 from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 
+import families
 from conftest import evaluate, family_source, rational_left_nullspace, stoichiometry
 from test_expr import from_json
 
@@ -133,6 +134,30 @@ def test_conservation_on_corpus_trajectories():
         for v in basis:
             vals = traj.y @ np.array([float(c) for c in v])
             assert np.max(np.abs(vals - vals[0])) <= 10 * atol, name
+
+
+def family_totals(family, k, names):
+    """The family's conserved totals as weight vectors over primes, read off the prime
+    names by the family's definitions alone: no stoichiometry from bondc."""
+    if family == "bank":
+        return {"enzyme": [float(families.is_bank_enzyme(n)) for n in names]}
+    totals = {"scaffold": [float(n == "Sc" or "Site" in n or "Bound" in n) for n in names]}
+    for i in range(k):
+        totals[f"ligand {i}"] = [float(n == f"L{i}") + n.count(f"Lb{i}(") for n in names]
+    return totals
+
+
+@pytest.mark.parametrize("family, k", [*(("scaffold", k) for k in range(1, 7)), ("bank", 4)])
+def test_family_trajectories_keep_their_totals(family, k):
+    # free ligand i plus each Lb{i} it is bound as; one scaffold; the bank's one enzyme
+    m = parse_model(family_source(family, k))
+    rs = build_reaction_system(m)
+    atol = 1e-9
+    traj = integrate(build_odes(rs), initial_mixture(m, rs.index), 5.0, atol=atol)
+    for what, weights in family_totals(family, k, rs.prime_names).items():
+        vals = traj.y @ np.array(weights)
+        assert vals[0] == 1.0, what
+        assert np.max(np.abs(vals - vals[0])) <= 10 * atol, what
 
 
 def test_stiffness_error_on_vanishing_step():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from graphlib import CycleError, TopologicalSorter
 
@@ -77,6 +78,148 @@ def test_rename_locations_oracle_on_fresh_targets():
     t = New(("b",), Sum((guard("s", "b"), guard("p", "m", ("x",), Sum((guard("q", "x"),))))))
     out = rename_locations(t, {"m": "zz"})
     assert out == New(("b",), Sum((guard("s", "b"), guard("p", "zz", ("x",), Sum((guard("q", "x"),))))))
+
+
+# --- an independent oracle for renaming ------------------------------------
+# binders renamed apart, then naive substitution; compared up to alpha-equivalence
+
+CLASHING = ["l", "l'", "l''", "m", "m'", "k", "ℓ0", "ℓ0'", "ℓ1", "?a0", "?a0'", "?a1"]
+
+
+def relabel(t, env, fresh=None):
+    """Every name in ``t`` through ``env``, binders too, with no regard to scope.
+    Given an iterator ``fresh``, each binder instead takes the next unique ``~n``."""
+    kind = type(t).__name__
+    if kind == "Nil":
+        return t
+    if kind == "Call":
+        return Call(t.name, tuple(env.get(a, a) for a in t.args))
+    if kind == "Par":
+        return Par(tuple(relabel(p, env, fresh) for p in t.parts))
+
+    def bind(names):
+        return {**env, **{b: f"~{next(fresh)}" for b in names}} if fresh else env
+
+    if kind == "New":
+        inner = bind(t.binders)
+        return New(tuple(inner.get(b, b) for b in t.binders), relabel(t.body, inner, fresh))
+    guards = []
+    for site, loc, receives, body in t.guards:
+        inner = bind(receives)
+        rec = tuple(inner.get(r, r) for r in receives)
+        guards.append(Prefix(site, env.get(loc, loc), rec, relabel(body, inner, fresh)))
+    return Sum(tuple(guards))
+
+
+def oracle_rename(t, sub):
+    return relabel(relabel(t, {}, itertools.count()), sub)
+
+
+def alpha_key(t, env=None, depth=0):
+    """``t`` with each bound name replaced by (its binder's depth, position)."""
+    env = env or {}
+    kind = type(t).__name__
+    if kind == "Nil":
+        return ()
+    if kind == "Call":
+        return (t.name, tuple(env.get(a, a) for a in t.args))
+    if kind == "Par":
+        return ("|", tuple(alpha_key(p, env, depth) for p in t.parts))
+    if kind == "New":
+        inner = {**env, **{b: (depth, i) for i, b in enumerate(t.binders)}}
+        return ("new", len(t.binders), alpha_key(t.body, inner, depth + 1))
+    return tuple(
+        (site, env.get(loc, loc), len(rec), alpha_key(body, {**env, **bound}, depth + 1))
+        for site, loc, rec, body in t.guards
+        for bound in [{r: (depth, i) for i, r in enumerate(rec)}]
+    )
+
+
+def random_term(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        if rng.random() < 0.4:
+            return NIL
+        return Call("D", tuple(rng.choice(CLASHING) for _ in range(rng.randint(0, 3))))
+    if roll < 0.55:
+        return Sum(
+            tuple(
+                guard(
+                    rng.choice("abc"),
+                    rng.choice([AMBIENT, *CLASHING]),
+                    rng.sample(CLASHING, rng.randint(0, 2)),
+                    random_term(rng, depth - 1),
+                )
+                for _ in range(rng.randint(1, 3))
+            )
+        )
+    if roll < 0.75:
+        return Par((random_term(rng, depth - 1), random_term(rng, depth - 1)))
+    return New(tuple(rng.sample(CLASHING, rng.randint(1, 2))), random_term(rng, depth - 1))
+
+
+def binder_names(t):
+    kind = type(t).__name__
+    if kind == "Par":
+        return {b for p in t.parts for b in binder_names(p)}
+    if kind == "New":
+        return set(t.binders) | binder_names(t.body)
+    if kind == "Sum":
+        return {b for g in t.guards for b in (*g.receives, *binder_names(g.body))}
+    return set()
+
+
+def test_rename_locations_agrees_with_a_naive_oracle_up_to_alpha():
+    rng = random.Random(20261020)
+    clashes = 0
+    for _ in range(5000):
+        t = random_term(rng, 3)
+        targets = sorted(binder_names(t)) or CLASHING
+        sub = {k: rng.choice(targets) for k in rng.sample(CLASHING, rng.randint(1, 4))}
+        out = rename_locations(t, sub)
+        assert alpha_key(out) == alpha_key(oracle_rename(t, sub)), (t, sub)
+        clashes += alpha_key(out) != alpha_key(relabel(t, sub))
+    assert clashes > 1000  # terms where naive substitution captures or renames a binder
+
+
+@pytest.mark.parametrize(
+    "t, sub, expected",
+    [
+        (  # a received name captures an incoming one
+            Sum((Prefix("a", "m", ("l", "l'"), Call("D", ("l", "l'", "k"))),)),
+            {"k": "l", "m": "l'"},
+            Sum((Prefix("a", "l'", ("l''", "l'"), Call("D", ("l''", "l'", "l"))),)),
+        ),
+        (  # the freshened outer binder's name captures under a nested binder
+            New(
+                ("ℓ0",),
+                Par((Sum((guard("b", "ℓ0"),)), New(("ℓ0'",), Call("D", ("ℓ0", "ℓ0'", "m"))))),
+            ),
+            {"m": "ℓ0"},
+            New(
+                ("ℓ0'",),
+                Par((Sum((guard("b", "ℓ0'"),)), New(("ℓ0''",), Call("D", ("ℓ0'", "ℓ0''", "ℓ0"))))),
+            ),
+        ),
+        (  # placeholders, as a call's parameters are renamed to them
+            Par(
+                (
+                    Sum((Prefix("r", "?a0", ("?a1",), Call("E", ("?a1", "x"))),)),
+                    Call("E", ("x", "y")),
+                )
+            ),
+            {"x": "?a1", "y": "?a0"},
+            Par(
+                (
+                    Sum((Prefix("r", "?a0", ("?a1'",), Call("E", ("?a1'", "?a1"))),)),
+                    Call("E", ("?a1", "?a0")),
+                )
+            ),
+        ),
+    ],
+)
+def test_rename_locations_pinned_clashes(t, sub, expected):
+    assert rename_locations(t, sub) == expected
 
 
 def test_fresh_name():
