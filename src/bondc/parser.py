@@ -2,9 +2,10 @@
 
     model      := item* ;  item := speciesDef | lawDef | affinityDef | mixtureDef
     speciesDef := "species" NAME ("(" LOC ("," LOC)* ")")? "=" spec ";"
-    spec       := sum | par | res | "0" | NAME ("(" LOC ("," LOC)* ")")?
+    spec       := sum | par | res | "0" | call
     sum        := guard ("+" guard)*
     guard      := SITE ("@" LOC)? ("(" LOC ("," LOC)* ")")? "." cont
+    cont       := "0" | par | res | guard | call ;  call := NAME ("(" LOC ("," LOC)* ")")?
     par        := "(" spec ("|" spec)+ ")"
     res        := "new" LOC ("," LOC)* "in" spec
     lawDef     := "law" NAME "(" NAME ("," NAME)* ";" NAME ("," NAME)* ")" "=" expr ";"
@@ -28,6 +29,7 @@ it builds the ``Model``.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import islice
 
@@ -132,34 +134,44 @@ class _Parser:
         self.i += 1
         return text
 
-    def number(self) -> float:
+    def number(self, what: str, ok) -> float:
+        """A number, negated after a "-"; unless ``ok`` holds for it, an error at its
+        first token that expects ``what``."""
+        pos = self.i
         sign = -1.0 if self.accept("-") else 1.0
         if not self.tok[:1].isdecimal():
             raise self.error(f"expected number, found {self.found()}")
-        return sign * float(self.advance())
-
-    def amount(self) -> tuple[float, str]:
-        """A mixture entry: a finite concentration >= 0 and a species name."""
-        pos = self.i
-        c = self.number()
-        if not 0.0 <= c < float("inf"):
-            raise self.error(f"expected a finite concentration >= 0, found {c:g}", pos)
-        return c, self.name("species name")
-
-    def finite(self, what: str) -> float:
-        """A finite number, such as a law parameter or a number in a law body."""
-        pos = self.i
-        v = self.number()
-        if not abs(v) < float("inf"):
+        v = sign * float(self.advance())
+        if not ok(v):
             raise self.error(f"expected {what}, found {v:g}", pos)
         return v
 
+    def amount(self) -> tuple[float, str]:
+        """A mixture entry: a finite concentration >= 0 and a species name."""
+        c = self.number("a finite concentration >= 0", lambda v: 0.0 <= v < math.inf)
+        return c, self.name("species name")
+
     # --- species terms ---
 
-    def spec(self) -> Species:
-        if self.at("(") or self.at("new") or self.at("0"):
-            return self.continuation()
-        return self.sum_or_call()
+    def spec(self, cont: bool = False) -> Species:
+        """A species term; a guard's continuation (``cont``) stops before a "+"."""
+        if self.accept("0"):
+            return NIL
+        if self.at("("):
+            return self.group()
+        if self.at("new"):
+            return self.res()
+        first = self.guard_or_call()
+        if not isinstance(first, Prefix):
+            return first
+        guards = [first]
+        while not cont and self.accept("+"):
+            start = self.i
+            g = self.guard_or_call()
+            if not isinstance(g, Prefix):
+                raise self.error("a choice may only contain prefix guards", start)
+            guards.append(g)
+        return Sum(tuple(guards))
 
     def res(self) -> Species:
         self.expect("new")
@@ -174,19 +186,6 @@ class _Parser:
         self.expect(")")
         return Par(tuple(parts)) if len(parts) > 1 else parts[0]
 
-    def sum_or_call(self) -> Species:
-        first = self.guard_or_call()
-        if isinstance(first, Prefix):
-            guards = [first]
-            while self.accept("+"):
-                start = self.i
-                g = self.guard_or_call()
-                if not isinstance(g, Prefix):
-                    raise self.error("a choice may only contain prefix guards", start)
-                guards.append(g)
-            return Sum(tuple(guards))
-        return first
-
     def guard_or_call(self) -> Prefix | Species:
         ident = self.name("site or species name")
         loc = self.name("location") if self.accept("@") else None
@@ -194,29 +193,16 @@ class _Parser:
         if self.accept("("):
             names = self.sep_list(",", self.name, "location")
             self.expect(")")
-            if len(set(names)) != len(names):
-                raise self.error("received locations must be pairwise distinct")
         self.locations.update(names, () if loc is None else (loc,))
         if self.accept("."):
+            if len(set(names)) != len(names):
+                raise self.error("received locations must be pairwise distinct", self.i - 1)
             self.sites.add(ident)
-            return Prefix(ident, loc, tuple(names), self.continuation())
+            return Prefix(ident, loc, tuple(names), self.spec(cont=True))
         if loc is not None:
             raise self.error("'@location' is only valid on a prefix guard")
         self.calls.append((ident, len(names)))
         return Call(ident, tuple(names))
-
-    def continuation(self) -> Species:
-        """Guard continuation: an atom; sums/parallels must be parenthesized."""
-        if self.accept("0"):
-            return NIL
-        if self.at("("):
-            return self.group()
-        if self.at("new"):
-            return self.res()
-        g = self.guard_or_call()
-        if isinstance(g, Prefix):
-            return Sum((g,))
-        return g
 
     # --- law expressions ---
 
@@ -246,7 +232,7 @@ class _Parser:
             self.expect(")")
             return e
         if self.tok[:1].isdecimal():
-            return ex.const(self.finite("a finite number"))
+            return ex.const(self.number("a finite number", math.isfinite))
         return ex.Var(self.name("parameter or argument"))
 
     # --- affinity patterns ---
@@ -303,7 +289,7 @@ def parse_model(text: str) -> Model:
                 law_name = p.name("law name")
                 p.expect("(")
                 pos = p.i
-                values = p.sep_list(",", p.finite, "a finite law parameter")
+                values = p.sep_list(",", p.number, "a finite law parameter", math.isfinite)
                 if law_name == MASS_ACTION.name and values[0] < 0.0:
                     raise p.error(f"expected a rate constant >= 0, found {values[0]:g}", pos)
                 p.expect(")")

@@ -14,6 +14,7 @@ from bondc import cli, ode, ssa
 from bondc.cli import main
 
 from conftest import bond_graph_source, cube_edges
+from test_ssa import clamped
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -67,6 +68,20 @@ def test_check_arity_error(capsys):
     code, out, err = run(capsys, "check", str(MODELS / "broken_arity.bond"))
     assert code == 1
     assert err.startswith("error[ARITY]:")
+
+
+def test_a_call_may_repeat_a_location(tmp_path, capsys):
+    # Q(l, l) passes one location for both parameters: A behaves as Q's body at l
+    repeated = tmp_path / "repeated.bond"
+    repeated.write_text(
+        "species Q(l, m) = a@l.0 + b@m.0;\nspecies A = new l in (Q(l, l) | c@l.0);\n"
+    )
+    inline = tmp_path / "inline.bond"
+    inline.write_text("species A = new l in ((a@l.0 + b@l.0) | c@l.0);\n")
+    assert run(capsys, "check", str(repeated)) == (0, "ok\n", "")
+    table = run(capsys, "transitions", str(inline), "--species", "A")
+    assert table[0] == 0 and len(table[1].splitlines()) == 2
+    assert run(capsys, "transitions", str(repeated), "--species", "A") == table
 
 
 def test_primes_lists_species(capsys):
@@ -433,6 +448,19 @@ def test_ssa_warns_of_zero_levels_before_a_run_fails(tmp_path, capsys):
     assert err.splitlines() == [
         "warning: initial concentration 0.01 of 'Z' rounds to 0 levels at h=1",
         "error[DOMAIN]: rate evaluation failed for reaction 'x at F(1)': division by zero",
+    ]
+
+
+def test_ssa_prints_each_runs_warnings(tmp_path, capsys):
+    # T -> P + Q takes P and Q to 2 levels, where k * (1.5 - x) is negative in every run
+    path = tmp_path / "clamped.bond"
+    path.write_text(clamped("q"))
+    argv = ["--h", "1", "--t-end", "100", "--seed", "1", "--runs", "2", "--grid", "2"]
+    code, out, err = run(capsys, "ssa", str(path), *argv)
+    assert code == 0 and out.startswith("run,t,T,P,Q\n")
+    assert err.splitlines() == [
+        f"warning: run {i}: negative propensity for 'q at N(1)' clamped to 0"
+        for i in range(2)
     ]
 
 

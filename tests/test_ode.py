@@ -119,6 +119,21 @@ def test_nonnegativity_clipping():
     assert (traj.y >= 0.0).all()
 
 
+def test_negative_step_is_clipped_to_zero():
+    # a saturated enzyme with km = 1e-6 removes S at rate ~1 until S is near 0, where a
+    # step overshoots below 0: the state is clipped and k0 evaluated again, not taken FSAL
+    rs, sys_ = odes_for(
+        "species S = s.0;\nlaw MM(v, km; a) = v * a / (km + a);\n"
+        "affinity { s at MM(1.0, 1e-6); }\nmixture { 1 S }"
+    )
+    traj = integrate(sys_, [1.0], 2.0, rtol=1e-3, atol=1e-6, grid=20)
+    # one evaluation at t=0 and six per attempt; each clipped step adds one more
+    clipped = traj.nfev - 1 - 6 * (traj.steps + traj.rejected)
+    assert clipped >= 1
+    assert (traj.y >= 0.0).all()
+    assert traj.y[-1, 0] == 0.0
+
+
 def test_conservation_on_corpus_trajectories():
     for name, t_end in [("enzyme.bond", 10.0), ("dimer.bond", 5.0),
                         ("pingpong.bond", 5.0), ("inhibitor.bond", 5.0)]:

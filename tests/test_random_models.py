@@ -7,9 +7,14 @@ and any under a guard, so most models are guarded; one in ten gets a fault.
 The model is kept as a tree, so that a variant can list its definitions,
 affinity entries, mixture entries, parallel parts and guards in another order:
 the network must be the same up to numbering (Chen, Cheung & Yiu, 1998).
+Listing a whole mixture amount c >= 1 as the two entries 1 and c - 1 must print the
+same ``crn`` and ``simulate`` output, for the corpus too, and ``normalize`` must
+be idempotent on every prime and every target that ``transitions`` surfaces.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,8 @@ from bondc.congruence import normalize
 from bondc.expr import DomainError
 from bondc.parser import ParseError, parse_model
 from bondc.reactions import UnboundedError, build_reaction_system
-from bondc.terms import ModelError
+from bondc.terms import Call, ModelError
+from bondc.transitions import TransitionSystem
 
 from conftest import evaluate
 
@@ -27,17 +33,18 @@ SITES = "abcd"
 LOCS = "lmn"
 PARAMS = {"A": (), "B": (), "C": (), "P": ("l",), "Q": ("l", "m")}
 CAP = 30
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def gen_body(rng, scope, callees, depth):
     """A species term over the locations in ``scope``; it calls ``callees`` unguarded."""
     roll = rng.random()
     if depth == 0 or roll < 0.2:
-        names = [n for n in callees if len(PARAMS[n]) <= len(scope)]
+        names = [n for n in callees if scope or not PARAMS[n]]
         if not names or rng.random() < 0.3:
             return ("0",)
         name = rng.choice(names)
-        return ("call", name, tuple(rng.sample(scope, len(PARAMS[name]))))
+        return ("call", name, tuple(rng.choices(scope, k=len(PARAMS[name]))))
     if roll < 0.6:
         return gen_choice(rng, scope, depth)
     if roll < 0.8:
@@ -215,4 +222,52 @@ def test_reordered_models_give_the_same_network(seed):
             compiling += 1
             for p in rs.index.primes:
                 assert normalize(p) == p, (text, p)
+            # and every target of the full table, from each definition and each prime
+            ts = TransitionSystem(parse_model(text).species)
+            for src in [*(Call(n, sd.params) for n, sd in ts.defs.items()), *rs.index.primes]:
+                for tr in ts.transitions(src):
+                    assert normalize(tr.target.body) == tr.target.body, (text, src, tr)
     assert compiling >= 15
+
+
+def split_mixture(text):
+    """The text with each whole mixture amount c >= 1 listed as two entries, 1 and c - 1."""
+
+    def split(m):
+        c = int(m[1])
+        return f"1 {m[2]}, {c - 1} {m[2]}" if c else m[0]
+
+    entries = r"(?<=[{,])\s*(\d+)\s+(\w+)"
+    return re.sub(r"mixture\s*\{[^}]*\}", lambda b: re.sub(entries, split, b[0]), text)
+
+
+def outputs(capsys, path, text, commands):
+    """Each command's exit code, stdout and stderr on the model text."""
+    path.write_text(text, encoding="utf-8")
+    return [(main([c[0], str(path), *c[1:]]), *capsys.readouterr()) for c in commands]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS.glob("*.bond")), ids=lambda p: p.stem)
+def test_split_mixture_entries_give_the_same_corpus_output(tmp_path, capsys, model):
+    # whole amounts sum exactly, so the initial state, and all that follows, is the same
+    text = model.read_text(encoding="utf-8")
+    split = split_mixture(text)
+    assert split != text
+    commands = [["crn"], ["simulate", "--t-end", "5", "--grid", "10"]]
+    want = outputs(capsys, tmp_path / model.name, text, commands)
+    assert outputs(capsys, tmp_path / model.name, split, commands) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_mixture_entries_give_the_same_output(tmp_path, capsys, seed):
+    rng = random.Random(2000 + seed)
+    commands = [c for c in COMMANDS if c[0] in ("crn", "simulate")]
+    split_models = 0
+    for _ in range(10):
+        text = source(gen_model(rng))
+        split = split_mixture(text)
+        if split != text:
+            split_models += 1
+            want = outputs(capsys, tmp_path / "model.bond", text, commands)
+            assert outputs(capsys, tmp_path / "model.bond", split, commands) == want, split
+    assert split_models >= 5
