@@ -6,7 +6,9 @@ straight-line function: it evaluates each rate once, checks them finite, and
 adds each into the primes its reaction changes; a rate that fails raises a
 DomainError naming its reaction, so an error inside a step needs no second
 evaluation.  The field takes its concentrations as arguments, argument i
-being ``names[i]``'s value.  The integrator is a Dormand-Prince 5(4) embedded
+being ``names[i]``'s value, and returns a list of floats: ``integrate`` calls
+it directly and counts its calls, and ``eval_field`` is the entry point that
+takes and returns arrays.  The integrator is a Dormand-Prince 5(4) embedded
 pair with error-per-step control.  One attempt is generated per model,
 straight-line over Python floats with the tableau inlined; a prime that no
 reaction changes is carried as it is.  The standard quartic continuous
@@ -178,15 +180,9 @@ def integrate(
         return Trajectory(t_out, np.zeros((grid + 1, 0)), 0, 0, 0)
     out = [y]  # the sampled rows, one per grid point reached
 
-    nfev = steps = rejected = 0
-
-    def f(x: list[float]) -> list[float]:
-        nonlocal nfev
-        nfev += 1
-        return eval_field(sys, x).tolist()
-
-    step = sys._step
-    k0 = f(y)
+    step, field = sys._step, sys._field
+    k0 = field(*y)
+    nfev, steps, rejected = 1, 0, 0
     h = t_end / 100.0
     h_min = 1e-14 * t_end
 
@@ -216,7 +212,8 @@ def integrate(
             steps += 1
             if min(y5) < 0.0:
                 y = [0.0 if v < 0.0 else v for v in y5]
-                k0 = f(y)
+                k0 = field(*y)
+                nfev += 1
             else:
                 y, k0 = y5, ks[6]  # FSAL
         else:

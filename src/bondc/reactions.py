@@ -11,27 +11,28 @@ The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
 its last evaluation, since the others' products are already indexed; a
 tuple whose other slots hold old primes only takes the last slot's new ones.
-A tuple's product is its colocated targets, committed and normalized once
-(by ``primes``), which also canonicalizes an open target the table left raw;
-when every target is closed, each is a normal form already, and the product
-is the sorted union of their primes.  It is memoized, so extraction does not
-colocate or normalize.  Tuples are visited in the same order either way, so
-prime numbering does not depend on any of this.  The rate of a matched tuple
-is the kinetic law applied to the total cluster concentrations, divided by
-those concentrations and multiplied back by each participant's own
-contribution; a slot whose cluster is matched by a single (prime, transition)
-pair cancels exactly.  The law is applied once per entry, and the totals are
-built only for a law that reads them: mass action does not.  Repeated
-clusters in a pattern contribute the standard 1/multiplicity! symmetry
-correction, so e.g. a homodimerization under mass-action k fires at
-(1/2) k [A]^2.  Tuples with equal reactants, products and entry sum into one
-reaction; a non-finite constant in a rate is an error.
+A tuple's product is its targets joined in one flat ``Par`` (``colocate``),
+committed and normalized once (by ``primes``), which also canonicalizes an
+open target the table left raw; when every target is closed, each is a
+normal form already, and the product is the sorted union of their primes.
+It is memoized, so extraction does not colocate or normalize.  Tuples are
+visited in the same order either way, so prime numbering does not depend on
+any of this.  The rate of a matched tuple is the kinetic law applied to the
+total cluster concentrations, divided by those concentrations and multiplied
+back by each participant's own contribution, by one rule for every slot: for
+a slot whose cluster is matched by a single (prime, transition) pair,
+share/total is x/x, which ``expr.div`` folds to exactly 1.  The law is
+applied once per entry, and the totals are built only for a law that reads
+them: mass action does not.  Repeated clusters in a pattern contribute the
+standard 1/multiplicity! symmetry correction, so e.g. a homodimerization
+under mass-action k fires at (1/2) k [A]^2.  Tuples with equal reactants,
+products and entry sum into one reaction; a non-finite constant in a rate is
+an error.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from collections import Counter
@@ -118,7 +119,7 @@ class PrimeIndex:
                 if len(targets) > 1:
                     ps.sort(key=serialize)
             else:
-                ps = primes(commit(functools.reduce(colocate, targets)))
+                ps = primes(commit(colocate(*targets)))
             hit = tuple(self.add(p)[0] for p in ps)
             self._products[key] = hit
         return hit
@@ -241,10 +242,9 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
             rate = value
             for j, mt in enumerate(combo):
                 # each slot multiplies in its participant's share: for mass action the
-                # share itself (a monomial), else share/a_j, exactly 1 for a sole match
-                if law.variadic or len(slot_lists[j]) > 1:
-                    share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
-                    rate = ex.mul(rate, share if law.variadic else ex.div(share, a_exprs[j]))
+                # share itself (a monomial), else share/a_j, which folds to 1 for a sole match
+                share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
+                rate = ex.mul(rate, share if law.variadic else ex.div(share, a_exprs[j]))
             if sym != 1:
                 rate = ex.mul(ex.const(1.0 / sym), rate)
             reactants = tuple(sorted(mt.prime for mt in combo))

@@ -17,16 +17,18 @@ tested once, when first formed, against the clusters that hold its first
 site.  Without clusters the system computes the full table.  A system also
 keeps the table of each invocation it unfolds, which callers only read.
 
-Targets are positional: their bound locations are ?a0, ?a1, ..., to which
-a guard renames its received locations; Com and restriction only wrap
-bodies.  Targets are canonicalized once, where a transition surfaces in
-``transitions()`` or ``ambient()``, and congruent transitions merge there,
-in order of first occurrence: every step maps congruent targets to
-congruent ones, so the table is the one canonicalizing at each step gives.
-Congruent transitions share a cluster, so ``ambient()`` leaves an open
-target raw when no other open target has its cluster: it merges with
-nothing, and the product it takes part in is normalized anyway.  Closed
-targets, which a product takes its primes from, are always canonical.
+Targets are positional: their bound locations are ?a0, ?a1, ..., to which a
+guard renames its received locations; restriction only wraps a body.  A
+parallel part's transition puts its target's body in one flat ``Par`` with
+the parts left idle, and Com joins its targets' bodies once (``colocate``),
+when it emits a combination.  Targets are canonicalized once, where a
+transition surfaces in ``transitions()`` or ``ambient()``, and congruent
+transitions merge there, in order of first occurrence: every step maps
+congruent targets to congruent ones, so the table is the one canonicalizing
+at each step gives.  Congruent transitions share a cluster, so ``ambient()``
+leaves an open target raw when no other open target has its cluster: it
+merges with nothing, and the product it takes part in is normalized anyway.
+Closed targets, which a product takes its primes from, are always canonical.
 
 The system keeps each definition's body in normal form, so a canonical term
 lists its transitions in an order that depends only on the term, not on how
@@ -68,9 +70,9 @@ def canonical_abstraction(f: Abstraction) -> Abstraction:
     return Abstraction(f.arity, normalize(f.body))
 
 
-def colocate(f: Abstraction, g: Abstraction) -> Abstraction:
-    """Join two open reaction products, sharing bound locations by position."""
-    return Abstraction(max(f.arity, g.arity), Par((f.body, g.body)))
+def colocate(*targets: Abstraction) -> Abstraction:
+    """Join open reaction products in one Par, sharing bound locations by position."""
+    return Abstraction(max(f.arity for f in targets), Par(tuple(f.body for f in targets)))
 
 
 def restrict_abstraction(names: tuple[str, ...], f: Abstraction) -> Abstraction:
@@ -179,10 +181,7 @@ class TransitionSystem:
 
         def with_rest(target: Abstraction, used: set[int]) -> Abstraction:
             rest = tuple(parts[j] for j in range(n) if j not in used)
-            if not rest:
-                return target
-            rest_abs = Abstraction(0, rest[0] if len(rest) == 1 else Par(rest))
-            return colocate(target, rest_abs)
+            return Abstraction(target.arity, Par((target.body, *rest))) if rest else target
 
         for i, trs in enumerate(sub):
             for tr, m in trs.items():
@@ -200,19 +199,19 @@ class TransitionSystem:
             per_part = [
                 [(tr, m) for tr, m in trs.items() if tr.location == loc] for trs in sub
             ]
-            todo = [(0, (), (), 1, None)]  # next part, parts used, site bag, multiplicity, target
+            todo = [(0, (), (), 1, ())]  # next part, parts used, site bag, multiplicity, targets
             while todo:
-                start, used, sites, mult, target = todo.pop()
+                start, used, sites, mult, targets = todo.pop()
                 if len(used) > 1:
-                    k = Transition(sites, loc, with_rest(target, set(used)))
+                    k = Transition(sites, loc, with_rest(colocate(*targets), set(used)))
                     out[k] = out.get(k, 0) + mult
                 grown = []
                 for i in range(start, n):
                     for tr, m in per_part[i]:
                         bag = tuple(sorted(sites + tr.cluster))
                         if self._fits(bag):
-                            tgt = colocate(target, tr.target) if used else tr.target
-                            grown.append((i + 1, (*used, i), bag, mult * m, tgt))
+                            tgts = (*targets, tr.target)
+                            grown.append((i + 1, (*used, i), bag, mult * m, tgts))
                 todo += reversed(grown)
         return out
 

@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import bondc
 from bondc import cli, ode, ssa
 from bondc.cli import main
 
@@ -68,6 +71,31 @@ def test_check_arity_error(capsys):
     code, out, err = run(capsys, "check", str(MODELS / "broken_arity.bond"))
     assert code == 1
     assert err.startswith("error[ARITY]:")
+
+
+# every exception class a bondc module defines with a str ``code``, by qualified name
+CODED_ERRORS = {
+    f"{cls.__module__}.{cls.__qualname__}": cls
+    for info in pkgutil.iter_modules(bondc.__path__)
+    for cls in vars(importlib.import_module(f"bondc.{info.name}")).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+    and cls.__module__.startswith("bondc.") and isinstance(getattr(cls, "code", None), str)
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODED_ERRORS))
+def test_every_coded_error_is_one_error_line(capsys, monkeypatch, name):
+    # raised from inside the compile, each gives exit 1 and one error[CODE]: line
+    cls = CODED_ERRORS[name]
+    e = cls.__new__(cls)
+    Exception.__init__(e, "raised in the compile")
+
+    def fail(*args, **kwargs):
+        raise e
+
+    monkeypatch.setattr(cli, "build_reaction_system", fail)
+    code, out, err = run(capsys, "crn", str(MODELS / "mm.bond"))
+    assert (code, out, err) == (1, "", f"error[{cls.code}]: raised in the compile\n")
 
 
 def test_a_call_may_repeat_a_location(tmp_path, capsys):

@@ -134,6 +134,39 @@ def test_negative_step_is_clipped_to_zero():
     assert traj.y[-1, 0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "src, t_end, tol, clipped",
+    [
+        ((MODELS / "kuznetsov.bond").read_text(), 400.0, {}, 0),
+        (
+            "species S = s.0;\nlaw MM(v, km; a) = v * a / (km + a);\n"
+            "affinity { s at MM(1.0, 1e-6); }\nmixture { 1 S }",
+            2.0,
+            {"rtol": 1e-3, "atol": 1e-6, "grid": 20},
+            1,
+        ),
+    ],
+    ids=["kuznetsov", "clipped"],
+)
+def test_nfev_counts_every_field_call(src, t_end, tol, clipped):
+    # the counter replaces the field before the step is built, so the step's six
+    # stage calls go through it as well as integrate's own k0 and a clipped step's
+    m = parse_model(src)
+    rs = build_reaction_system(m)
+    sys_ = build_odes(rs)
+    calls = 0
+    field = sys_._field
+
+    def counted(*y):
+        nonlocal calls
+        calls += 1
+        return field(*y)
+
+    sys_._field = counted
+    traj = integrate(sys_, initial_mixture(m, rs.index), t_end, **tol)
+    assert calls == traj.nfev == 1 + 6 * (traj.steps + traj.rejected) + clipped
+
+
 def test_conservation_on_corpus_trajectories():
     for name, t_end in [("enzyme.bond", 10.0), ("dimer.bond", 5.0),
                         ("pingpong.bond", 5.0), ("inhibitor.bond", 5.0)]:

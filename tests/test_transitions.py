@@ -312,6 +312,16 @@ def test_colocate_max_arity():
     assert h.arity == 2
 
 
+def test_colocate_joins_any_number_in_one_flat_par():
+    # arities 2, 1 and 0: f and g share ?a0, h's free l is no placeholder
+    f = Abstraction(2, Par((S(guard("a", "?a0")), S(guard("b", "?a1")))))
+    g = Abstraction(1, S(guard("c", "?a0")))
+    h = Abstraction(0, S(guard("d", "l")))
+    fgh = colocate(f, g, h)
+    assert fgh == Abstraction(2, Par((f.body, g.body, h.body)))
+    assert primes(commit(fgh)) == primes(commit(colocate(colocate(f, g), h)))
+
+
 def test_colocate_commutative_up_to_congruence():
     f = Abstraction(1, S(guard("a", "?a0")))
     g = Abstraction(1, S(guard("b", "?a0")))
