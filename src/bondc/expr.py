@@ -257,12 +257,16 @@ def compile_exprs(
         rates = [f"r{j}" for j in range(len(exprs))]
         lines = [f"def f({', '.join(map(var.format, range(len(names))))}):"]
         lines += statements(range(len(exprs)), lambda j, t: f" r{j} = {t}")
-        if rates:
-            lines += chain("v", ["+" + r for r in rates])
-            lines.append(f" if not isfinite(v): check(({','.join(rates)},))")
         for i, terms in enumerate(sums):
             signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
             lines += chain(f"d{i}", signed)
+        # a non-finite rate makes each sum holding it non-finite: check these and the rest
+        summed = {j for terms in sums for _, j in terms}
+        covered = [f"d{i}" for i, ts in enumerate(sums) if ts]
+        covered += [r for j, r in enumerate(rates) if j not in summed]
+        if rates:
+            lines += chain("v", ["+" + r for r in min(covered, rates, key=len)])
+            lines.append(f" if not isfinite(v): check(({','.join(rates)},))")
         lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
     env = {"slow": gdiv, "isfinite": math.isfinite, "check": check}
     env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants

@@ -2,10 +2,11 @@
 
 The derivatives and the compiled field come from one pass over each
 reaction's sparse stoichiometry (``Reaction.jumps``).  The field is one
-straight-line function: it evaluates each rate once, checks them finite, and
-adds each into the primes its reaction changes; a rate that fails raises a
-DomainError naming its reaction, so an error inside a step needs no second
-evaluation.  The field takes its concentrations as arguments, argument i
+straight-line function: it evaluates each rate once, adds each into the
+primes its reaction changes and checks them finite; a rate that fails raises
+a DomainError naming its reaction.  An attempt with a failing stage is
+rejected, and its error raised only if h falls below its floor before a step
+is accepted.  The field takes its concentrations as arguments, argument i
 being ``names[i]``'s value, and returns a list of floats: ``integrate`` calls
 it directly and counts its calls, and ``eval_field`` is the entry point that
 takes and returns arrays.  The integrator is a Dormand-Prince 5(4) embedded
@@ -187,10 +188,11 @@ def integrate(
     h_min = 1e-14 * t_end
 
     max_steps = 10_000_000
+    failed = None  # the DomainError of a rejected attempt since the last accepted step
     while t < t_end:
         h = min(h, max_step, t_end - t)
         if h < h_min:
-            raise StiffnessError(
+            raise failed or StiffnessError(
                 f"step size underflow at t={t:.6g} (h={h:.3g}); "
                 "the system appears stiff for an explicit method"
             )
@@ -199,10 +201,14 @@ def integrate(
                 f"step budget exhausted at t={t:.6g} after {max_steps} attempts; "
                 "the system appears stiff for an explicit method"
             )
-        y5, err, ks = step(y, k0, h, rtol, atol)
         nfev += 6
+        try:
+            y5, err, ks = step(y, k0, h, rtol, atol)
+        except ex.DomainError as e:  # a stage left the rates' domain: rejected, h shrinks by 0.2
+            failed, err = e, math.inf
 
         if err <= 1.0:
+            failed = None
             t_new = t + h
             u = None  # dense output over (t, t_new], built only if a grid point falls there
             while len(out) <= grid and t_grid[len(out)] <= t_new + 1e-15 * t_end:

@@ -10,7 +10,8 @@ The index is built once, by ``reachable_primes``, and serves extraction too.
 The reachable-prime fixpoint is semi-naive (Bancilhon & Ramakrishnan, 1986):
 an affinity entry re-evaluates only the tuples holding a prime found since
 its last evaluation, since the others' products are already indexed; a
-tuple whose other slots hold old primes only takes the last slot's new ones.
+tuple whose other slots hold old primes only takes the last slot's new ones,
+and an entry with no new match in any slot is skipped.
 A tuple's product is its targets joined in one flat ``Par`` (``colocate``),
 committed and normalized once (by ``primes``), which also canonicalizes an
 open target the table left raw; when every target is closed, each is a
@@ -183,8 +184,10 @@ def reachable_primes(
         for e, entry in enumerate(model.affinity):
             by_cluster = index.matches()
             old, seen[e] = seen[e], len(index)
-            *heads, last = [by_cluster.get(c, []) for c in entry.pattern]
-            # each list runs in prime order: an all-old head takes only the last slot's new matches
+            *heads, last = slots = [by_cluster.get(c, []) for c in entry.pattern]
+            if all(not ms or ms[-1].prime < old for ms in slots):
+                continue  # no slot has a new match: each list runs in prime order
+            # so an all-old head takes only the last slot's new matches
             new = last[bisect.bisect_left(last, old, key=attrgetter("prime")) :]
             for head in itertools.product(*heads):
                 for mt in last if any(h.prime >= old for h in head) else new:

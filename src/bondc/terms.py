@@ -80,8 +80,11 @@ class Call(NamedTuple):
 Species = Union[Nil, Sum, Par, New, Call]
 
 
+_PLACEHOLDERS = tuple(f"?a{i}" for i in range(64))
+
+
 def placeholders(n: int) -> tuple[str, ...]:
-    return tuple(f"?a{i}" for i in range(n))
+    return _PLACEHOLDERS[:n] if n <= len(_PLACEHOLDERS) else tuple(f"?a{i}" for i in range(n))
 
 
 class Abstraction(NamedTuple):

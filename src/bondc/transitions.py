@@ -5,30 +5,33 @@ cluster of sites at some location, becoming an abstraction (a species with
 not-yet-created bound locations).  Transitions at the same named location
 combine across parallel components; a restriction turns internal multi-site
 combinations at its location into ambient transitions, and discards the
-single-site ones (a bound site cannot react with the outside on its own).
+single-site ones (a bound site cannot react with the outside on its own): a
+``Par`` right under it never lifts them out of a part, though Com reads them.
 
 Given the affinity clusters, a system computes only the transitions that can
 still take part in a reaction.  A transition's site bag only grows (by Com at
 a shared location) until it surfaces at ambient, where a pattern slot must
 match it exactly.  So a guard whose site lies in no cluster is dropped, and
 Com grows a combination part by part only while its bag is a sub-bag of some
-cluster: its cost follows the combinations that fit, not 2^parts.  A bag is
-tested once, when first formed, against the clusters that hold its first
-site.  Without clusters the system computes the full table.  A system also
-keeps the table of each invocation it unfolds, which callers only read.
+cluster: its cost follows the combinations that fit, not 2^parts.  One site
+fits if a cluster holds it; a larger bag is tested once, when first formed,
+against the clusters that hold its first site.  Without clusters the system
+computes the full table.  A system also keeps the table of each invocation
+it unfolds, which callers only read.
 
 Targets are positional: their bound locations are ?a0, ?a1, ..., to which a
 guard renames its received locations; restriction only wraps a body.  A
 parallel part's transition puts its target's body in one flat ``Par`` with
-the parts left idle, and Com joins its targets' bodies once (``colocate``),
-when it emits a combination.  Targets are canonicalized once, where a
-transition surfaces in ``transitions()`` or ``ambient()``, and congruent
-transitions merge there, in order of first occurrence: every step maps
-congruent targets to congruent ones, so the table is the one canonicalizing
-at each step gives.  Congruent transitions share a cluster, so ``ambient()``
-leaves an open target raw when no other open target has its cluster: it
-merges with nothing, and the product it takes part in is normalized anyway.
-Closed targets, which a product takes its primes from, are always canonical.
+the parts left idle, built once per part, and Com joins its targets' bodies
+once (``colocate``), when it emits a combination.  Targets are canonicalized
+once, where a transition surfaces in ``transitions()`` or ``ambient()``, and
+congruent transitions merge there, in order of first occurrence: every step
+maps congruent targets to congruent ones, so the table is the one
+canonicalizing at each step gives.  Congruent transitions share a cluster, so
+``ambient()`` leaves an open target raw when no other open target has its
+cluster: it merges with nothing, and the product it takes part in is
+normalized anyway.  Closed targets, which a product takes its primes from,
+are always canonical.
 
 The system keeps each definition's body in normal form, so a canonical term
 lists its transitions in an order that depends only on the term, not on how
@@ -123,6 +126,8 @@ class TransitionSystem:
         """Whether a site bag is a sub-bag of some cluster (always, unpruned)."""
         if self._fit is None:
             return True
+        if len(sites) == 1:
+            return sites[0] in self._holding
         fit = self._fit.get(sites)
         if fit is None:
             fit = self._fit[sites] = any(
@@ -139,7 +144,8 @@ class TransitionSystem:
         shared = Counter(tr.cluster for tr, _ in raw if tr.target.arity)
         return _surface(raw, {c for c, n in shared.items() if n == 1})
 
-    def _transitions(self, t: Species) -> dict[Transition, int]:
+    def _transitions(self, t: Species, bound: Container[str] = ()) -> dict[Transition, int]:
+        """The raw table; right under a restriction of ``bound``, a Par lifts no lone site there."""
         if isinstance(t, Call):
             if t not in self._calls:
                 u = t
@@ -161,10 +167,10 @@ class TransitionSystem:
                 out[k] = out.get(k, 0) + 1
             return out
         if isinstance(t, Par):
-            return self._par_transitions(t.parts)
+            return self._par_transitions(t.parts, bound)
         if isinstance(t, New):
             bound = set(t.binders)
-            for (cluster, loc, target), m in self._transitions(t.body).items():
+            for (cluster, loc, target), m in self._transitions(t.body, bound).items():
                 if loc in bound and len(cluster) < 2:
                     continue  # a single bound site: it cannot react on its own
                 # a completed internal combination at a bound location surfaces at ambient
@@ -174,18 +180,20 @@ class TransitionSystem:
             return out
         raise TypeError(t)
 
-    def _par_transitions(self, parts: tuple[Species, ...]) -> dict[Transition, int]:
+    def _par_transitions(self, parts: tuple[Species, ...], bound: Container[str]) -> dict:
         sub = [self._transitions(p) for p in parts]
         out: dict[Transition, int] = {}
         n = len(parts)
 
-        def with_rest(target: Abstraction, used: set[int]) -> Abstraction:
-            rest = tuple(parts[j] for j in range(n) if j not in used)
+        def with_rest(target: Abstraction, rest: tuple[Species, ...]) -> Abstraction:
             return Abstraction(target.arity, Par((target.body, *rest))) if rest else target
 
         for i, trs in enumerate(sub):
+            rest = parts[:i] + parts[i + 1 :]
             for tr, m in trs.items():
-                k = Transition(tr.cluster, tr.location, with_rest(tr.target, {i}))
+                if len(tr.cluster) < 2 and tr.location in bound:
+                    continue
+                k = Transition(tr.cluster, tr.location, with_rest(tr.target, rest))
                 out[k] = out.get(k, 0) + m
 
         # Com: combine one transition each from >= 2 parts at a shared
@@ -203,7 +211,8 @@ class TransitionSystem:
             while todo:
                 start, used, sites, mult, targets = todo.pop()
                 if len(used) > 1:
-                    k = Transition(sites, loc, with_rest(colocate(*targets), set(used)))
+                    rest = tuple(parts[j] for j in range(n) if j not in used)
+                    k = Transition(sites, loc, with_rest(colocate(*targets), rest))
                     out[k] = out.get(k, 0) + mult
                 grown = []
                 for i in range(start, n):

@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import random
+import re
 import time
 from pathlib import Path
 
@@ -216,6 +217,17 @@ def test_stiffness_error_on_vanishing_step():
         integrate(sys_, [1.0], 10.0)
 
 
+def test_enzyme_runs_past_failing_stages_to_t_end():
+    # the first attempts take h = t_end/100 = 300: a stage's mass-action rates overflow
+    # to a NaN, and such an attempt is rejected, like one whose error is too large
+    m = parse_model((MODELS / "enzyme.bond").read_text())
+    rs = build_reaction_system(m)
+    traj = integrate(build_odes(rs), initial_mixture(m, rs.index), 30000.0)
+    assert traj.t[-1] == 30000.0 and traj.rejected > 0 and np.isfinite(traj.y).all()
+    enzyme = [i for i, name in enumerate(rs.prime_names) if name == "E" or "e'@" in name]
+    assert np.abs(traj.y[:, enzyme].sum(axis=1) - 2.0).max() < 1e-4
+
+
 def test_integration_stats_counted():
     rs, sys_ = odes_for(DECAY)
     traj = integrate(sys_, [1.0], 1.0)
@@ -321,6 +333,23 @@ def test_eval_field_non_finite_rate_names_reaction():
     with pytest.raises(ex.DomainError, match=r"non-finite rate for reaction 'x at F\(1e\+300\)'"):
         eval_field(sys_, [1e10])
     assert eval_field(sys_, [1.0]).tolist() == [0.0]
+
+
+def test_field_names_an_overflowing_rate_that_changes_no_prime():
+    # A -> A changes no prime, so no sum holds its rate; B's three decays share one sum,
+    # so the field checks that sum and A -> A's rate, fewer than the four rates
+    src = (
+        "species A = a.A;\nspecies B = b.0 + c.0 + d.0;\n"
+        "affinity { a at MA(1e300); b at MA(1); c at MA(2); d at MA(3); }\nmixture { 1 A, 1 B }"
+    )
+    rs, sys_ = odes_for(src)
+    assert [r.jumps for r in rs.reactions].count([]) == 1 and len(rs.reactions) == 4
+    i = rs.prime_names.index("A")
+    x = [1.0] * 2
+    assert eval_field(sys_, x).tolist()[i] == 0.0
+    x[i] = 1e10
+    with pytest.raises(ex.DomainError, match=r"^non-finite rate for reaction 'a at MA\(1e\+300\)"):
+        eval_field(sys_, x)
 
 
 def test_field_above_255_arguments():
@@ -437,27 +466,43 @@ STAGE_DIVISION_BY_ZERO = (  # finite at t=0; the first stage of the first attemp
 
 
 @pytest.mark.parametrize(
-    "source, t_end, message",
+    "source, t_end, message, outcome",
     [
-        (MID_STEP_NAN, 20.0, r"^non-finite rate for reaction 'x at F\(1e\+300\)' \(kinetic law"),
-        # h = 500/100, so the first stage input is 1 + h*(1/5)*(-1/1) = 0 exactly
-        (STAGE_DIVISION_BY_ZERO, 500.0, r"^rate evaluation failed for reaction 'x at F\(1\)': "),
+        (
+            MID_STEP_NAN,
+            20.0,
+            r"^non-finite rate for reaction 'x at F\(1e\+300\)' \(kinetic law",
+            None,
+        ),
+        # h = 500/100, so the first stage input is 1 + h*(1/5)*(-1/1) = 0 exactly; a smaller
+        # step goes on, up to t = 0.5, where the solution sqrt(1 - 2t) ends with infinite slope
+        (
+            STAGE_DIVISION_BY_ZERO,
+            500.0,
+            r"^rate evaluation failed for reaction 'x at F\(1\)': ",
+            r"^step size underflow at t=0\.5 ",
+        ),
     ],
     ids=["nan", "division-by-zero"],
 )
-def test_domain_error_inside_step_names_reaction(source, t_end, message):
-    # the generated step names the reaction itself: no rate is evaluated a second time
+def test_domain_error_inside_step_names_reaction(source, t_end, message, outcome):
+    # the generated step names the reaction itself: no rate is evaluated a second time.
+    # A failing attempt is a rejected one, retried at h/5: its error is raised only once
+    # h falls below h_min with no step accepted since (else ``outcome``, a StiffnessError)
     rs, sys_ = odes_for(source)
-    step, failed = sys_._step, []
+    step, attempts, failed = sys_._step, [], []
 
-    def spy(*args):  # shadows the generated step: records an attempt that raises
+    def spy(*args):  # shadows the generated step: records each attempt, and those that raise
+        attempts.append(args)
         try:
             return step(*args)
-        except ex.DomainError:
-            failed.append(args)
+        except ex.DomainError as e:
+            failed.append((args, str(e)))
             raise
 
     sys_._step = spy
-    with pytest.raises(ex.DomainError, match=message):
+    with pytest.raises(StiffnessError if outcome else ex.DomainError, match=outcome or message):
         integrate(sys_, [1.0], t_end)
-    assert len(failed) == 1
+    assert failed and re.match(message, failed[0][1])
+    if not outcome:
+        assert attempts[-1] is failed[-1][0] and 0.2 * failed[-1][0][2] < 1e-14 * t_end

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from bondc.congruence import normalize, primes, serialize
 from bondc.parser import parse_model
+from bondc.reactions import reachable_primes
 from bondc.terms import (
     AMBIENT,
     NIL,
@@ -18,12 +20,15 @@ from bondc.terms import (
     Sum,
 )
 from bondc.transitions import (
+    Transition,
     TransitionSystem,
     UnguardedRecursionError,
     colocate,
     commit,
     restrict_abstraction,
 )
+
+from conftest import family_source
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -143,6 +148,46 @@ def test_ambient_sites_unaffected_by_restriction():
     t = New(("l",), Par((S(guard("a", "l")), S(guard("p")))))
     out = ts.transitions(t)
     assert {(tr.cluster, tr.location) for tr in out} == {(("p",), AMBIENT)}
+
+
+def _restricted(binders, table):
+    """The restriction rule applied to a surfaced table by hand: single sites at a
+    binder dropped, the rest at a binder moved to ambient, each target restricted."""
+    out = Counter()
+    for tr, m in table.items():
+        bound = tr.location in binders
+        if not (bound and len(tr.cluster) < 2):
+            target = Abstraction(tr.target.arity, normalize(New(binders, tr.target.body)))
+            out[Transition(tr.cluster, AMBIENT if bound else tr.location, target)] += m
+    return out
+
+
+def _restriction_cases():
+    paths = [p for p in sorted(MODELS.glob("*.bond")) if p.stem != "broken_arity"]
+    models = [parse_model(p.read_text()) for p in paths]
+    families = [("scaffold", range(1, 5)), ("witness", range(2, 5)), ("bank", range(1, 5))]
+    models += [parse_model(family_source(f, k)) for f, ks in families for k in ks]
+    for m in models:
+        clusters = [c for entry in m.affinity for c in entry.pattern]
+        index = reachable_primes(m)
+        for ts in (TransitionSystem(m.species, clusters=clusters), TransitionSystem(m.species)):
+            for p in index.primes:
+                if isinstance(p, Call):  # a mixture species: its definition's body
+                    p = ts.defs[p.name].body
+                if isinstance(p, New) and isinstance(p.body, Par):
+                    yield ts, p
+                    if len(p.binders) > 1:  # one binder at a time: the others' sites stay free
+                        yield from ((ts, New((b,), p.body)) for b in p.binders)
+
+
+def test_restriction_rule_over_corpus_and_family_primes():
+    # new B in P, for a Par P: what the rule gives from P's own table, in the same order
+    n = 0
+    for ts, t in _restriction_cases():
+        want = _restricted(t.binders, ts.transitions(t.body))
+        assert list(ts.transitions(t).items()) == list(want.items()), serialize(t)
+        n += 1
+    assert n > 100
 
 
 def test_enzyme_complex_transitions():
@@ -290,6 +335,21 @@ def test_fits_is_the_sub_bag_test(clusters):
         for bag in itertools.combinations_with_replacement(sites, n):
             assert pruned._fits(bag) == any(Counter(bag) <= Counter(c) for c in clusters), bag
             assert full._fits(bag)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fits_matches_a_brute_force_sub_bag_check(seed):
+    # random clusters over a..e with repeated sites; bags also hold q and z, in no cluster
+    rng = random.Random(seed)
+    clusters = [
+        tuple(sorted(rng.choices("abcde", k=rng.randint(1, 4)))) for _ in range(rng.randint(1, 4))
+    ]
+    ts = TransitionSystem({}, clusters=clusters)
+    bags = [(s,) for s in "abcdeqz"]
+    bags += [tuple(sorted(rng.choices("abcdeqz", k=rng.randint(1, 5)))) for _ in range(200)]
+    for bag in bags * 2:  # the second time, from the memo
+        want = any(all(bag.count(s) <= c.count(s) for s in bag) for c in clusters)
+        assert ts._fits(bag) == want, (clusters, bag)
 
 
 # --- abstraction algebra -------------------------------------------------------
