@@ -4,14 +4,16 @@ Reaction rates and ODE right hand sides are built from a tiny expression
 language with node kinds const/var/add/sub/mul/div.  The smart constructors
 fold constants eagerly so that e.g. mass-action rates come out as plain
 monomials.  Division follows the continuous extension 0/0 = 0 used by the
-rate semantics; x/0 with x != 0 is a domain error at evaluation time.  The
-compiled form computes shared sub-expressions once and guards division inline.
+rate semantics; x/0 with x != 0 is a domain error at evaluation time.
+``compile_exprs`` generates what both simulators share: shared sub-expressions
+computed once, division guarded inline.  ``ode.compile_field`` and
+``ssa.compile_updaters`` own what their code does with each value.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 
 class DomainError(ValueError):
@@ -154,53 +156,40 @@ def non_finite(label: str) -> DomainError:
     )
 
 
-def compile_exprs(
-    exprs: list[Expr],
-    labels: list[str],
-    names: Sequence[str],
-    sums: Optional[list[list[tuple[int, int]]]] = None,
-    h: Optional[float] = None,
-    groups: Optional[list[list[int]]] = None,
-    needs: Optional[list[Optional[list[tuple[int, int]]]]] = None,
-):
-    """Compile expressions into straight-line Python, generated in one exec.
+def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: dict) -> list:
+    """Compile expressions into straight-line Python functions, generated in one exec.
 
     Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``).
-    ``names`` orders the variables.  With ``sums`` (per output, its
-    (coefficient, expression index) terms) the result is one function
-    f(c0, c1, ...) whose argument i is ``names[i]``'s value: it computes each
-    value once, raises a DomainError naming the label (one per expression) of
-    the one that failed unless all are finite, and returns the sums, the
-    literal 0.0 for an output with no terms.  With a level size ``h`` instead,
-    it is one function g(n, p, slow) of integer levels n (n[i] of
-    ``names[i]``) per index list in ``groups``, which sets p[j] =
-    e(n*h)/h for each member j: as it is if ``needs[j]`` is None, else if
-    positive, finite and n[i] >= m for each (i, m) in ``needs[j]``, else to
-    slow(j, value).  An x/0 is slow(j, None).
-    Within a function a sub-expression used more than once is computed once,
-    before the first expression using it (which a failing division in it
-    names); division is guarded inline, with a call only for x/0.
+    ``var`` gives each variable's text.  Each (params, js, assign, tail) of
+    ``defs`` is one function of ``params`` that computes each expression j of
+    js as the line ``assign(j, text)``, then runs the ``tail`` lines; ``env``
+    holds the globals they read.  Within a function a sub-expression used more
+    than once (or a variable's compound text) is computed once, before the first
+    expression using it (which a failing division in it names); division is
+    guarded inline, calling slow(j, None) only for an x/0.
     """
-    var_index = {n: i for i, n in enumerate(names)}
-    var = "c{}" if h is None else f"(n[{{}}]*{h!r})"
+    prec = {"add": 1, "sub": 1, "mul": 2}  # a division's conditional stays grouped
+    sym = {"add": "+", "sub": "-", "mul": "*"}
+    nodes: dict = {}  # each compound (op, left, right) to its number, which keys it cheaply
 
-    def value(e: Expr):  # a leaf's text or (op, left, right): equal values are bit-identical
+    def value(e: Expr):  # a leaf's text or a compound's number: equal values are bit-identical
         if isinstance(e, Bin):
-            return (e.op, value(e.left), value(e.right))
-        return repr(e.value) if isinstance(e, Const) else var.format(var_index[e.name])
+            return nodes.setdefault((e.op, value(e.left), value(e.right)), len(nodes))
+        return repr(e.value) if isinstance(e, Const) else var[e.name]
 
     roots = [value(e) for e in exprs]
+    node = list(nodes)
 
     def statements(js: Sequence[int], assign: Callable[[int, str], str]) -> list[str]:
         """Lines computing each expression j of js as the line ``assign(j, text)``."""
-        uses: dict = {}  # occurrences of compounds and scaled levels (n[i]*h), not inside a repeat
+        uses: dict = {}  # occurrences of compounds and compound leaves, not inside a repeat
 
         def count(v) -> None:
-            if isinstance(v, tuple) or v[0] == "(":
+            if isinstance(v, int) or v[0] == "(":
                 uses[v] = uses.get(v, 0) + 1
-                if uses[v] == 1 and isinstance(v, tuple):
-                    count(v[1])
-                    count(v[2])
+                if uses[v] == 1 and isinstance(v, int):
+                    count(node[v][1])
+                    count(node[v][2])
 
         for j in js:
             count(roots[j])
@@ -211,12 +200,17 @@ def compile_exprs(
                 return names[v]
             if isinstance(v, str):
                 text = v
-            elif v[0] == "div":  # of atoms: the text reads each operand more than once
-                a, b = emit(v[1], j, True), emit(v[2], j, True)
+            elif node[v][0] == "div":  # of atoms: the text reads each operand more than once
+                a, b = emit(node[v][1], j, True), emit(node[v][2], j, True)
                 text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else slow({j}, None))"
-            else:
-                op = {"add": "+", "sub": "-", "mul": "*"}[v[0]]
-                text = f"({emit(v[1], j)}{op}{emit(v[2], j)})"
+            else:  # ungrouped: a left operand binding as tightly, a right one binding more
+                op, l, r = node[v]
+                a, b = emit(l, j), emit(r, j)
+                if isinstance(l, int) and a[0] == "(" and prec.get(node[l][0], 0) >= prec[op]:
+                    a = a[1:-1]
+                if isinstance(r, int) and b[0] == "(" and prec.get(node[r][0], 0) > prec[op]:
+                    b = b[1:-1]
+                text = f"({a}{sym[op]}{b})"
             if uses.get(v, 0) > 1 or atom and text[0] == "(":  # names and constants lack "("
                 names[v] = f"t{len(names)}"
                 lines.append(f" {names[v]} = {text}")
@@ -227,51 +221,12 @@ def compile_exprs(
             lines.append(assign(j, emit(roots[j], j)))  # after emit's own lines
         return lines
 
-    def gdiv(j: int, _) -> float:  # the field's slow: x/0 with x != 0 raises
-        raise division_by_zero(labels[j])
-
-    def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate
-        for j, r in enumerate(v):
-            if not math.isfinite(r):
-                raise non_finite(labels[j])
-
-    def chain(name: str, signed: list[str]) -> list[str]:
-        # at most 256 terms per statement keep the compiler's recursion shallow
-        return [
-            f" {name} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}"
-            for k in range(0, len(signed), 256)
-        ]
-
-    def store(j: int, text: str) -> str:
-        if needs[j] is None:
-            return f" p[{j}] = {text}/{h!r}"
-        short = "".join(f" and n[{i}] >= {m}" for i, m in needs[j])
-        return f" p[{j}] = a if 0.0 < (a := {text}/{h!r}) < inf{short} else slow({j}, a)"
-
-    if h is not None:
-        lines = []
-        for g, js in enumerate(groups):
-            lines += [f"def g{g}(n, p, slow):", *(statements(js, store) or [" pass"])]
-        lines.append(f"f = [{', '.join(f'g{g}' for g in range(len(groups)))}]")
-    else:
-        rates = [f"r{j}" for j in range(len(exprs))]
-        lines = [f"def f({', '.join(map(var.format, range(len(names))))}):"]
-        lines += statements(range(len(exprs)), lambda j, t: f" r{j} = {t}")
-        for i, terms in enumerate(sums):
-            signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + f"r{j}" for nu, j in terms]
-            lines += chain(f"d{i}", signed)
-        # a non-finite rate makes each sum holding it non-finite: check these and the rest
-        summed = {j for terms in sums for _, j in terms}
-        covered = [f"d{i}" for i, ts in enumerate(sums) if ts]
-        covered += [r for j, r in enumerate(rates) if j not in summed]
-        if rates:
-            lines += chain("v", ["+" + r for r in min(covered, rates, key=len)])
-            lines.append(f" if not isfinite(v): check(({','.join(rates)},))")
-        lines.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(sums))}]")
-    env = {"slow": gdiv, "isfinite": math.isfinite, "check": check}
-    env.update(inf=math.inf, nan=math.nan)  # repr() of non-finite constants
+    lines = []
+    for k, (params, js, assign, tail) in enumerate(defs):
+        lines += [f"def f{k}({params}):", *(statements(js, assign) + tail or [" pass"])]
+    env = {**env, "inf": math.inf, "nan": math.nan}  # repr() of non-finite constants
     exec("\n".join(lines), env)  # noqa: S102 - generated source
-    return env["f"]
+    return [env[f"f{k}"] for k in range(len(defs))]
 
 
 def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
@@ -293,7 +248,7 @@ def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
         rs = go(x.right)
         if lp < prec(x):
             ls = f"({ls})"
-        # right operand needs parens on ties for the non-associative ops
+        # a right operand is parenthesized on ties for the non-associative ops
         if rp < prec(x) or (rp == prec(x) and x.op in ("sub", "div")):
             rs = f"({rs})"
         return f"{ls}{sym}{rs}"
@@ -303,7 +258,7 @@ def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
 
 def render_latex(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
     def go(x: Expr, ctx: str) -> str:
-        # ctx "sum": sums may appear bare; ctx "prod": sums need parentheses
+        # ctx "sum": a sum may appear bare; ctx "prod": a sum takes parentheses
         if isinstance(x, Const):
             return _fmt_num(x.value)
         if isinstance(x, Var):

@@ -1,23 +1,25 @@
 """Symbolic ODE system and adaptive explicit Runge-Kutta integration.
 
-The derivatives and the compiled field come from one pass over each
-reaction's sparse stoichiometry (``Reaction.jumps``).  The field is one
-straight-line function: it evaluates each rate once, adds each into the
-primes its reaction changes and checks them finite; a rate that fails raises
-a DomainError naming its reaction.  An attempt with a failing stage is
-rejected, and its error raised only if h falls below its floor before a step
-is accepted.  The field takes its concentrations as arguments, argument i
-being ``names[i]``'s value, and returns a list of floats: ``integrate`` calls
-it directly and counts its calls, and ``eval_field`` is the entry point that
-takes and returns arrays.  The integrator is a Dormand-Prince 5(4) embedded
-pair with error-per-step control.  One attempt is generated per model,
-straight-line over Python floats with the tableau inlined; a prime that no
-reaction changes is carried as it is.  The standard quartic continuous
-extension gives dense output over floats too (its weighted sum of stages by
-``math.fsum``), built only on accepted steps that reach a point of the grid
-``sample_times``, which ``gillespie`` samples too.  Rows become arrays at return.
-Concentrations are clipped to zero between accepted steps: explicit solvers
-overshoot near the axes and the kinetic laws live on the nonnegative orthant.
+One pass over each reaction's sparse stoichiometry (``Reaction.jumps``) gives
+each prime's terms: the symbolic derivatives are built from them only to render,
+the field only to simulate.  ``compile_field`` owns the field's protocol: one
+straight-line function evaluates each rate once, adds it into the primes its
+reaction changes (at most 256 terms a statement; a literal 0.0 for a prime none
+changes) and checks them finite; a failing rate raises a DomainError naming its
+reaction.  An attempt with a failing stage is rejected, and its error raised
+only if h falls below its floor before a step is accepted.  The field takes
+argument i as ``names[i]``'s value and returns a list of floats: ``integrate``
+calls it directly and counts its calls, and ``eval_field`` takes and returns
+arrays.  The integrator is a Dormand-Prince 5(4) embedded pair with
+error-per-step control.  One attempt is generated per model, straight-line over
+floats with the tableau inlined; a prime that no reaction changes is carried as
+it is, and the error norm sums its squares left to right, 256 a statement.  The
+standard quartic continuous extension gives dense output over floats too (its
+weighted sum of stages by ``math.fsum``), built only on accepted steps that
+reach a point of the grid ``sample_times``, which ``gillespie`` samples too.
+Rows become arrays at return.  Concentrations are clipped to zero between
+accepted steps: explicit solvers overshoot near the axes and the kinetic laws
+live on the nonnegative orthant.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TextIO
 
 from . import expr as ex
 from .reactions import ReactionSystem
@@ -46,16 +48,19 @@ class OdeSystem:
         for j, r in enumerate(rs.reactions):
             for i, d in r.jumps:
                 self._terms[i].append((d, j))
-        rates = [r.rate for r in rs.reactions]
-        # dx_P/dt per prime, constant-folded
-        self.derivs = [ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms]
+
+    @functools.cached_property
+    def derivs(self) -> list[ex.Expr]:
+        """dx_P/dt per prime, constant-folded, built on first use: simulating never needs it."""
+        rates = [r.rate for r in self.rs.reactions]
+        return [ex.total(ex.mul(ex.const(d), rates[j]) for d, j in ts) for ts in self._terms]
 
     @functools.cached_property
     def _field(self):
         """The compiled field, compiled on first use: rendering never needs it."""
         rs = self.rs.reactions
         labels = [r.provenance for r in rs]
-        return ex.compile_exprs([r.rate for r in rs], labels, self.names, sums=self._terms)
+        return compile_field([r.rate for r in rs], labels, self.names, self._terms)
 
     @functools.cached_property
     def _step(self):
@@ -85,11 +90,54 @@ class OdeSystem:
         lines.append(f" [{vec('k6_#', carried='_')}] = k6 = f({vec('z#')})")
         e = comb([b5 - b4 for b5, b4 in zip(_B5, _B4)])  # the embedded error estimate
         lines.append(vec(f" q# = {e}/(atol+rtol*max(abs(y#),abs(z#)))", "\n", None))
-        err = f"sqrt(({vec('q#*q#', '+', None) or '0.0'})/{n})"
-        lines.append(f" return [{vec('z#')}], {err}, (k0, k1, k2, k3, k4, k5, k6)")
+        # the norm's sum, left to right in statements of at most 256 squares
+        sq = [f"q{i}*q{i}" for i, ts in enumerate(self._terms) if ts] or ["0.0"]
+        chunks = [f"{'e+' * (k > 0)}{'+'.join(sq[k : k + 256])}" for k in range(0, len(sq), 256)]
+        lines += [f" e = {c}" for c in chunks[:-1]]
+        lines.append(f" return [{vec('z#')}], sqrt(({chunks[-1]})/{n}), (k0,k1,k2,k3,k4,k5,k6)")
         env = {"f": self._field, "sqrt": math.sqrt}
         exec("\n".join(lines), env)  # noqa: S102 - generated source
         return env["step"]
+
+
+def compile_field(rates: list[ex.Expr], labels: list[str], names: Sequence[str], terms) -> Callable:
+    """The field f(c0, c1, ...), argument i being ``names[i]``'s value: it computes each
+    rate once, sums each prime's (net change, rate index) ``terms`` and returns the sums,
+    the literal 0.0 for a prime with no terms.  Unless the rates are all finite it raises
+    a DomainError naming the label of the first that is not; an x/0 names its own."""
+
+    def slow(j: int, _) -> float:  # x/0 with x != 0 raises
+        raise ex.division_by_zero(labels[j])
+
+    def check(v: tuple) -> None:  # v sums to a non-finite value: name the first non-finite rate
+        for j, r in enumerate(v):
+            if not math.isfinite(r):
+                raise ex.non_finite(labels[j])
+
+    def chain(name: str, signed: list[str]) -> list[str]:
+        # at most 256 terms per statement keep the compiler's recursion shallow
+        return [
+            f" {name} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}"
+            for k in range(0, len(signed), 256)
+        ]
+
+    r = [f"r{j}" for j in range(len(rates))]
+    tail = []
+    for i, ts in enumerate(terms):
+        signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + r[j] for nu, j in ts]
+        tail += chain(f"d{i}", signed)
+    # a non-finite rate makes each sum holding it non-finite: check these and the rest
+    summed = {j for ts in terms for _, j in ts}
+    covered = [f"d{i}" for i, ts in enumerate(terms) if ts]
+    covered += [x for j, x in enumerate(r) if j not in summed]
+    if r:
+        tail += chain("v", ["+" + x for x in min(covered, r, key=len)])
+        tail.append(f" if not isfinite(v): check(({','.join(r)},))")
+    tail.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(terms))}]")
+    var = {v: f"c{i}" for i, v in enumerate(names)}
+    fdef = (", ".join(var.values()), range(len(rates)), lambda j, t: f" r{j} = {t}", tail)
+    env = {"slow": slow, "isfinite": math.isfinite, "check": check}
+    return ex.compile_exprs(rates, var, [fdef], env)[0]
 
 
 class Trajectory(NamedTuple):
@@ -108,8 +156,8 @@ def eval_field(sys: OdeSystem, x: Sequence[float]) -> np.ndarray:
     """The evolution vector at concentration vector x."""
     import numpy as np
 
-    if len(x) != len(sys.derivs):
-        raise ValueError(f"expected {len(sys.derivs)} concentrations, got {len(x)}")
+    if len(x) != len(sys.names):
+        raise ValueError(f"expected {len(sys.names)} concentrations, got {len(x)}")
     return np.array(sys._field(*(x.tolist() if isinstance(x, np.ndarray) else x)))
 
 

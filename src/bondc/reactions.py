@@ -231,25 +231,23 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         if any(not ms for ms in slot_lists):
             warnings.append(f"affinity entry '{prov}' matches no species")
             continue
-        sym = math.prod(math.factorial(count) for count in Counter(entry.pattern).values())
-        if not law.variadic:
+        scale = ex.const(1.0 / math.prod(math.factorial(n) for n in Counter(entry.pattern).values()))
+        if law.variadic:  # mass action weighs each share by itself: its a_j are 1, f is k
+            a_exprs = [ex.ONE] * len(entry.pattern)
+        else:
             conc = conc or cluster_concentrations(index)
             a_exprs = [conc[c] for c in entry.pattern]
-        params = entry.law_params
-        try:  # the law's value f(a_1..a_m), once per entry; mass action's f/prod(a_j) is k
-            value = ex.const(params[0]) if law.variadic else law.apply(params, a_exprs)
+        try:  # the law's value f(a_1..a_m), once per entry
+            value = law.apply(entry.law_params, a_exprs)
         except ex.DomainError:  # the law folded a constant x/0
             raise ex.division_by_zero(prov) from None
 
         for combo in itertools.product(*slot_lists):
             rate = value
-            for j, mt in enumerate(combo):
-                # each slot multiplies in its participant's share: for mass action the
-                # share itself (a monomial), else share/a_j, which folds to 1 for a sole match
+            for j, mt in enumerate(combo):  # times each share/a_j, which is 1 for a sole match
                 share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
-                rate = ex.mul(rate, share if law.variadic else ex.div(share, a_exprs[j]))
-            if sym != 1:
-                rate = ex.mul(ex.const(1.0 / sym), rate)
+                rate = ex.mul(rate, ex.div(share, a_exprs[j]))
+            rate = ex.mul(scale, rate)
             reactants = tuple(sorted(mt.prime for mt in combo))
             key = (reactants, tuple(sorted(index.products(combo))), prov)
             rates[key] = ex.add(rates[key], rate) if key in rates else rate

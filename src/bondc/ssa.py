@@ -5,13 +5,14 @@ extracted reactions themselves: each fires with propensity rate(N*h)/h and
 changes the levels by its ``Reaction.jumps``.  After an event, one generated
 updater per prime it changed recomputes the events whose rate reads, or whose
 negative jump checks, that level (Gibson & Bruck, 2000), checking a value only
-where a check can change it.  Propensities are pure functions of the levels,
-summed left to right as a full rescan would, so the streams equal the full
-recompute's; a non-finite total names the non-finite one, if any.  Runs are
-reproducible: run i of master seed s draws from ``random.Random(f"{s}:{i}")``.
-A run samples its levels at ``ode.sample_times``, as ``integrate`` does, into
-a list of rows that becomes one int64 array at return; a sampled level past
-2^63 - 1 is a DomainError there.
+where a check can change it: ``compile_updaters`` writes that store rule, and
+``gillespie``'s ``slow`` gives a value it passes on its meaning.  Propensities
+are pure functions of the levels, summed left to right as a full rescan would,
+so the streams equal the full recompute's; a non-finite total names the
+non-finite one, if any.  Runs are reproducible: run i of master seed s draws
+from ``random.Random(f"{s}:{i}")``.  A run samples its levels at
+``ode.sample_times``, as ``integrate`` does, into a list of rows that becomes
+one int64 array at return; a sampled level past 2^63 - 1 is a DomainError there.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ class DiscreteModel:
             plain = f is not None and all(m == 1 and names[i] in f for i, m in need)
             needs.append(None if plain else need)
         self.groups = [*readers, constant]
-        rates, labels = [e.rate for e in events], [e.provenance for e in events]
-        self.updaters = ex.compile_exprs(rates, labels, names, h=h, groups=self.groups, needs=needs)
+        self.updaters = compile_updaters([e.rate for e in events], names, h, self.groups, needs)
         self.after = []
         for js in self.jumps:
             first = {}  # each group of the changed primes, with the first prime that has it
@@ -70,6 +70,22 @@ class DiscreteModel:
                 first.setdefault(frozenset(readers[i]), i)
             kept = [i for g, i in first.items() if g and not any(g < o for o in first)]
             self.after.append([self.updaters[i] for i in kept])
+
+
+def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, groups, needs) -> list:
+    """One function g(n, p, slow) of integer levels n (n[i] of ``names[i]``) per index
+    list in ``groups``, which sets p[j] = rates[j](n*h)/h for each member j: as it is if
+    ``needs[j]`` is None, else if positive, finite and n[i] >= m for each (i, m) in
+    ``needs[j]``, else to slow(j, value).  An x/0 is slow(j, None)."""
+
+    def store(j: int, text: str) -> str:
+        if needs[j] is None:
+            return f" p[{j}] = {text}/{h!r}"
+        short = "".join(f" and n[{i}] >= {m}" for i, m in needs[j])
+        return f" p[{j}] = a if 0.0 < (a := {text}/{h!r}) < inf{short} else slow({j}, a)"
+
+    var = {v: f"(n[{i}]*{h!r})" for i, v in enumerate(names)}
+    return ex.compile_exprs(rates, var, [("n, p, slow", js, store, []) for js in groups], {})
 
 
 def _factors(e: ex.Expr) -> Optional[set[str]]:

@@ -847,6 +847,17 @@ def test_simulate_without_primes(tmp_path, capsys):
     assert err == "warning: affinity entry 'x at MA(1)' matches no species\n"
 
 
+def test_law_on_a_cluster_of_250_primes_simulates(tmp_path, capsys):
+    # each rate reads the 250-term cluster total: its generated code must not nest per term
+    path = tmp_path / "wide.bond"
+    text = "".join(f"species A{i} = s.0;\n" for i in range(250))
+    text += "law L(k; a) = k * a / (1 + a);\naffinity { s at L(2.0); }\n"
+    path.write_text(text + "mixture { " + ", ".join(f"1 A{i}" for i in range(250)) + " }\n")
+    for argv in (["simulate"], ["ssa", "--h", "0.1", "--seed", "1"]):
+        code, out, err = run(capsys, *argv, str(path), "--t-end", "1", "--grid", "2")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 4
+
+
 def test_check_rejects_unguarded_recursion(tmp_path, capsys):
     path = tmp_path / "loop.bond"
     path.write_text("species X = (X | X);\n")

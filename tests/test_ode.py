@@ -73,6 +73,16 @@ def test_eval_field_decay():
     assert eval_field(sys_, [2.0]).tolist() == [-2.0]
 
 
+def test_simulating_builds_no_symbolic_derivatives():
+    rs, sys_ = odes_for(DECAY)
+    integrate(sys_, [1.0], 1.0)
+    assert eval_field(sys_, [2.0]).tolist() == [-2.0]
+    with pytest.raises(ValueError, match="expected 1 concentrations, got 2"):
+        eval_field(sys_, [1.0, 2.0])
+    assert "derivs" not in vars(sys_)
+    assert render_odes(sys_) == "d[X]/dt = -1*[X]\n" and "derivs" in vars(sys_)
+
+
 def test_eval_field_domain_error_names_reaction():
     src = "species X = x.0;\nlaw F(k; x) = k / (x - 1);\naffinity { x at F(2); }\nmixture { 1 X }"
     rs, sys_ = odes_for(src)
@@ -389,6 +399,31 @@ def test_model_no_reaction_changes_integrates_as_before():
     traj = integrate(sys_, [1.0], 5.0)
     assert (traj.steps, traj.rejected, traj.nfev) == (51, 0, 307)
     assert (traj.y == 1.0).all()
+
+
+@pytest.mark.parametrize("k", [5, 1000])
+def test_step_error_norm_is_the_sum_of_squares_left_to_right(k):
+    # bank k=1000 changes 3,001 primes: its norm is summed in statements of 256 squares,
+    # each continuing the last, which gives the bits of k=5's one flat sum
+    m = parse_model(family_source("bank", k))
+    rs = build_reaction_system(m, cap=4000)
+    x0 = initial_mixture(m, rs.index)
+    sys_ = build_odes(rs)
+    h, rtol, atol = 0.01, 1e-6, 1e-9
+    y5, err, ks = sys_._step(x0, sys_._field(*x0), h, rtol, atol)
+    coeffs = [(b5 - b4, s) for s, (b5, b4) in enumerate(zip(ode._B5, ode._B4)) if b5 - b4]
+    total = 0.0
+    for i, ts in enumerate(sys_._terms):
+        if ts:
+            e = coeffs[0][0] * ks[coeffs[0][1]][i]
+            for c, s in coeffs[1:]:
+                e += c * ks[s][i]
+            q = h * e / (atol + rtol * max(abs(x0[i]), abs(y5[i])))
+            total += q * q
+    assert sum(map(bool, sys_._terms)) == 3 * k + 1
+    assert err == math.sqrt(total / len(sys_.names)) > 0.0
+    traj = integrate(sys_, x0, 0.05, grid=1)
+    assert traj.steps > 0 and np.isfinite(traj.y).all()
 
 
 # --- the generated and the numpy DOPRI5 kernels ----------------------------------
