@@ -4,16 +4,17 @@ One pass over each reaction's sparse stoichiometry (``Reaction.jumps``) gives
 each prime's terms: the symbolic derivatives are built from them only to render,
 the field only to simulate.  ``compile_field`` owns the field's protocol: one
 straight-line function evaluates each rate once, adds it into the primes its
-reaction changes (at most 256 terms a statement; a literal 0.0 for a prime none
-changes) and checks them finite; a failing rate raises a DomainError naming its
-reaction.  An attempt with a failing stage is rejected, and its error raised
-only if h falls below its floor before a step is accepted.  The field takes
-argument i as ``names[i]``'s value and returns a list of floats: ``integrate``
-calls it directly and counts its calls, and ``eval_field`` takes and returns
-arrays.  The integrator is a Dormand-Prince 5(4) embedded pair with
-error-per-step control.  One attempt is generated per model, straight-line over
-floats with the tableau inlined; a prime that no reaction changes is carried as
-it is, and the error norm sums its squares left to right, 256 a statement.  The
+reaction changes (a literal 0.0 for a prime none changes) and checks them
+finite; a failing rate raises a DomainError naming its reaction.  One rule,
+``long_sum``, writes every long sum of generated code: left to right, as
+``ex.total`` adds, at most 256 terms a statement.  An attempt with a failing
+stage is rejected, and its error raised only if h falls below its floor before a
+step is accepted.  The field takes argument i as ``names[i]``'s value and
+returns a list of floats: ``integrate`` calls it directly and counts its calls,
+and ``eval_field`` takes and returns arrays.  The integrator is a Dormand-Prince
+5(4) embedded pair with error-per-step control.  One attempt is generated per
+model, straight-line over floats with the tableau inlined; a prime that no
+reaction changes is carried as it is, and adds no square to the error norm.  The
 standard quartic continuous extension gives dense output over floats too (its
 weighted sum of stages by ``math.fsum``), built only on accepted steps that
 reach a point of the grid ``sample_times``, which ``gillespie`` samples too.
@@ -90,11 +91,8 @@ class OdeSystem:
         lines.append(f" [{vec('k6_#', carried='_')}] = k6 = f({vec('z#')})")
         e = comb([b5 - b4 for b5, b4 in zip(_B5, _B4)])  # the embedded error estimate
         lines.append(vec(f" q# = {e}/(atol+rtol*max(abs(y#),abs(z#)))", "\n", None))
-        # the norm's sum, left to right in statements of at most 256 squares
-        sq = [f"q{i}*q{i}" for i, ts in enumerate(self._terms) if ts] or ["0.0"]
-        chunks = [f"{'e+' * (k > 0)}{'+'.join(sq[k : k + 256])}" for k in range(0, len(sq), 256)]
-        lines += [f" e = {c}" for c in chunks[:-1]]
-        lines.append(f" return [{vec('z#')}], sqrt(({chunks[-1]})/{n}), (k0,k1,k2,k3,k4,k5,k6)")
+        lines += long_sum("e", [f"+q{i}*q{i}" for i, ts in enumerate(self._terms) if ts] or ["0.0"])
+        lines.append(f" return [{vec('z#')}], sqrt(e/{n}), (k0,k1,k2,k3,k4,k5,k6)")
         env = {"f": self._field, "sqrt": math.sqrt}
         exec("\n".join(lines), env)  # noqa: S102 - generated source
         return env["step"]
@@ -114,30 +112,30 @@ def compile_field(rates: list[ex.Expr], labels: list[str], names: Sequence[str],
             if not math.isfinite(r):
                 raise ex.non_finite(labels[j])
 
-    def chain(name: str, signed: list[str]) -> list[str]:
-        # at most 256 terms per statement keep the compiler's recursion shallow
-        return [
-            f" {name} {'+' * (k > 0)}= {''.join(signed[k : k + 256]).lstrip('+')}"
-            for k in range(0, len(signed), 256)
-        ]
-
     r = [f"r{j}" for j in range(len(rates))]
     tail = []
     for i, ts in enumerate(terms):
         signed = ["-+"[nu > 0] + f"{abs(nu)}*" * (abs(nu) != 1) + r[j] for nu, j in ts]
-        tail += chain(f"d{i}", signed)
+        tail += long_sum(f"d{i}", signed)
     # a non-finite rate makes each sum holding it non-finite: check these and the rest
     summed = {j for ts in terms for _, j in ts}
     covered = [f"d{i}" for i, ts in enumerate(terms) if ts]
     covered += [x for j, x in enumerate(r) if j not in summed]
     if r:
-        tail += chain("v", ["+" + x for x in min(covered, r, key=len)])
+        tail += long_sum("v", ["+" + x for x in min(covered, r, key=len)])
         tail.append(f" if not isfinite(v): check(({','.join(r)},))")
     tail.append(f" return [{', '.join(f'd{i}' if ts else '0.0' for i, ts in enumerate(terms))}]")
     var = {v: f"c{i}" for i, v in enumerate(names)}
     fdef = (", ".join(var.values()), range(len(rates)), lambda j, t: f" r{j} = {t}", tail)
     env = {"slow": slow, "isfinite": math.isfinite, "check": check}
     return ex.compile_exprs(rates, var, [fdef], env)[0]
+
+
+def long_sum(name: str, signed: list[str]) -> list[str]:
+    """Lines setting ``name`` to the sum of the ``signed`` terms ('+x' or '-x') left to right,
+    as ``ex.total`` adds, in statements of at most 256 terms, each continuing the last."""
+    chunks = ("".join(signed[k : k + 256]) for k in range(0, len(signed), 256))
+    return [f" {name} = {(name * (k > 0) + c).lstrip('+')}" for k, c in enumerate(chunks)]
 
 
 class Trajectory(NamedTuple):

@@ -2,17 +2,17 @@
 
 Concentrations are split into integer levels of size h.  The events are the
 extracted reactions themselves: each fires with propensity rate(N*h)/h and
-changes the levels by its ``Reaction.jumps``.  After an event, one generated
-updater per prime it changed recomputes the events whose rate reads, or whose
-negative jump checks, that level (Gibson & Bruck, 2000), checking a value only
-where a check can change it: ``compile_updaters`` writes that store rule, and
-``gillespie``'s ``slow`` gives a value it passes on its meaning.  Propensities
-are pure functions of the levels, summed left to right as a full rescan would,
-so the streams equal the full recompute's; a non-finite total names the
-non-finite one, if any.  Runs are reproducible: run i of master seed s draws
-from ``random.Random(f"{s}:{i}")``.  A run samples its levels at
-``ode.sample_times``, as ``integrate`` does, into a list of rows that becomes
-one int64 array at return; a sampled level past 2^63 - 1 is a DomainError there.
+changes the levels by its ``Reaction.jumps``.  After an event, the updater of
+each prime it changed (primes with equal groups share one) recomputes the
+events whose rate reads, or whose negative jump checks, that level (Gibson &
+Bruck, 2000), checking a value only where a check can change it:
+``compile_updaters`` writes that store rule, and ``gillespie``'s ``slow`` gives
+a value it passes on its meaning.  Propensities are pure functions of the
+levels, summed left to right as a full rescan would, so the streams equal the
+full recompute's; a non-finite total names the non-finite one, if any.  Runs
+are reproducible: run i of master seed s draws from ``random.Random(f"{s}:{i}")``.
+A run samples its levels at ``ode.sample_times``, as ``integrate`` does, into
+rows that become one int64 array at return; a level past 2^63 - 1 is a DomainError.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class EventBudgetError(RuntimeError):
 class DiscreteModel:
     """``jumps[k]``: event k's ``Reaction.jumps``; ``groups``: per prime, the
     events whose propensity reads its level, then those that read no level;
-    ``updaters[g](n, p, slow)`` stores group g's propensities in p;
-    ``after[k]``, the updaters of the primes event k changes, recompute its
-    dependents, less those whose events another of them recomputes too."""
+    ``updaters[g](n, p, slow)`` stores group g's propensities in p, one function
+    for equal groups; ``after[k]``, the updaters of the primes event k changes,
+    recompute its dependents, less those whose events another of them recomputes too."""
 
     def __init__(self, events: list[Reaction], h: float, names: list[str]):
         self.events, self.h, self.names = events, h, names
@@ -73,10 +73,10 @@ class DiscreteModel:
 
 
 def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, groups, needs) -> list:
-    """One function g(n, p, slow) of integer levels n (n[i] of ``names[i]``) per index
-    list in ``groups``, which sets p[j] = rates[j](n*h)/h for each member j: as it is if
-    ``needs[j]`` is None, else if positive, finite and n[i] >= m for each (i, m) in
-    ``needs[j]``, else to slow(j, value).  An x/0 is slow(j, None)."""
+    """One function g(n, p, slow) of integer levels n (n[i] of ``names[i]``) per distinct index
+    list in ``groups``, returned for each equal one, which sets p[j] = rates[j](n*h)/h for
+    each member j: as it is if ``needs[j]`` is None, else if positive, finite and n[i] >= m
+    for each (i, m) in ``needs[j]``, else to slow(j, value).  An x/0 is slow(j, None)."""
 
     def store(j: int, text: str) -> str:
         if needs[j] is None:
@@ -85,7 +85,10 @@ def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, group
         return f" p[{j}] = a if 0.0 < (a := {text}/{h!r}) < inf{short} else slow({j}, a)"
 
     var = {v: f"(n[{i}]*{h!r})" for i, v in enumerate(names)}
-    return ex.compile_exprs(rates, var, [("n, p, slow", js, store, []) for js in groups], {})
+    shared = dict.fromkeys(map(tuple, groups))
+    fs = ex.compile_exprs(rates, var, [("n, p, slow", js, store, []) for js in shared], {})
+    shared.update(zip(shared, fs))
+    return [shared[tuple(js)] for js in groups]
 
 
 def _factors(e: ex.Expr) -> Optional[set[str]]:
@@ -166,7 +169,7 @@ def gillespie(
             clamped.add(j)
         return math.nan if a is None else 0.0 if -inf < a < inf and a else a
 
-    for g in model.updaters:
+    for g in dict.fromkeys(model.updaters):
         g(levels, props, slow)
     while True:
         if clamped and not run_warnings:

@@ -17,7 +17,7 @@ from bondc import cli, ode, ssa
 from bondc.cli import main
 
 from conftest import bond_graph_source, cube_edges
-from test_ssa import clamped
+from test_ssa import clamped, cluster
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -850,9 +850,7 @@ def test_simulate_without_primes(tmp_path, capsys):
 def test_law_on_a_cluster_of_250_primes_simulates(tmp_path, capsys):
     # each rate reads the 250-term cluster total: its generated code must not nest per term
     path = tmp_path / "wide.bond"
-    text = "".join(f"species A{i} = s.0;\n" for i in range(250))
-    text += "law L(k; a) = k * a / (1 + a);\naffinity { s at L(2.0); }\n"
-    path.write_text(text + "mixture { " + ", ".join(f"1 A{i}" for i in range(250)) + " }\n")
+    path.write_text(cluster(250))
     for argv in (["simulate"], ["ssa", "--h", "0.1", "--seed", "1"]):
         code, out, err = run(capsys, *argv, str(path), "--t-end", "1", "--grid", "2")
         assert (code, err) == (0, "") and len(out.splitlines()) == 4

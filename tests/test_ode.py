@@ -380,6 +380,19 @@ def test_field_above_255_arguments():
     assert traj.y[-1].tolist() == pytest.approx(want, rel=1e-6)
 
 
+def test_field_sum_above_256_terms_continues_left_to_right():
+    # bank k=100's enzyme prime is changed by 300 reactions at unit stoichiometry: its sum
+    # takes two statements, the second continuing the first, so it adds as ex.total does
+    rs, sys_ = odes_for(family_source("bank", 100))
+    assert max(map(len, sys_._terms)) == 300
+    assert {abs(d) for ts in sys_._terms for d, _ in ts} == {1}
+    rng = random.Random(20261020)
+    for _ in range(20):
+        x = [rng.uniform(0.0, 5.0) for _ in rs.prime_names]
+        env = dict(zip(rs.prime_names, x))
+        assert eval_field(sys_, x).tolist() == [evaluate(d, env) for d in sys_.derivs]
+
+
 @pytest.mark.parametrize("model", ["mm", "pingpong", "kuznetsov"])
 def test_primes_no_reaction_changes_keep_their_value(model):
     m = parse_model((MODELS / f"{model}.bond").read_text())

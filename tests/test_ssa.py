@@ -307,6 +307,21 @@ def clamped(first: str) -> str:
     return trigger("law N(k; x) = k * (1.5 - x);", entries, 1, 1)
 
 
+def cluster(n: int) -> str:
+    """n species A{i} = s.0 under one non-mass-action law: each rate reads the cluster's total."""
+    text = "".join(f"species A{i} = s.0;\n" for i in range(n))
+    text += "law L(k; a) = k * a / (1 + a);\naffinity { s at L(2.0); }\n"
+    return text + "mixture { " + ", ".join(f"1 A{i}" for i in range(n)) + " }\n"
+
+
+def test_primes_with_equal_groups_share_one_updater():
+    # every event reads all 250 levels: one updater serves the primes, one the empty group
+    dm = discretize(build_reaction_system(parse_model(cluster(250))), 0.1)
+    assert len(dm.updaters) == 251 and len(set(dm.updaters)) == 2
+    assert dm.groups[:250] == [list(range(250))] * 250 and dm.groups[250] == []
+    assert dm.after == [[dm.updaters[0]]] * 250
+
+
 # --- a reference direct method that shares no code with gillespie ------------------
 
 
@@ -368,6 +383,7 @@ REFERENCE_CASES = {
     "enzyme runs=3": ((MODELS / "enzyme.bond").read_text(), 0.01, 5.0, 3, None, 20261018),
     "bank k=4": (family_source("bank", 4), 0.05, 1000.0, 3, None, 20261018),
     "constant": (CONSTANT, 0.1, 5.0, 2, [10, 0], 20261018),
+    "cluster of 20": (cluster(20), 0.1, 5.0, 2, None, 20261018),
     "decay int seed": (DECAY, 1.0, 5.0, None, [100], 42),
     **{
         f"clamped {first}": (clamped(first), 1.0, 100.0, None, [1, 1, 1], 3)
