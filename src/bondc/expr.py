@@ -5,15 +5,18 @@ language with node kinds const/var/add/sub/mul/div.  The smart constructors
 fold constants eagerly so that e.g. mass-action rates come out as plain
 monomials.  Division follows the continuous extension 0/0 = 0 used by the
 rate semantics; x/0 with x != 0 is a domain error at evaluation time.
-``compile_exprs`` generates what both simulators share: shared sub-expressions
-computed once, division guarded inline.  ``ode.compile_field`` and
-``ssa.compile_updaters`` own what their code does with each value.
+One ``fold`` walks every tree, left operands in a loop, so a rate over a
+long cluster total does not nest the stack.  ``compile_exprs`` generates
+what both simulators share: shared sub-expressions computed once, division
+guarded inline.  ``ode.compile_field`` and ``ssa.compile_updaters`` own
+what their code does with each value.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import reduce
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 
 class DomainError(ValueError):
@@ -37,6 +40,7 @@ class Bin(NamedTuple):
 
 
 Expr = Union[Const, Var, Bin]
+T = TypeVar("T")
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -105,43 +109,46 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
-    out: Expr = ONE
-    for f in factors:
-        out = mul(out, f)
-    return out
+    return reduce(mul, factors, ONE)
 
 
 def total(terms: Iterable[Expr]) -> Expr:
-    out: Expr = ZERO
-    for t in terms:
-        out = add(out, t)
+    return reduce(add, terms, ZERO)
+
+
+def fold(e: Expr, leaf: Callable[[Expr], T], node: Callable[[Bin, T, T], T]) -> T:
+    """Fold ``e`` post-order, left operand before right: ``leaf(x)`` at a Const or Var,
+    ``node(x, a, b)`` at a Bin x whose operands fold to a and b.  Left operands are walked
+    in a loop and only right ones recursed on, so a long sum does not deepen the stack."""
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
+    out = leaf(e)
+    while spine:
+        x = spine.pop()
+        r = x.right
+        out = node(x, out, fold(r, leaf, node) if isinstance(r, Bin) else leaf(r))
     return out
 
 
 def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, refolding along the way."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    a = substitute(e.left, env)
-    b = substitute(e.right, env)
-    return {"add": add, "sub": sub, "mul": mul, "div": div}[e.op](a, b)
+    ops = {"add": add, "sub": sub, "mul": mul, "div": div}
+
+    def leaf(x: Expr) -> Expr:
+        return env.get(x.name, x) if isinstance(x, Var) else x
+
+    return fold(e, leaf, lambda x, a, b: ops[x.op](a, b))
 
 
 def finite(e: Expr) -> bool:
     """Whether every constant in ``e`` is finite."""
-    if isinstance(e, Bin):
-        return finite(e.left) and finite(e.right)
-    return isinstance(e, Var) or math.isfinite(e.value)
+    return fold(e, lambda x: isinstance(x, Var) or math.isfinite(x.value), lambda x, a, b: a and b)
 
 
 def variables(e: Expr) -> set[str]:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    return variables(e.left) | variables(e.right)
+    return fold(e, lambda x: {x.name} if isinstance(x, Var) else set(), lambda x, a, b: a | b)
 
 
 def division_by_zero(label: str) -> DomainError:
@@ -172,49 +179,54 @@ def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: di
     sym = {"add": "+", "sub": "-", "mul": "*"}
     nodes: dict = {}  # each compound (op, left, right) to its number, which keys it cheaply
 
-    def value(e: Expr):  # a leaf's text or a compound's number: equal values are bit-identical
-        if isinstance(e, Bin):
-            return nodes.setdefault((e.op, value(e.left), value(e.right)), len(nodes))
-        return repr(e.value) if isinstance(e, Const) else var[e.name]
+    def leaf(x: Expr) -> str:
+        return repr(x.value) if isinstance(x, Const) else var[x.name]
 
-    roots = [value(e) for e in exprs]
+    roots = [  # a leaf's text or a compound's number: equal values are bit-identical
+        fold(e, leaf, lambda x, a, b: nodes.setdefault((x.op, a, b), len(nodes))) for e in exprs
+    ]
     node = list(nodes)
 
     def statements(js: Sequence[int], assign: Callable[[int, str], str]) -> list[str]:
         """Lines computing each expression j of js as the line ``assign(j, text)``."""
         uses: dict = {}  # occurrences of compounds and compound leaves, not inside a repeat
 
-        def count(v) -> None:
-            if isinstance(v, int) or v[0] == "(":
+        def count(v) -> None:  # right operands recursed on, left ones in a loop
+            while isinstance(v, int) or v[0] == "(":
                 uses[v] = uses.get(v, 0) + 1
-                if uses[v] == 1 and isinstance(v, int):
-                    count(node[v][1])
-                    count(node[v][2])
+                if uses[v] > 1 or isinstance(v, str):
+                    return
+                count(node[v][2])
+                v = node[v][1]
 
         for j in js:
             count(roots[j])
         names, lines = {}, []  # the local of each value hoisted; the lines computing them
 
-        def emit(v, j: int, atom: bool = False) -> str:
-            if v in names:
-                return names[v]
-            if isinstance(v, str):
-                text = v
-            elif node[v][0] == "div":  # of atoms: the text reads each operand more than once
-                a, b = emit(node[v][1], j, True), emit(node[v][2], j, True)
-                text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else slow({j}, None))"
-            else:  # ungrouped: a left operand binding as tightly, a right one binding more
-                op, l, r = node[v]
-                a, b = emit(l, j), emit(r, j)
-                if isinstance(l, int) and a[0] == "(" and prec.get(node[l][0], 0) >= prec[op]:
-                    a = a[1:-1]
-                if isinstance(r, int) and b[0] == "(" and prec.get(node[r][0], 0) > prec[op]:
-                    b = b[1:-1]
-                text = f"({a}{sym[op]}{b})"
-            if uses.get(v, 0) > 1 or atom and text[0] == "(":  # names and constants lack "("
-                names[v] = f"t{len(names)}"
-                lines.append(f" {names[v]} = {text}")
-                return names[v]
+        def emit(v, j: int, atom: bool = False) -> str:  # hoisting post-order
+            spine = [(v, atom)]  # v and the compounds down its left operands, each atom or not
+            while isinstance(v, int) and v not in names:
+                op, v, _ = node[v]
+                spine.append((v, op == "div"))
+            for v, atom in reversed(spine):
+                if isinstance(v, str) or v in names:
+                    text = names.get(v, v)
+                elif node[v][0] == "div":  # of atoms: the text reads each operand more than once
+                    a, b = text, emit(node[v][2], j, True)
+                    text = f"({a}/{b} if {b} else 0.0 if {a} == 0.0 else slow({j}, None))"
+                else:  # ungrouped: a left operand binding as tightly, a right one binding more
+                    op, l, r = node[v]
+                    a, b = text, emit(r, j)
+                    if isinstance(l, int) and a[0] == "(" and prec.get(node[l][0], 0) >= prec[op]:
+                        a = a[1:-1]
+                    if isinstance(r, int) and b[0] == "(" and prec.get(node[r][0], 0) > prec[op]:
+                        b = b[1:-1]
+                    text = f"({a}{sym[op]}{b})"
+                # a compound's text starts with "(", a hoisted name's or a constant's does not
+                if v not in names and (uses.get(v, 0) > 1 or atom and text[0] == "("):
+                    names[v] = f"t{len(names)}"
+                    lines.append(f" {names[v]} = {text}")
+                    text = names[v]
             return text
 
         for j in js:
@@ -229,50 +241,25 @@ def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: di
     return [env[f"f{k}"] for k in range(len(defs))]
 
 
-def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
-    """Render with minimal parentheses, deterministic."""
+def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n, latex: bool = False) -> str:
+    """Render with minimal parentheses, deterministic.  As LaTeX they are \\left( \\right),
+    and a quotient is a \\frac: sums and products group as in text, so one rule serves both."""
+    prec = {"add": 1, "sub": 1, "mul": 2, "div": 2}  # a leaf's is 3
+    sym = {"add": " + ", "sub": " - ", "mul": r" \cdot " if latex else "*", "div": "/"}
+    paren = r"\left(%s\right)" if latex else "(%s)"
 
-    def prec(x: Expr) -> int:
-        if isinstance(x, (Const, Var)):
-            return 3
-        return {"add": 1, "sub": 1, "mul": 2, "div": 2}[x.op]
+    def leaf(x: Expr) -> tuple:
+        return _fmt_num(x.value) if isinstance(x, Const) else var_fmt(x.name), 3
 
-    def go(x: Expr) -> str:
-        if isinstance(x, Const):
-            return _fmt_num(x.value)
-        if isinstance(x, Var):
-            return var_fmt(x.name)
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[x.op]
-        lp, rp = prec(x.left), prec(x.right)
-        ls = go(x.left)
-        rs = go(x.right)
-        if lp < prec(x):
-            ls = f"({ls})"
+    def node(x: Bin, left: tuple, right: tuple) -> tuple:  # (text, precedence) of each
+        (a, pa), (b, pb), p = left, right, prec[x.op]
+        if latex and x.op == "div":
+            return r"\frac{%s}{%s}" % (a, b), p
         # a right operand is parenthesized on ties for the non-associative ops
-        if rp < prec(x) or (rp == prec(x) and x.op in ("sub", "div")):
-            rs = f"({rs})"
-        return f"{ls}{sym}{rs}"
+        b = paren % b if pb < p or pb == p and x.op in ("sub", "div") else b
+        return (paren % a if pa < p else a) + sym[x.op] + b, p
 
-    return go(e)
-
-
-def render_latex(e: Expr, var_fmt: Callable[[str], str] = lambda n: n) -> str:
-    def go(x: Expr, ctx: str) -> str:
-        # ctx "sum": a sum may appear bare; ctx "prod": a sum takes parentheses
-        if isinstance(x, Const):
-            return _fmt_num(x.value)
-        if isinstance(x, Var):
-            return var_fmt(x.name)
-        if x.op == "div":
-            return r"\frac{%s}{%s}" % (go(x.left, "sum"), go(x.right, "sum"))
-        if x.op == "mul":
-            return r"%s \cdot %s" % (go(x.left, "prod"), go(x.right, "prod"))
-        sym = "+" if x.op == "add" else "-"
-        # the right operand of "-" must bind at least as tightly as a product
-        s = "%s %s %s" % (go(x.left, "sum"), sym, go(x.right, "prod" if x.op == "sub" else "sum"))
-        return r"\left(%s\right)" % s if ctx == "prod" else s
-
-    return go(e, "sum")
+    return fold(e, leaf, node)[0]
 
 
 def _fmt_num(v: float) -> str:
@@ -282,9 +269,9 @@ def _fmt_num(v: float) -> str:
 
 
 def to_json(e: Expr) -> dict:
-    if isinstance(e, Const):
-        return {"kind": "const", "value": e.value}
-    if isinstance(e, Var):
-        return {"kind": "var", "name": e.name}
-    return {"kind": e.op, "left": to_json(e.left), "right": to_json(e.right)}
+    def leaf(x: Expr) -> dict:
+        if isinstance(x, Const):
+            return {"kind": "const", "value": x.value}
+        return {"kind": "var", "name": x.name}
 
+    return fold(e, leaf, lambda x, a, b: {"kind": x.op, "left": a, "right": b})

@@ -287,7 +287,7 @@ def render_odes(sys: OdeSystem, fmt: str = "text") -> str:
     if fmt == "latex":
         rows = [
             r"\frac{\mathrm{d}[%s]}{\mathrm{d}t} &= %s \\"
-            % (_tex_escape(name), ex.render_latex(d, var_fmt=lambda n: f"[{_tex_escape(n)}]"))
+            % (_tex_escape(name), ex.render(d, lambda n: f"[{_tex_escape(n)}]", latex=True))
             for name, d in zip(sys.names, sys.derivs)
         ]
         return "\n".join(

@@ -201,13 +201,11 @@ def cluster_concentrations(index: PrimeIndex) -> dict[Cluster, ex.Expr]:
     """Per-cluster total concentration as a linear form over prime variables."""
     out: dict[Cluster, ex.Expr] = {}
     for cluster, ms in index.matches().items():
-        coeffs: Counter = Counter()
+        coeffs: Counter = Counter()  # in prime order, as ms runs: a Counter keeps insertion order
         for mt in ms:
             coeffs[mt.prime] += mt.mult
-        out[cluster] = ex.total(
-            ex.mul(ex.const(mult), ex.Var(index.names[i]))
-            for i, mult in sorted(coeffs.items())
-        )
+        terms = (ex.mul(ex.const(m), ex.Var(index.names[i])) for i, m in coeffs.items())
+        out[cluster] = ex.total(terms)
     return out
 
 

@@ -93,14 +93,18 @@ def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, group
 
 def _factors(e: ex.Expr) -> Optional[set[str]]:
     """The variables multiplying all of ``e``, or None if it has a sub or a negative constant."""
-    if isinstance(e, ex.Const):
-        return set() if math.copysign(1.0, e.value) > 0 else None
-    if isinstance(e, ex.Var):
-        return {e.name}
-    a, b = _factors(e.left), _factors(e.right)
-    if e.op == "sub" or a is None or b is None:
-        return None
-    return a | b if e.op == "mul" else a if e.op == "div" else set()
+
+    def leaf(x: ex.Expr) -> Optional[set[str]]:
+        if isinstance(x, ex.Var):
+            return {x.name}
+        return set() if math.copysign(1.0, x.value) > 0 else None
+
+    def node(x: ex.Bin, a, b) -> Optional[set[str]]:
+        if x.op == "sub" or a is None or b is None:
+            return None
+        return a | b if x.op == "mul" else a if x.op == "div" else set()
+
+    return ex.fold(e, leaf, node)
 
 
 class SsaRun(NamedTuple):

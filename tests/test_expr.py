@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from bondc import expr as ex
 from bondc.ode import compile_field
-from bondc.ssa import compile_updaters
+from bondc.ssa import _factors, compile_updaters
 
 from conftest import evaluate
 
@@ -112,7 +113,7 @@ def test_render_roundtrip_numeric():
 
 def test_render_latex():
     e = ex.div(ex.Var("x"), ex.add(ex.Var("y"), ex.const(1)))
-    s = ex.render_latex(e)
+    s = ex.render(e, latex=True)
     assert "\\frac" in s
 
 
@@ -251,3 +252,150 @@ def test_failing_shared_division_names_its_first_user():
     # 0/0 = 0 in the shared division: the first failing rate is the non-finite r0
     with pytest.raises(ex.DomainError, match=r"^non-finite rate for reaction 'r0' "):
         f(0.0, 0.0)
+
+
+# --- recursive reference walkers that share no code with ex.fold ----------------------
+
+
+def ref_substitute(e, env):
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Var):
+        return env.get(e.name, e)
+    a = ref_substitute(e.left, env)
+    b = ref_substitute(e.right, env)
+    return {"add": ex.add, "sub": ex.sub, "mul": ex.mul, "div": ex.div}[e.op](a, b)
+
+
+def ref_finite(e):
+    if isinstance(e, ex.Bin):
+        return ref_finite(e.left) and ref_finite(e.right)
+    return isinstance(e, ex.Var) or math.isfinite(e.value)
+
+
+def ref_variables(e):
+    if isinstance(e, ex.Const):
+        return set()
+    if isinstance(e, ex.Var):
+        return {e.name}
+    return ref_variables(e.left) | ref_variables(e.right)
+
+
+def ref_render(e, var_fmt=lambda n: n):
+    def prec(x):
+        if isinstance(x, (ex.Const, ex.Var)):
+            return 3
+        return {"add": 1, "sub": 1, "mul": 2, "div": 2}[x.op]
+
+    def go(x):
+        if isinstance(x, ex.Const):
+            return ex._fmt_num(x.value)
+        if isinstance(x, ex.Var):
+            return var_fmt(x.name)
+        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[x.op]
+        ls, rs = go(x.left), go(x.right)
+        if prec(x.left) < prec(x):
+            ls = f"({ls})"
+        if prec(x.right) < prec(x) or (prec(x.right) == prec(x) and x.op in ("sub", "div")):
+            rs = f"({rs})"
+        return f"{ls}{sym}{rs}"
+
+    return go(e)
+
+
+def ref_render_latex(e, var_fmt=lambda n: n):
+    def go(x, ctx):
+        # ctx "sum": a sum may appear bare; ctx "prod": a sum takes parentheses
+        if isinstance(x, ex.Const):
+            return ex._fmt_num(x.value)
+        if isinstance(x, ex.Var):
+            return var_fmt(x.name)
+        if x.op == "div":
+            return r"\frac{%s}{%s}" % (go(x.left, "sum"), go(x.right, "sum"))
+        if x.op == "mul":
+            return r"%s \cdot %s" % (go(x.left, "prod"), go(x.right, "prod"))
+        sym = "+" if x.op == "add" else "-"
+        s = "%s %s %s" % (go(x.left, "sum"), sym, go(x.right, "prod" if x.op == "sub" else "sum"))
+        return r"\left(%s\right)" % s if ctx == "prod" else s
+
+    return go(e, "sum")
+
+
+def ref_to_json(e):
+    if isinstance(e, ex.Const):
+        return {"kind": "const", "value": e.value}
+    if isinstance(e, ex.Var):
+        return {"kind": "var", "name": e.name}
+    return {"kind": e.op, "left": ref_to_json(e.left), "right": ref_to_json(e.right)}
+
+
+def ref_factors(e):
+    if isinstance(e, ex.Const):
+        return set() if math.copysign(1.0, e.value) > 0 else None
+    if isinstance(e, ex.Var):
+        return {e.name}
+    a, b = ref_factors(e.left), ref_factors(e.right)
+    if e.op == "sub" or a is None or b is None:
+        return None
+    return a | b if e.op == "mul" else a if e.op == "div" else set()
+
+
+CONSTS = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+
+def random_tree(rng: random.Random, depth: int, pool: list) -> ex.Expr:
+    """A raw tree of height at most ``depth``, built with Bin directly; ``pool`` holds
+    (tree, height) of the compounds built so far, reused as repeated subtrees."""
+    if depth == 0 or rng.random() < 0.2:
+        return ex.Var(rng.choice("abc")) if rng.random() < 0.6 else ex.Const(rng.choice(CONSTS))
+    reuse = [t for t, h in pool if h <= depth]
+    if reuse and rng.random() < 0.2:
+        return rng.choice(reuse)
+    op = rng.choice(["add", "sub", "mul", "div"])
+    t = ex.Bin(op, random_tree(rng, depth - 1, pool), random_tree(rng, depth - 1, pool))
+    pool.append((t, depth))
+    return t
+
+
+def outcome(f, *args):
+    """repr of f's value, or its DomainError's message: NaN constants compare by repr."""
+    try:
+        return repr(f(*args))
+    except ex.DomainError as err:
+        return f"DomainError: {err}"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fold_walkers_match_recursive_references(seed):
+    rng = random.Random(seed)
+    pool: list = []
+    fmt = "[{}]".format
+    for _ in range(50):
+        e = random_tree(rng, rng.randint(1, 8), pool)
+        env = {"a": ex.Const(rng.choice(CONSTS)), "b": random_tree(rng, 3, pool)}
+        assert outcome(ex.substitute, e, env) == outcome(ref_substitute, e, env)
+        assert ex.finite(e) is ref_finite(e)
+        assert ex.variables(e) == ref_variables(e)
+        assert ex.render(e) == ref_render(e) and ex.render(e, fmt) == ref_render(e, fmt)
+        assert ex.render(e, fmt, latex=True) == ref_render_latex(e, fmt)
+        assert json.dumps(ex.to_json(e)) == json.dumps(ref_to_json(e))
+        assert _factors(e) == ref_factors(e)
+
+
+def test_walkers_return_on_a_2000_term_cluster_total():
+    # a law k*a/(1 + a) over a cluster of 2,000 primes: each walker loops down the long sum
+    xs = [ex.Var(f"x{i}") for i in range(2000)]
+    t = ex.total(xs)
+    e = ex.div(ex.mul(xs[0], t), ex.add(ex.ONE, t))
+    names = [x.name for x in xs]
+    one = ex.substitute(e, {n: ex.ONE for n in names})
+    assert one == ex.Const(2000.0 / 2001.0)
+    assert ex.finite(e) and ex.variables(e) == set(names)
+    assert ex.render(e).endswith(" + x1999)") and ex.render(e, latex=True).startswith(r"\frac")
+    assert ex.to_json(e)["kind"] == "div" and _factors(e) == {"x0"}
+    field = compile_field([e], ["law"], names, [[(1, 0)]])
+    assert field(*[1.0] * 2000) == [2000.0 / 2001.0]
+    [update] = compile_updaters([e], names, 1.0, [[0]], [None])
+    p = [None]
+    update([1] * 2000, p, None)
+    assert p == [2000.0 / 2001.0]
