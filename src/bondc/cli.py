@@ -170,7 +170,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         rs = build_reaction_system(model, cap=args.cap)
         _warn(rs.warnings)
         if args.command == "crn":
-            print(json.dumps(reaction_system_json(rs), indent=2), file=fh)
+            json.dump(reaction_system_json(rs), fh, indent=2)  # in pieces: one write cuts at 2 GiB
+            fh.write("\n")
         elif args.command == "odes":
             print(ode_mod.render_odes(ode_mod.build_odes(rs), fmt=args.format), end="", file=fh)
         elif args.command == "simulate":

@@ -5,11 +5,11 @@ language with node kinds const/var/add/sub/mul/div.  The smart constructors
 fold constants eagerly so that e.g. mass-action rates come out as plain
 monomials.  Division follows the continuous extension 0/0 = 0 used by the
 rate semantics; x/0 with x != 0 is a domain error at evaluation time.
-One ``fold`` walks every tree, left operands in a loop, so a rate over a
-long cluster total does not nest the stack.  ``compile_exprs`` generates
-what both simulators share: shared sub-expressions computed once, division
-guarded inline.  ``ode.compile_field`` and ``ssa.compile_updaters`` own
-what their code does with each value.
+One ``fold`` walks every tree, left operands in a loop, so a long sum does
+not nest the stack.  ``compile_exprs`` generates what both simulators share:
+each named total and shared sub-expression computed once, division guarded
+inline, and every long sum by one rule, ``long_sum``.  ``ode.compile_field``
+and ``ssa.compile_updaters`` own what their code does with each value.
 """
 
 from __future__ import annotations
@@ -163,18 +163,24 @@ def non_finite(label: str) -> DomainError:
     )
 
 
-def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: dict) -> list:
+def compile_exprs(exprs: list[Expr], var: Mapping[str, str], totals, defs: list, env: dict) -> list:
     """Compile expressions into straight-line Python functions, generated in one exec.
 
     Values are bit-identical to a tree walk (tests/conftest.py ``evaluate``).
-    ``var`` gives each variable's text.  Each (params, js, assign, tail) of
-    ``defs`` is one function of ``params`` that computes each expression j of
-    js as the line ``assign(j, text)``, then runs the ``tail`` lines; ``env``
-    holds the globals they read.  Within a function a sub-expression used more
-    than once (or a variable's compound text) is computed once, before the first
-    expression using it (which a failing division in it names); division is
-    guarded inline, calling slow(j, None) only for an x/0.
+    ``var`` gives each variable's text, and ``totals`` each other's (variable, multiplicity)
+    pairs: its terms m*x summed left to right, as ``total`` adds.  Each (params, js, assign,
+    tail) of ``defs`` is one function of ``params`` that computes each expression j of js as
+    the line ``assign(j, text)``, then runs the ``tail`` lines; ``env`` holds the globals
+    they read.  Within a function a sub-expression used more than once (or a variable's
+    compound text, or a total) is computed once, before the first expression using it (which
+    a failing division in it names); division is guarded inline, calling slow(j, None) only
+    for an x/0.
     """
+    var, sums = dict(var), {}  # each total's text s<k>, and the lines computing it
+    for k, (t, form) in enumerate(totals.items()):
+        var[t] = f"s{k}"
+        terms = ["+" + f"{float(m)!r}*" * (m != 1) + var[x] for x, m in form]
+        sums[var[t]] = long_sum(var[t], terms)
     prec = {"add": 1, "sub": 1, "mul": 2}  # a division's conditional stays grouped
     sym = {"add": "+", "sub": "-", "mul": "*"}
     nodes: dict = {}  # each compound (op, left, right) to its number, which keys it cheaply
@@ -201,7 +207,7 @@ def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: di
 
         for j in js:
             count(roots[j])
-        names, lines = {}, []  # the local of each value hoisted; the lines computing them
+        names, lines, unsummed = {}, [], dict(sums)  # hoisted locals, lines, totals not summed
 
         def emit(v, j: int, atom: bool = False) -> str:  # hoisting post-order
             spine = [(v, atom)]  # v and the compounds down its left operands, each atom or not
@@ -210,6 +216,7 @@ def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: di
                 spine.append((v, op == "div"))
             for v, atom in reversed(spine):
                 if isinstance(v, str) or v in names:
+                    lines.extend(unsummed.pop(v, ()))  # a total's lines, where it is first read
                     text = names.get(v, v)
                 elif node[v][0] == "div":  # of atoms: the text reads each operand more than once
                     a, b = text, emit(node[v][2], j, True)
@@ -239,6 +246,13 @@ def compile_exprs(exprs: list[Expr], var: Mapping[str, str], defs: list, env: di
     env = {**env, "inf": math.inf, "nan": math.nan}  # repr() of non-finite constants
     exec("\n".join(lines), env)  # noqa: S102 - generated source
     return [env[f"f{k}"] for k in range(len(defs))]
+
+
+def long_sum(name: str, signed: list[str]) -> list[str]:
+    """Lines setting ``name`` to the sum of the ``signed`` terms ('+x' or '-x') left to right,
+    as ``total`` adds, in statements of at most 256 terms, each continuing the last."""
+    chunks = ("".join(signed[k : k + 256]) for k in range(0, len(signed), 256))
+    return [f" {name} = {(name * (k > 0) + c).lstrip('+')}" for k, c in enumerate(chunks)]
 
 
 def render(e: Expr, var_fmt: Callable[[str], str] = lambda n: n, latex: bool = False) -> str:

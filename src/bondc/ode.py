@@ -3,13 +3,13 @@
 One pass over each reaction's sparse stoichiometry (``Reaction.jumps``) gives
 each prime's terms: the symbolic derivatives are built from them only to render,
 the field only to simulate.  ``compile_field`` owns the field's protocol: one
-straight-line function evaluates each rate once, adds it into the primes its
-reaction changes (a literal 0.0 for a prime none changes) and checks them
-finite; a failing rate raises a DomainError naming its reaction.  One rule,
-``long_sum``, writes every long sum of generated code: left to right, as
-``ex.total`` adds, at most 256 terms a statement.  An attempt with a failing
-stage is rejected, and its error raised only if h falls below its floor before a
-step is accepted.  The field takes argument i as ``names[i]``'s value and
+straight-line function evaluates each named total and rate once, adds each rate
+into the primes its reaction changes (a literal 0.0 for a prime none changes)
+and checks them finite; a failing rate raises a DomainError naming its reaction.
+One rule, ``ex.long_sum``, writes every long sum of generated code: left to
+right, as ``ex.total`` adds, at most 256 terms a statement.  An attempt with a
+failing stage is rejected, and its error raised only if h falls below its floor
+before a step is accepted.  The field takes argument i as ``names[i]``'s value and
 returns a list of floats: ``integrate`` calls it directly and counts its calls,
 and ``eval_field`` takes and returns arrays.  The integrator is a Dormand-Prince
 5(4) embedded pair with error-per-step control.  One attempt is generated per
@@ -31,7 +31,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TextIO
 
 from . import expr as ex
-from .reactions import ReactionSystem
+from .expr import long_sum
+from .reactions import ReactionSystem, total_expr, totals_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +62,7 @@ class OdeSystem:
         """The compiled field, compiled on first use: rendering never needs it."""
         rs = self.rs.reactions
         labels = [r.provenance for r in rs]
-        return compile_field([r.rate for r in rs], labels, self.names, self._terms)
+        return compile_field([r.rate for r in rs], labels, self.names, self._terms, self.rs.totals)
 
     @functools.cached_property
     def _step(self):
@@ -98,11 +99,11 @@ class OdeSystem:
         return env["step"]
 
 
-def compile_field(rates: list[ex.Expr], labels: list[str], names: Sequence[str], terms) -> Callable:
+def compile_field(rates: list[ex.Expr], labels: list[str], names, terms, totals) -> Callable:
     """The field f(c0, c1, ...), argument i being ``names[i]``'s value: it computes each
-    rate once, sums each prime's (net change, rate index) ``terms`` and returns the sums,
-    the literal 0.0 for a prime with no terms.  Unless the rates are all finite it raises
-    a DomainError naming the label of the first that is not; an x/0 names its own."""
+    total and rate once, sums each prime's (net change, rate index) ``terms`` and returns
+    the sums, the literal 0.0 for a prime with no terms.  Unless the rates are all finite it
+    raises a DomainError naming the label of the first that is not; an x/0 names its own."""
 
     def slow(j: int, _) -> float:  # x/0 with x != 0 raises
         raise ex.division_by_zero(labels[j])
@@ -128,14 +129,7 @@ def compile_field(rates: list[ex.Expr], labels: list[str], names: Sequence[str],
     var = {v: f"c{i}" for i, v in enumerate(names)}
     fdef = (", ".join(var.values()), range(len(rates)), lambda j, t: f" r{j} = {t}", tail)
     env = {"slow": slow, "isfinite": math.isfinite, "check": check}
-    return ex.compile_exprs(rates, var, [fdef], env)[0]
-
-
-def long_sum(name: str, signed: list[str]) -> list[str]:
-    """Lines setting ``name`` to the sum of the ``signed`` terms ('+x' or '-x') left to right,
-    as ``ex.total`` adds, in statements of at most 256 terms, each continuing the last."""
-    chunks = ("".join(signed[k : k + 256]) for k in range(0, len(signed), 256))
-    return [f" {name} = {(name * (k > 0) + c).lstrip('+')}" for k, c in enumerate(chunks)]
+    return ex.compile_exprs(rates, var, totals, [fdef], env)[0]
 
 
 class Trajectory(NamedTuple):
@@ -278,17 +272,20 @@ def integrate(
 
 
 def render_odes(sys: OdeSystem, fmt: str = "text") -> str:
+    sums = {t: total_expr(form) for t, form in sys.rs.totals.items()}
+    # text and LaTeX write each named total out where it is read, json by its name
+    derivs = [ex.substitute(d, sums) for d in sys.derivs] if sums and fmt != "json" else sys.derivs
     if fmt == "text":
         lines = [
             f"d[{name}]/dt = {ex.render(d, var_fmt=lambda n: f'[{n}]')}"
-            for name, d in zip(sys.names, sys.derivs)
+            for name, d in zip(sys.names, derivs)
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     if fmt == "latex":
         rows = [
             r"\frac{\mathrm{d}[%s]}{\mathrm{d}t} &= %s \\"
             % (_tex_escape(name), ex.render(d, lambda n: f"[{_tex_escape(n)}]", latex=True))
-            for name, d in zip(sys.names, sys.derivs)
+            for name, d in zip(sys.names, derivs)
         ]
         return "\n".join(
             [
@@ -308,7 +305,8 @@ def render_odes(sys: OdeSystem, fmt: str = "text") -> str:
         return json.dumps(
             {
                 "primes": sys.names,
-                "odes": [ex.to_json(d) for d in sys.derivs],
+                **totals_json(sys.rs),
+                "odes": [ex.to_json(d) for d in derivs],
             },
             indent=2,
         )

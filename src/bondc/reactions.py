@@ -19,16 +19,16 @@ normal form already, and the product is the sorted union of their primes.
 It is memoized, so extraction does not colocate or normalize.  Tuples are
 visited in the same order either way, so prime numbering does not depend on
 any of this.  The rate of a matched tuple is the kinetic law applied to the
-total cluster concentrations, divided by those concentrations and multiplied
-back by each participant's own contribution, by one rule for every slot: for
-a slot whose cluster is matched by a single (prime, transition) pair,
-share/total is x/x, which ``expr.div`` folds to exactly 1.  The law is
-applied once per entry, and the totals are built only for a law that reads
-them: mass action does not.  Repeated clusters in a pattern contribute the
-standard 1/multiplicity! symmetry correction, so e.g. a homodimerization
-under mass-action k fires at (1/2) k [A]^2.  Tuples with equal reactants,
-products and entry sum into one reaction; a non-finite constant in a rate is
-an error.
+total cluster concentrations, divided by those and multiplied back by each
+participant's own contribution, by one rule for every slot.  A total of two or
+more primes is named once, ``Σ(cluster)`` (one name per distinct total), and
+rates read it by that name; one of a single prime stays inline, so that a sole
+match's share/total is x/x, which ``expr.div`` folds to exactly 1.  The law is
+applied once per entry, and totals are built only for a law that reads them:
+mass action does not.  Repeated clusters contribute the 1/multiplicity!
+symmetry correction: a homodimerization under mass-action k fires at (1/2) k
+[A]^2.  Tuples with equal reactants, products and entry sum into one reaction;
+a non-finite constant in a rate is an error.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ class Reaction(NamedTuple):
 class ReactionSystem(NamedTuple):
     index: PrimeIndex
     reactions: list[Reaction]
+    totals: dict[str, tuple[tuple[str, int], ...]]  # each named total's (prime, mult) pairs
     warnings: list[str]  # the compile's, such as an affinity entry that matches no species
 
     @property
@@ -197,16 +198,20 @@ def reachable_primes(
     return index
 
 
-def cluster_concentrations(index: PrimeIndex) -> dict[Cluster, ex.Expr]:
-    """Per-cluster total concentration as a linear form over prime variables."""
-    out: dict[Cluster, ex.Expr] = {}
+def cluster_concentrations(index: PrimeIndex) -> dict[Cluster, tuple[tuple[str, int], ...]]:
+    """Per-cluster total concentration as (prime, multiplicity) pairs in prime order."""
+    out = {}
     for cluster, ms in index.matches().items():
         coeffs: Counter = Counter()  # in prime order, as ms runs: a Counter keeps insertion order
         for mt in ms:
-            coeffs[mt.prime] += mt.mult
-        terms = (ex.mul(ex.const(m), ex.Var(index.names[i])) for i, m in coeffs.items())
-        out[cluster] = ex.total(terms)
+            coeffs[index.names[mt.prime]] += mt.mult
+        out[cluster] = tuple(coeffs.items())
     return out
+
+
+def total_expr(form: tuple[tuple[str, int], ...]) -> ex.Expr:
+    """A total's value: the left-deep sum of its terms m*x that ``ex.total`` builds."""
+    return ex.total(ex.mul(ex.const(m), ex.Var(p)) for p, m in form)
 
 
 def _entry_provenance(entry: AffinityEntry) -> str:
@@ -217,7 +222,7 @@ def _entry_provenance(entry: AffinityEntry) -> str:
 
 def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
     by_cluster = index.matches()
-    conc: Optional[dict[Cluster, ex.Expr]] = None  # built when a law first reads it
+    conc, named = None, {}  # the totals, built when a law first reads one; each name, by form
     # merged rate per (reactants, products, provenance), in first-occurrence order
     rates: dict[tuple[tuple[int, ...], tuple[int, ...], str], ex.Expr] = {}
     warnings: list[str] = []
@@ -234,7 +239,10 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
             a_exprs = [ex.ONE] * len(entry.pattern)
         else:
             conc = conc or cluster_concentrations(index)
-            a_exprs = [conc[c] for c in entry.pattern]
+            a_exprs = [  # one prime's total stays inline: a sole match's share/total folds to 1
+                ex.Var(named.setdefault(conc[c], f"Σ({'&'.join(c)})")) if len(conc[c]) > 1
+                else total_expr(conc[c]) for c in entry.pattern
+            ]
         try:  # the law's value f(a_1..a_m), once per entry
             value = law.apply(entry.law_params, a_exprs)
         except ex.DomainError:  # the law folded a constant x/0
@@ -254,16 +262,23 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         if not ex.finite(rate):  # a constant overflowed in the law, a product or a sum
             raise ex.non_finite(prov)
     reactions = [Reaction(r, p, rate, prov) for (r, p, prov), rate in rates.items()]
-    return ReactionSystem(index, reactions, warnings)
+    read = set().union(*map(ex.variables, rates.values())) if named else ()
+    return ReactionSystem(index, reactions, {t: f for f, t in named.items() if t in read}, warnings)
 
 
 def build_reaction_system(model: Model, cap: int = 512) -> ReactionSystem:
     return extract_reactions(model, reachable_primes(model, cap))
 
 
+def totals_json(rs: ReactionSystem) -> dict:
+    """A document's ``"totals"``, if a rate names one: each one's multiplicity of each prime."""
+    return {"totals": {t: dict(form) for t, form in rs.totals.items()}} if rs.totals else {}
+
+
 def reaction_system_json(rs: ReactionSystem) -> dict:
     return {
         "primes": rs.prime_names,
+        **totals_json(rs),
         "reactions": [
             {
                 "reactants": list(r.reactants),

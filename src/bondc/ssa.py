@@ -44,15 +44,16 @@ class DiscreteModel:
     for equal groups; ``after[k]``, the updaters of the primes event k changes,
     recompute its dependents, less those whose events another of them recomputes too."""
 
-    def __init__(self, events: list[Reaction], h: float, names: list[str]):
+    def __init__(self, events: list[Reaction], h: float, names: list[str], totals: dict):
         self.events, self.h, self.names = events, h, names
         self.jumps = [e.jumps for e in events]
-        idx = {n: i for i, n in enumerate(names)}
+        reads = {n: {i} for i, n in enumerate(names)}  # a named total reads its primes' levels
+        reads.update((t, set().union(*(reads[p] for p, _ in form))) for t, form in totals.items())
         readers: list[list[int]] = [[] for _ in names]
         constant, needs = [], []
         for k, e in enumerate(events):
             need = [(i, -d) for i, d in self.jumps[k] if d < 0]
-            read = {idx[v] for v in ex.variables(e.rate)} | {i for i, _ in need}
+            read = {i for i, _ in need}.union(*(reads[v] for v in ex.variables(e.rate)))
             for i in read:
                 readers[i].append(k)
             if not read:
@@ -61,8 +62,8 @@ class DiscreteModel:
             f = _factors(e.rate)
             plain = f is not None and all(m == 1 and names[i] in f for i, m in need)
             needs.append(None if plain else need)
-        self.groups = [*readers, constant]
-        self.updaters = compile_updaters([e.rate for e in events], names, h, self.groups, needs)
+        self.groups = groups = [*readers, constant]
+        self.updaters = compile_updaters([e.rate for e in events], names, h, groups, needs, totals)
         self.after = []
         for js in self.jumps:
             first = {}  # each group of the changed primes, with the first prime that has it
@@ -72,11 +73,12 @@ class DiscreteModel:
             self.after.append([self.updaters[i] for i in kept])
 
 
-def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, groups, needs) -> list:
+def compile_updaters(rates: list[ex.Expr], names, h: float, groups, needs, totals) -> list:
     """One function g(n, p, slow) of integer levels n (n[i] of ``names[i]``) per distinct index
-    list in ``groups``, returned for each equal one, which sets p[j] = rates[j](n*h)/h for
-    each member j: as it is if ``needs[j]`` is None, else if positive, finite and n[i] >= m
-    for each (i, m) in ``needs[j]``, else to slow(j, value).  An x/0 is slow(j, None)."""
+    list in ``groups``, returned for each equal one, which sets p[j] = rates[j](n*h)/h (and
+    ``totals``) for each member j: as it is if ``needs[j]`` is None, else if positive, finite
+    and n[i] >= m for each (i, m) in ``needs[j]``, else to slow(j, value).  An x/0 is
+    slow(j, None)."""
 
     def store(j: int, text: str) -> str:
         if needs[j] is None:
@@ -86,7 +88,7 @@ def compile_updaters(rates: list[ex.Expr], names: Sequence[str], h: float, group
 
     var = {v: f"(n[{i}]*{h!r})" for i, v in enumerate(names)}
     shared = dict.fromkeys(map(tuple, groups))
-    fs = ex.compile_exprs(rates, var, [("n, p, slow", js, store, []) for js in shared], {})
+    fs = ex.compile_exprs(rates, var, totals, [("n, p, slow", js, store, []) for js in shared], {})
     shared.update(zip(shared, fs))
     return [shared[tuple(js)] for js in groups]
 
@@ -119,7 +121,7 @@ class SsaRun(NamedTuple):
 def discretize(rs: ReactionSystem, h: float) -> DiscreteModel:
     if h <= 0:
         raise ValueError("level size h must be positive")
-    return DiscreteModel(list(rs.reactions), h, list(rs.prime_names))
+    return DiscreteModel(list(rs.reactions), h, list(rs.prime_names), rs.totals)
 
 
 def initial_levels(x0: Sequence[float], h: float) -> list[int]:

@@ -1,5 +1,7 @@
+import operator
 import types
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -110,3 +112,20 @@ def evaluate(e, env):
     if b == 0.0 and a != 0.0:
         raise ex.DomainError("division by zero")
     return a / b if b else 0.0
+
+
+def total_value(form, env):
+    """The value at ``env`` of a cluster total given as (prime, multiplicity) pairs: its
+    terms m*x added left to right, as ``ex.total`` adds them."""
+    return reduce(operator.add, (float(m) * env[p] for p, m in form))
+
+
+def with_totals(rs, env):
+    """``env``, a value per prime of ``rs``, and the ``total_value`` of each of ``rs.totals``."""
+    return {**env, **{t: total_value(form, env) for t, form in rs.totals.items()}}
+
+
+def evaluate_rate(rs, e, env):
+    """``evaluate`` of an expression over ``rs``'s primes and named totals, such as a
+    rate or a derivative, at ``env``, a value per prime: it reads each total's value."""
+    return evaluate(e, with_totals(rs, env))

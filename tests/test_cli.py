@@ -856,6 +856,29 @@ def test_law_on_a_cluster_of_250_primes_simulates(tmp_path, capsys):
         assert (code, err) == (0, "") and len(out.splitlines()) == 4
 
 
+def test_json_of_a_cluster_grows_linearly(tmp_path, capsys):
+    # a rate reads the cluster's total by name, and "totals" writes it once: the documents
+    # grow linearly with the cluster, and no rate or derivative nests deeper for a larger one
+    def depth(x):
+        return 1 + max(map(depth, x.values()), default=0) if isinstance(x, dict) else 0
+
+    docs = {}
+    for n in (10, 1000):
+        path = tmp_path / f"cluster{n}.bond"
+        path.write_text(cluster(n))
+        for argv in (["crn"], ["odes", "--format", "json"]):
+            code, out, err = run(capsys, *argv, str(path), "--cap", "2000")
+            assert (code, err) == (0, "") and len(out.encode()) < 1_000_000
+            docs[n, argv[0]] = json.loads(out)
+    for n in (10, 1000):
+        assert docs[n, "crn"]["totals"] == {"Σ(s)": {f"A{i}": 1 for i in range(n)}}
+        assert docs[n, "odes"]["totals"] == docs[n, "crn"]["totals"]
+    trees = {"crn": lambda d: [r["rate"] for r in d["reactions"]], "odes": lambda d: d["odes"]}
+    for doc, trees_of in trees.items():
+        deepest = [max(map(depth, trees_of(docs[n, doc]))) for n in (10, 1000)]
+        assert deepest[0] == deepest[1] <= 6
+
+
 def test_check_rejects_unguarded_recursion(tmp_path, capsys):
     path = tmp_path / "loop.bond"
     path.write_text("species X = (X | X);\n")

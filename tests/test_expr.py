@@ -68,14 +68,14 @@ def test_compiled_matches_interpreted():
         ex.mul(ex.const(3), ex.mul(ex.Var("a"), ex.Var("b"))),
         ex.add(ex.const(1), ex.Var("b")),
     )
-    f = compile_field([e], ["e"], ["a", "b"], [[(1, 0)]])
+    f = compile_field([e], ["e"], ["a", "b"], [[(1, 0)]], {})
     env = {"a": 2.5, "b": 4.0}
     assert f(env["a"], env["b"])[0] == pytest.approx(evaluate(e, env))
 
 
 def test_compiled_guarded_division():
     q = ex.Bin("div", ex.Var("a"), ex.Var("b"))
-    f = compile_field([ex.Var("a"), q], ["a", "a/b"], ["a", "b"], [[(1, 0), (1, 1)]])
+    f = compile_field([ex.Var("a"), q], ["a", "a/b"], ["a", "b"], [[(1, 0), (1, 1)]], {})
     assert f(0.0, 0.0)[0] == 0.0
     with pytest.raises(ex.DomainError, match=r"^rate evaluation failed for reaction 'a/b': "):
         f(1.0, 0.0)
@@ -85,7 +85,7 @@ def test_compiled_guarded_division():
 
 def test_compiled_finite_overflow_is_not_an_error():
     # the rates sum to inf, but each is finite
-    f = compile_field([ex.Var("a"), ex.Var("a")], ["r0", "r1"], ["a"], [[(1, 0)]])
+    f = compile_field([ex.Var("a"), ex.Var("a")], ["r0", "r1"], ["a"], [[(1, 0)]], {})
     assert f(1e308) == [1e308]
 
 
@@ -174,12 +174,12 @@ def test_compiled_rates_match_evaluate_bit_for_bit(seed):
     for _ in range(10):
         es = random_rates(rng, 4)
         labels = [f"r{j}" for j in range(len(es))]
-        field = compile_field(es, labels, names, [[(1, j)] for j in range(len(es))])
+        field = compile_field(es, labels, names, [[(1, j)] for j in range(len(es))], {})
         # plain lines store the value as it is; checked ones pass it to slow
         # unless it is positive, finite and each n[i] >= m
         needs = [rng.choice([None, [], [(0, 1), (2, 2)]]) for _ in es]
         groups = [[0, 1, 2, 3], [1, 3], []]
-        updaters = compile_updaters(es, names, h, groups, needs)
+        updaters = compile_updaters(es, names, h, groups, needs, {})
         for _ in range(6):
             x = [rng.choice(VALUES) for _ in names]
             values, error = expected(dict(zip(labels, es)), dict(zip(names, x)), True)
@@ -223,8 +223,8 @@ def test_long_left_deep_sum_matches_evaluate_bit_for_bit():
     a = ex.total(ex.mul(ex.const(1 + i % 3), x) for i, x in enumerate(xs))
     es = [a, ex.mul(ex.div(ex.mul(ex.const(2.0), a), ex.add(ex.ONE, a)), ex.div(xs[7], a))]
     names, labels, h = [x.name for x in xs], ["total", "law"], 0.5
-    field = compile_field(es, labels, names, [[(1, 0)], [(1, 1)]])
-    [update] = compile_updaters(es, names, h, [[0, 1]], [None, [(7, 1)]])
+    field = compile_field(es, labels, names, [[(1, 0)], [(1, 1)]], {})
+    [update] = compile_updaters(es, names, h, [[0, 1]], [None, [(7, 1)]], {})
     rng = random.Random(250)
     for _ in range(5):
         x = [rng.choice([0.0, 1.0, 2.5, 1e-300]) for _ in names]
@@ -245,7 +245,7 @@ def test_failing_shared_division_names_its_first_user():
     shared = ex.Bin("div", ex.Bin("add", a, b), ex.Bin("sub", b, b))  # (a+b)/0
     nan = ex.Bin("div", ex.Const(math.inf), ex.Const(math.inf))  # r0 is never finite
     es = [ex.Bin("mul", a, nan), ex.Bin("mul", shared, a), ex.Bin("add", b, shared)]
-    f = compile_field(es, ["r0", "r1", "r2"], ["a", "b"], [[(1, 0)], [(1, 1)], [(1, 2)]])
+    f = compile_field(es, ["r0", "r1", "r2"], ["a", "b"], [[(1, 0)], [(1, 1)], [(1, 2)]], {})
     # r1 is the first to reach the shared x/0, and it raises before r0's finiteness is tested
     with pytest.raises(ex.DomainError, match=r"^rate evaluation failed for reaction 'r1': "):
         f(1.0, 2.0)
@@ -393,9 +393,9 @@ def test_walkers_return_on_a_2000_term_cluster_total():
     assert ex.finite(e) and ex.variables(e) == set(names)
     assert ex.render(e).endswith(" + x1999)") and ex.render(e, latex=True).startswith(r"\frac")
     assert ex.to_json(e)["kind"] == "div" and _factors(e) == {"x0"}
-    field = compile_field([e], ["law"], names, [[(1, 0)]])
+    field = compile_field([e], ["law"], names, [[(1, 0)]], {})
     assert field(*[1.0] * 2000) == [2000.0 / 2001.0]
-    [update] = compile_updaters([e], names, 1.0, [[0]], [None])
+    [update] = compile_updaters([e], names, 1.0, [[0]], [None], {})
     p = [None]
     update([1] * 2000, p, None)
     assert p == [2000.0 / 2001.0]

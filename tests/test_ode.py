@@ -23,7 +23,7 @@ from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 
 import families
-from conftest import evaluate, family_source, rational_left_nullspace, stoichiometry
+from conftest import evaluate, evaluate_rate, family_source, rational_left_nullspace, stoichiometry
 from test_expr import from_json
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -304,10 +304,10 @@ def test_compiled_field_matches_interpreted_derivs(source):
         x = [rng.uniform(0.0, 5.0) for _ in rs.prime_names]
         env = dict(zip(rs.prime_names, x))
         # round-off scale: the summed magnitudes of the rates
-        scale = sum(abs(evaluate(r.rate, env)) for r in rs.reactions)
+        scale = sum(abs(evaluate_rate(rs, r.rate, env)) for r in rs.reactions)
         got = eval_field(sys_, np.array(x))
         for g, d in zip(got, sys_.derivs):
-            want = evaluate(d, env)
+            want = evaluate_rate(rs, d, env)
             assert g == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
 
 
@@ -373,7 +373,7 @@ def test_field_above_255_arguments():
     rng = random.Random(20261019)
     x = [rng.uniform(0.0, 5.0) for _ in range(n)]
     env = dict(zip(rs.prime_names, x))
-    assert eval_field(sys_, x).tolist() == [evaluate(d, env) for d in sys_.derivs]
+    assert eval_field(sys_, x).tolist() == [evaluate_rate(rs, d, env) for d in sys_.derivs]
     traj = integrate(sys_, [1.0] * n, 1.0, rtol=1e-8, atol=1e-12)
     rate = {f"X{i}": 1 + i % 3 for i in range(n)}
     want = [math.exp(-rate[name]) for name in rs.prime_names]
@@ -390,7 +390,7 @@ def test_field_sum_above_256_terms_continues_left_to_right():
     for _ in range(20):
         x = [rng.uniform(0.0, 5.0) for _ in rs.prime_names]
         env = dict(zip(rs.prime_names, x))
-        assert eval_field(sys_, x).tolist() == [evaluate(d, env) for d in sys_.derivs]
+        assert eval_field(sys_, x).tolist() == [evaluate_rate(rs, d, env) for d in sys_.derivs]
 
 
 @pytest.mark.parametrize("model", ["mm", "pingpong", "kuznetsov"])

@@ -27,7 +27,7 @@ from bondc.reactions import UnboundedError, build_reaction_system
 from bondc.terms import Call, ModelError
 from bondc.transitions import TransitionSystem
 
-from conftest import evaluate
+from conftest import evaluate_rate
 
 SITES = "abcd"
 LOCS = "lmn"
@@ -216,7 +216,8 @@ def test_reordered_models_give_the_same_network(seed):
             for _ in range(3):
                 point = {n: rng.uniform(0.5, 2.0) for n in names}
                 for key, rate in rates.items():
-                    want, got = evaluate(rate, point), evaluate(other_rates[key], point)
+                    want = evaluate_rate(rs, rate, point)
+                    got = evaluate_rate(other, other_rates[key], point)
                     assert got == pytest.approx(want, rel=1e-12, abs=0), (text, variant, key)
         if not isinstance(rs, type):
             compiling += 1

@@ -36,7 +36,7 @@ from bondc.transitions import (
     commit,
 )
 
-from conftest import evaluate, family_source
+from conftest import evaluate, evaluate_rate, family_source, total_value
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -51,7 +51,7 @@ def system(name):
 
 def rate_value(rs, reaction, x):
     env = {n: v for n, v in zip(rs.prime_names, x)}
-    return evaluate(reaction.rate, env)
+    return evaluate_rate(rs, reaction.rate, env)
 
 
 # --- quoted rate combinatorics --------------------------------------------------
@@ -139,7 +139,8 @@ def test_cluster_concentration_multiplicity():
     m = parse_model("species X = s.0 + s.0;\naffinity { s at MA(1); }\nmixture { 1 X }")
     index = reachable_primes(m, ts=TransitionSystem(m.species))
     conc = cluster_concentrations(index)
-    assert evaluate(conc[("s",)], {"X": 5.0}) == 10.0
+    assert conc[("s",)] == (("X", 2),)
+    assert total_value(conc[("s",)], {"X": 5.0}) == 10.0
 
 
 def test_cluster_concentration_sums_over_species():
@@ -149,8 +150,8 @@ def test_cluster_concentration_sums_over_species():
     (complex_name,) = set(index.names) - {"EC", "TC", "IS"}
     env = {"EC": 1.0, "TC": 2.0, "IS": 5.0, complex_name: 7.0}
     # both bound and unbound TC consume resources
-    assert evaluate(conc[("consumeResources",)], env) == 9.0
-    assert evaluate(conc[("growTC",)], env) == 2.0
+    assert total_value(conc[("consumeResources",)], env) == 9.0
+    assert total_value(conc[("growTC",)], env) == 2.0
 
 
 # --- structural invariants --------------------------------------------------------
@@ -227,11 +228,11 @@ def test_total_rate_factorization():
             law = m.laws[entry.law_name]
             for _ in range(5):
                 env = {n: rng.uniform(0.1, 3.0) for n in index.names}
-                a_vals = [evaluate(conc[c], env) for c in entry.pattern]
+                a_vals = [total_value(conc[c], env) for c in entry.pattern]
                 f_val = evaluate(
                     law.apply(entry.law_params, [ex.const(v) for v in a_vals]), {}
                 )
-                got = sum(evaluate(r, env) for r in prov_rates)
+                got = sum(evaluate_rate(rs, r, env) for r in prov_rates)
                 assert got == pytest.approx(f_val / sym, rel=1e-12)
 
 
@@ -260,7 +261,8 @@ def brute_force_field(model, rs, x):
         m = len(entry.pattern)
         law = model.laws[entry.law_name]
         pattern_bag = Counter(entry.pattern)
-        a_vals = [evaluate(conc[c], env) if c in conc else 0.0 for c in entry.pattern]
+        a_vals = [total_value(conc[c], env) if c in conc else 0.0
+                  for c in entry.pattern]
         f_val = evaluate(law.apply(entry.law_params, [ex.const(v) for v in a_vals]), {})
         denom = 1.0
         for v in a_vals:

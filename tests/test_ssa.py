@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from bondc import expr as ex
+from bondc.ode import build_odes
 from bondc.parser import parse_model
 from bondc.reactions import build_reaction_system, initial_mixture
 from bondc.ssa import (
+    compile_updaters,
     discretize,
     gillespie,
     gillespie_runs,
@@ -18,7 +20,15 @@ from bondc.ssa import (
     write_runs_csv,
 )
 
-from conftest import evaluate, family_source, mean_std, rational_left_nullspace, stoichiometry
+from conftest import (
+    evaluate,
+    evaluate_rate,
+    family_source,
+    mean_std,
+    rational_left_nullspace,
+    stoichiometry,
+    with_totals,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -322,13 +332,34 @@ def test_primes_with_equal_groups_share_one_updater():
     assert dm.after == [[dm.updaters[0]]] * 250
 
 
+def test_a_cluster_total_of_5000_primes_compiles():
+    # the field and an updater compute the 5,000-term total once, in statements of 256
+    # terms, and each rate reads it by name: both compile and equal a tree walk bit for bit
+    rs = build_reaction_system(parse_model(cluster(5000)), cap=10_000)
+    names, n, h = rs.prime_names, 5000, 0.1
+    assert rs.totals == {"Σ(s)": tuple((f"A{i}", 1) for i in range(n))}
+    field = build_odes(rs)._field
+    rates = [r.rate for r in rs.reactions]
+    assert [r.jumps for r in rs.reactions] == [[(i, -1)] for i in range(n)]
+    [update] = compile_updaters(rates, names, h, [list(range(n))], [None] * n, rs.totals)
+    rng = random.Random(5000)
+    for _ in range(3):
+        levels = [rng.randrange(30) for _ in names]
+        x = [k * h for k in levels]
+        env = with_totals(rs, dict(zip(names, x)))
+        assert list(map(repr, field(*x))) == [repr(-evaluate(e, env)) for e in rates]
+        p = [None] * n
+        update(levels, p, None)
+        assert list(map(repr, p)) == [repr(evaluate(e, env) / h) for e in rates]
+
+
 # --- a reference direct method that shares no code with gillespie ------------------
 
 
 def reference_runs(rs, h, n0, t_end, seed, runs):
     """Gillespie's direct method with a full rescan per event, run i of ``runs`` (None
     is one run) drawing from ``random.Random(f"{seed}:{i}")``.  Every propensity is
-    ``evaluate`` at n*h over h, or 0 when it is negative or a reactant is short; they
+    ``evaluate_rate`` at n*h over h, or 0 when it is negative or a reactant is short; they
     are summed left to right.  Each event draws u, then v: it waits -log1p(-u)/total
     and fires the first event whose running sum exceeds v*total, or the last one.
     Returns each run's (events, sha256 of its levels)."""
@@ -343,7 +374,7 @@ def reference_runs(rs, h, n0, t_end, seed, runs):
             env = {name: k * h for name, k in zip(names, n)}
             props = []
             for r, nu in zip(rs.reactions, nus):
-                a = evaluate(r.rate, env) / h
+                a = evaluate_rate(rs, r.rate, env) / h
                 assert -math.inf < a < math.inf, (r.provenance, n)
                 short = any(k < -d for k, d in zip(n, nu) if d < 0)
                 props.append(0.0 if short or a < 0.0 else a)
@@ -440,7 +471,7 @@ def test_three_constant_channels_fire_in_proportion_and_as_a_poisson_process():
 
 def master_equation(rs, h, n0, t_end):
     """The states reachable from n0 and their exact probabilities at t_end.  A state
-    moves by a reaction's stoichiometry at ``evaluate`` at n*h over h, unless that
+    moves by a reaction's stoichiometry at ``evaluate_rate`` at n*h over h, unless that
     takes a level below 0.  Uniformization (Jensen, 1953): with lam the largest exit
     rate, p(t_end) is the Poisson(lam * t_end)-weighted sum of p(0) (I + Q/lam)^k."""
     names, nus = rs.prime_names, [stoichiometry(r, len(rs.prime_names)) for r in rs.reactions]
@@ -449,7 +480,7 @@ def master_equation(rs, h, n0, t_end):
         env = {name: k * h for name, k in zip(names, state)}
         out = []
         for r, nu in zip(rs.reactions, nus):
-            a = evaluate(r.rate, env) / h
+            a = evaluate_rate(rs, r.rate, env) / h
             assert 0.0 <= a < math.inf, (r.provenance, state)
             target = tuple(k + d for k, d in zip(state, nu))
             if a > 0.0 and min(target) >= 0:
@@ -580,8 +611,11 @@ def test_dependency_graph_matches_brute_force(name):
     dm = discretize(rs, 0.1)
     n = len(rs.prime_names)
     nus = [stoichiometry(r, n) for r in rs.reactions]
+    # a rate reads a prime's level itself, or through a named total holding the prime
+    levels = {v: {i} for i, v in enumerate(rs.prime_names)}
+    levels.update((t, {rs.prime_names.index(p) for p, _ in form}) for t, form in rs.totals.items())
     reads = [
-        {rs.prime_names.index(v) for v in ex.variables(r.rate)} | {i for i in range(n) if nu[i] < 0}
+        set().union(*(levels[v] for v in ex.variables(r.rate))) | {i for i in range(n) if nu[i] < 0}
         for r, nu in zip(rs.reactions, nus)
     ]
     assert dm.groups == [[k for k in range(len(nus)) if i in reads[k]] for i in range(n)] + [
@@ -664,10 +698,10 @@ ORACLE_MODELS = [(MODELS / name).read_text() for name in CORPUS] + [
 ]
 
 
-def per_event_propensity(r, names, levels, h):
-    """What per-event code stores for r: ``evaluate`` scaled by h, then every need checked."""
+def per_event_propensity(rs, r, levels, h):
+    """What per-event code stores for r: ``evaluate_rate`` scaled by h, then every need checked."""
     try:
-        a = evaluate(r.rate, {n: k * h for n, k in zip(names, levels)}) / h
+        a = evaluate_rate(rs, r.rate, {n: k * h for n, k in zip(rs.prime_names, levels)}) / h
     except ex.DomainError:
         return "division"
     if 0.0 < a < math.inf:
@@ -700,7 +734,7 @@ def test_grouped_updaters_store_per_event_propensities(m, h):
             p, divided = [None] * len(rs.reactions), set()
             update(levels, p, slow)
             assert [k for k, a in enumerate(p) if a is not None] == js
-            want = {k: per_event_propensity(rs.reactions[k], names, levels, h) for k in js}
+            want = {k: per_event_propensity(rs, rs.reactions[k], levels, h) for k in js}
             for k in js:
                 if want[k] == "division":
                     assert math.isnan(p[k])
