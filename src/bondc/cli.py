@@ -173,7 +173,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             json.dump(reaction_system_json(rs), fh, indent=2)  # in pieces: one write cuts at 2 GiB
             fh.write("\n")
         elif args.command == "odes":
-            print(ode_mod.render_odes(ode_mod.build_odes(rs), fmt=args.format), end="", file=fh)
+            ode_mod.write_odes(fh, ode_mod.build_odes(rs), args.format)
         elif args.command == "simulate":
             sys_ = ode_mod.build_odes(rs)
             x0 = initial_mixture(model, rs.index)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TextIO
 
@@ -271,46 +272,35 @@ def integrate(
     return Trajectory(t_out, np.array(out), steps, rejected, nfev)
 
 
-def render_odes(sys: OdeSystem, fmt: str = "text") -> str:
+def write_odes(fh: TextIO, sys: OdeSystem, fmt: str = "text") -> None:
+    """Writes the ODEs as text, LaTeX or JSON in pieces, a line at a time or as ``json.dump``
+    writes them, ending in a newline: one write of a string past 2 GiB is cut short."""
     sums = {t: total_expr(form) for t, form in sys.rs.totals.items()}
     # text and LaTeX write each named total out where it is read, json by its name
     derivs = [ex.substitute(d, sums) for d in sys.derivs] if sums and fmt != "json" else sys.derivs
     if fmt == "text":
-        lines = [
+        lines = (
             f"d[{name}]/dt = {ex.render(d, var_fmt=lambda n: f'[{n}]')}"
             for name, d in zip(sys.names, derivs)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-    if fmt == "latex":
-        rows = [
+        )
+    elif fmt == "latex":
+        rows = (
             r"\frac{\mathrm{d}[%s]}{\mathrm{d}t} &= %s \\"
             % (_tex_escape(name), ex.render(d, lambda n: f"[{_tex_escape(n)}]", latex=True))
             for name, d in zip(sys.names, derivs)
-        ]
-        return "\n".join(
-            [
-                r"\documentclass{article}",
-                r"\usepackage{amsmath}",
-                r"\begin{document}",
-                r"\begin{align*}",
-                *rows,
-                r"\end{align*}",
-                r"\end{document}",
-                "",
-            ]
         )
-    if fmt == "json":
+        begin = [r"\documentclass{article}", r"\usepackage{amsmath}", r"\begin{document}"]
+        lines = chain(begin, [r"\begin{align*}"], rows, [r"\end{align*}", r"\end{document}"])
+    elif fmt == "json":
         import json
 
-        return json.dumps(
-            {
-                "primes": sys.names,
-                **totals_json(sys.rs),
-                "odes": [ex.to_json(d) for d in derivs],
-            },
-            indent=2,
-        )
-    raise ValueError(f"unknown format {fmt!r}")
+        doc = {"primes": sys.names, **totals_json(sys.rs), "odes": [ex.to_json(d) for d in derivs]}
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+        return
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    fh.writelines(line + "\n" for line in lines)
 
 
 def _tex_escape(s: str) -> str:

@@ -3,14 +3,16 @@
 Concentrations are split into integer levels of size h.  The events are the
 extracted reactions themselves: each fires with propensity rate(N*h)/h and
 changes the levels by its ``Reaction.jumps``.  After an event, the updater of
-each prime it changed (primes with equal groups share one) recomputes the
-events whose rate reads, or whose negative jump checks, that level (Gibson &
-Bruck, 2000), checking a value only where a check can change it:
-``compile_updaters`` writes that store rule, and ``gillespie``'s ``slow`` gives
-a value it passes on its meaning.  Propensities are pure functions of the
-levels, summed left to right as a full rescan would, so the streams equal the
-full recompute's; a non-finite total names the non-finite one, if any.  Runs
-are reproducible: run i of master seed s draws from ``random.Random(f"{s}:{i}")``.
+each variable that a changed prime feeds (its level, and each named total
+holding it; equal groups share one updater) recomputes the events whose rate
+reads, or whose negative jump checks, that variable (Gibson & Bruck, 2000); an
+event that reads a total is listed under it, not again under the total's primes.
+A value is checked only where a check can change it: ``compile_updaters``
+writes that store rule, and ``gillespie``'s ``slow`` gives a value it passes on
+its meaning.  Propensities are pure functions of the levels, summed left to
+right as a full rescan would, so the streams equal the full recompute's; a
+non-finite total names the non-finite one, if any.  Runs are reproducible:
+run i of master seed s draws from ``random.Random(f"{s}:{i}")``.
 A run samples its levels at ``ode.sample_times``, as ``integrate`` does, into
 rows that become one int64 array at return; a level past 2^63 - 1 is a DomainError.
 """
@@ -38,24 +40,30 @@ class EventBudgetError(RuntimeError):
 
 
 class DiscreteModel:
-    """``jumps[k]``: event k's ``Reaction.jumps``; ``groups``: per prime, the
-    events whose propensity reads its level, then those that read no level;
-    ``updaters[g](n, p, slow)`` stores group g's propensities in p, one function
-    for equal groups; ``after[k]``, the updaters of the primes event k changes,
-    recompute its dependents, less those whose events another of them recomputes too."""
+    """``jumps[k]``: event k's ``Reaction.jumps``; ``groups``: per variable a rate reads,
+    each prime and then each named total in ``totals``, the events whose propensity reads
+    it (a need's prime by name), less those listed under a total holding that prime, then
+    the events that read no level; ``updaters[g](n, p, slow)`` stores group g's propensities
+    in p, one function for equal groups; ``after[k]``, the updaters of the variables that
+    the primes event k changes feed, recompute its dependents, less those whose events
+    another of them recomputes too."""
 
     def __init__(self, events: list[Reaction], h: float, names: list[str], totals: dict):
         self.events, self.h, self.names = events, h, names
         self.jumps = [e.jumps for e in events]
-        reads = {n: {i} for i, n in enumerate(names)}  # a named total reads its primes' levels
-        reads.update((t, set().union(*(reads[p] for p, _ in form))) for t, form in totals.items())
-        readers: list[list[int]] = [[] for _ in names]
+        var = {v: i for i, v in enumerate([*names, *totals])}
+        feeds = [[i] for i in var.values()]  # each variable, then each named total holding it
+        for t, form in totals.items():
+            for p, _ in form:
+                feeds[var[p]].append(var[t])
+        readers: list[list[int]] = [[] for _ in var]
         constant, needs = [], []
         for k, e in enumerate(events):
             need = [(i, -d) for i, d in self.jumps[k] if d < 0]
-            read = {i for i, _ in need}.union(*(reads[v] for v in ex.variables(e.rate)))
-            for i in read:
-                readers[i].append(k)
+            read = {i for i, _ in need} | {var[v] for v in ex.variables(e.rate)}
+            for i in read:  # under a total, not again under its primes: it runs when they change
+                if read.isdisjoint(feeds[i][1:]):
+                    readers[i].append(k)
             if not read:
                 constant.append(k)
             # a rate >= 0 is +-0 or NaN at level 0 of a factor: no check can change it
@@ -64,13 +72,15 @@ class DiscreteModel:
             needs.append(None if plain else need)
         self.groups = groups = [*readers, constant]
         self.updaters = compile_updaters([e.rate for e in events], names, h, groups, needs, totals)
+        sets = [frozenset(g) for g in readers]
         self.after = []
         for js in self.jumps:
-            first = {}  # each group of the changed primes, with the first prime that has it
+            first = {}  # each group of the variables the changed primes feed, with the first one
             for i, _ in js:
-                first.setdefault(frozenset(readers[i]), i)
-            kept = [i for g, i in first.items() if g and not any(g < o for o in first)]
-            self.after.append([self.updaters[i] for i in kept])
+                for v in feeds[i]:
+                    first.setdefault(sets[v], v)
+            kept = [v for g, v in first.items() if g and not any(g < o for o in first)]
+            self.after.append([self.updaters[v] for v in kept])
 
 
 def compile_updaters(rates: list[ex.Expr], names, h: float, groups, needs, totals) -> list:

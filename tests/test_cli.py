@@ -225,7 +225,7 @@ def test_odes_latex_is_ascii_with_a_row_per_prime(capsys, golden):
 
 def test_odes_json(capsys):
     code, out, err = run(capsys, "odes", str(MODELS / "mm.bond"), "--format", "json")
-    assert code == 0
+    assert code == 0 and out.endswith("}\n")
     doc = json.loads(out)
     assert len(doc["odes"]) == len(doc["primes"])
 

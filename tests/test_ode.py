@@ -1,5 +1,6 @@
 import functools
 import io
+import json
 import math
 import random
 import re
@@ -16,7 +17,7 @@ from bondc.ode import (
     build_odes,
     eval_field,
     integrate,
-    render_odes,
+    write_odes,
     write_trajectory_csv,
 )
 from bondc.parser import parse_model
@@ -30,6 +31,13 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def rendered(sys_, fmt: str = "text") -> str:
+    """What ``write_odes`` writes."""
+    fh = io.StringIO()
+    write_odes(fh, sys_, fmt)
+    return fh.getvalue()
+
+
 def odes_for(src: str):
     rs = build_reaction_system(parse_model(src))
     return rs, build_odes(rs)
@@ -41,7 +49,7 @@ DECAY = "species X = x.0;\naffinity { x at MA(1); }\nmixture { 1 X }"
 def test_build_odes_mm_golden():
     rs = build_reaction_system(parse_model((MODELS / "mm.bond").read_text()))
     sys_ = build_odes(rs)
-    assert render_odes(sys_, fmt="text") == (DATA / "mm_odes.txt").read_text()
+    assert rendered(sys_, "text") == (DATA / "mm_odes.txt").read_text()
 
 
 def test_enzyme_conservation_symbolic():
@@ -65,7 +73,7 @@ def test_render_odes_compiles_nothing(monkeypatch):
     monkeypatch.setattr(ex, "compile_exprs", refuse)
     rs = build_reaction_system(parse_model((MODELS / "kuznetsov.bond").read_text()))
     for fmt in ("text", "latex", "json"):
-        assert render_odes(build_odes(rs), fmt=fmt)
+        assert rendered(build_odes(rs), fmt)
 
 
 def test_eval_field_decay():
@@ -80,7 +88,7 @@ def test_simulating_builds_no_symbolic_derivatives():
     with pytest.raises(ValueError, match="expected 1 concentrations, got 2"):
         eval_field(sys_, [1.0, 2.0])
     assert "derivs" not in vars(sys_)
-    assert render_odes(sys_) == "d[X]/dt = -1*[X]\n" and "derivs" in vars(sys_)
+    assert rendered(sys_) == "d[X]/dt = -1*[X]\n" and "derivs" in vars(sys_)
 
 
 def test_eval_field_domain_error_names_reaction():
@@ -247,18 +255,36 @@ def test_integration_stats_counted():
 def test_render_odes_json_roundtrip():
     rs = build_reaction_system(parse_model((MODELS / "mm.bond").read_text()))
     sys_ = build_odes(rs)
-    import json
-
-    doc = json.loads(render_odes(sys_, fmt="json"))
+    doc = json.loads(rendered(sys_, "json"))
     assert doc["primes"] == rs.prime_names
     e = from_json(doc["odes"][0])
     assert e == sys_.derivs[0]
 
 
+def test_write_odes_writes_in_pieces_ending_in_a_newline():
+    # one write of a string past 2 GiB is cut short: text and LaTeX are written a line per
+    # call, JSON in json.dump's pieces and then a newline, as crn writes its document
+    class Pieces(io.StringIO):
+        def write(self, s):
+            pieces.append(s)
+            return super().write(s)
+
+    sys_ = build_odes(build_reaction_system(parse_model((MODELS / "kuznetsov.bond").read_text())))
+    for fmt, lines in (("text", 0), ("latex", 6)):  # LaTeX: 4 lines before the rows, 2 after
+        pieces, fh = [], Pieces()
+        write_odes(fh, sys_, fmt)
+        assert len(pieces) == len(sys_.names) + lines, fmt
+        assert all(p.count("\n") == 1 and p.endswith("\n") for p in pieces), fmt
+    pieces, fh = [], Pieces()
+    write_odes(fh, sys_, "json")
+    assert len(pieces) > len(sys_.names) and pieces[-1] == "\n"
+    assert fh.getvalue() == json.dumps(json.loads(fh.getvalue()), indent=2) + "\n"
+
+
 def test_render_odes_latex_structure():
     rs = build_reaction_system(parse_model((MODELS / "kuznetsov.bond").read_text()))
     sys_ = build_odes(rs)
-    tex = render_odes(sys_, fmt="latex")
+    tex = rendered(sys_, "latex")
     assert tex.count("\\begin{align*}") == 1 and tex.count("\\end{align*}") == 1
     assert tex.count("&=") == len(sys_.names)
     # balanced braces and environments
@@ -280,7 +306,7 @@ def test_write_trajectory_csv():
 def test_empty_system_renders_empty():
     src = "species X = x.0;\naffinity { }\nmixture { 1 X }"
     rs, sys_ = odes_for(src)
-    assert "d[X]/dt = 0" in render_odes(sys_, fmt="text")
+    assert "d[X]/dt = 0" in rendered(sys_, "text")
 
 
 

@@ -325,11 +325,12 @@ def cluster(n: int) -> str:
 
 
 def test_primes_with_equal_groups_share_one_updater():
-    # every event reads all 250 levels: one updater serves the primes, one the empty group
+    # every event reads the total Σ(s): its group lists all 250 events once, each prime's
+    # own group is empty, and one updater serves the empty groups, one the total's
     dm = discretize(build_reaction_system(parse_model(cluster(250))), 0.1)
-    assert len(dm.updaters) == 251 and len(set(dm.updaters)) == 2
-    assert dm.groups[:250] == [list(range(250))] * 250 and dm.groups[250] == []
-    assert dm.after == [[dm.updaters[0]]] * 250
+    assert dm.groups == [[]] * 250 + [list(range(250)), []]
+    assert len(dm.updaters) == 252 and len(set(dm.updaters)) == 2
+    assert dm.after == [[dm.updaters[250]]] * 250
 
 
 def test_a_cluster_total_of_5000_primes_compiles():
@@ -351,6 +352,9 @@ def test_a_cluster_total_of_5000_primes_compiles():
         p = [None] * n
         update(levels, p, None)
         assert list(map(repr, p)) == [repr(evaluate(e, env) / h) for e in rates]
+    # the events are listed once, under the total they read, not again under each prime
+    dm = discretize(rs, h)
+    assert sum(map(len, dm.groups)) <= 2 * n
 
 
 # --- a reference direct method that shares no code with gillespie ------------------
@@ -609,7 +613,7 @@ def test_seed_and_run_id_pairs_give_different_streams():
 def test_dependency_graph_matches_brute_force(name):
     rs = build_reaction_system(parse_model((MODELS / name).read_text()))
     dm = discretize(rs, 0.1)
-    n = len(rs.prime_names)
+    n, events = len(rs.prime_names), range(len(rs.reactions))
     nus = [stoichiometry(r, n) for r in rs.reactions]
     # a rate reads a prime's level itself, or through a named total holding the prime
     levels = {v: {i} for i, v in enumerate(rs.prime_names)}
@@ -618,20 +622,21 @@ def test_dependency_graph_matches_brute_force(name):
         set().union(*(levels[v] for v in ex.variables(r.rate))) | {i for i in range(n) if nu[i] < 0}
         for r, nu in zip(rs.reactions, nus)
     ]
-    assert dm.groups == [[k for k in range(len(nus)) if i in reads[k]] for i in range(n)] + [
-        [k for k in range(len(nus)) if not reads[k]]
-    ]
+    # a group per prime, per named total, then the events that read no level
+    assert len(dm.groups) == len(dm.updaters) == n + len(rs.totals) + 1
+    assert dm.groups[-1] == [k for k in events if not reads[k]]
+    if not rs.totals:
+        assert dm.groups[:n] == [[k for k in events if i in reads[k]] for i in range(n)]
+    # every event is in some group, and each group lists its events once, in order
+    assert set().union(*map(set, dm.groups)) == set(events)
+    assert all(g == sorted(set(g)) for g in dm.groups)
     for j, nu in enumerate(nus):
         changed = {i for i in range(n) if nu[i]}
         # the updaters an event calls recompute exactly its dependents
-        deps = {k for i in changed for k in dm.groups[i]}
-        assert sorted(deps) == [k for k in range(len(nus)) if reads[k] & changed], j
-        # they are a subsequence of the changed primes' updaters, none redundant
-        full = [dm.updaters[i] for i in sorted(changed) if dm.groups[i]]
-        at = [full.index(u) for u in dm.after[j]]
-        assert at == sorted(set(at)), j
         listed = [set(dm.groups[dm.updaters.index(u)]) for u in dm.after[j]]
-        assert set().union(*listed) == deps, j
+        assert set().union(*listed) == {k for k in events if reads[k] & changed}, j
+        # each is called once, and no called group is a subset of another
+        assert len(set(dm.after[j])) == len(dm.after[j]), j
         assert not any(a <= b for x, a in enumerate(listed) for b in listed[x + 1 :] + listed[:x]), j
         assert rs.reactions[j].jumps == [(i, nu[i]) for i in range(n) if nu[i]], j
 
