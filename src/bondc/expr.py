@@ -3,8 +3,9 @@
 Reaction rates and ODE right hand sides are built from a tiny expression
 language with node kinds const/var/add/sub/mul/div.  The smart constructors
 fold constants eagerly so that e.g. mass-action rates come out as plain
-monomials.  Division follows the continuous extension 0/0 = 0 used by the
-rate semantics; x/0 with x != 0 is a domain error at evaluation time.
+monomials; one to a non-finite value raises ``NonFinite``, so no walker looks
+for one.  Division follows the continuous extension 0/0 = 0 used by the rate
+semantics; x/0 with x != 0 is a domain error, when it folds or is evaluated.
 One ``fold`` walks every tree, left operands in a loop, so a long sum does
 not nest the stack.  ``compile_exprs`` generates what both simulators share:
 each named total and shared sub-expression computed once, division guarded
@@ -23,6 +24,10 @@ class DomainError(ValueError):
     """A rate expression left its domain (division blow-up)."""
 
     code = "DOMAIN"
+
+
+class NonFinite(DomainError):
+    """A constant fold whose value is not finite."""
 
 
 class Const(NamedTuple):
@@ -50,9 +55,15 @@ def const(v: float) -> Const:
     return Const(float(v))
 
 
+def _folded(op: str, v: float) -> Const:  # the value of a fold at op, which must be finite
+    if not math.isfinite(v):
+        raise NonFinite(f"folding constants at '{op}' gives a non-finite value")
+    return Const(v)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _folded("+", a.value + b.value)
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -62,7 +73,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _folded("-", a.value - b.value)
     if isinstance(b, Const) and b.value == 0.0:
         return a
     return Bin("sub", a, b)
@@ -70,7 +81,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _folded("*", a.value * b.value)
     if isinstance(b, Const):
         # keep constants on the left for readable renderings
         a, b = b, a
@@ -97,7 +108,7 @@ def div(a: Expr, b: Expr) -> Expr:
                 return ZERO
             if b.value == 0.0:
                 raise DomainError("constant division by zero")
-            return Const(a.value / b.value)
+            return _folded("/", a.value / b.value)
     if isinstance(a, Const) and a.value == 0.0:
         return ZERO
     if a == b:
@@ -140,11 +151,6 @@ def substitute(e: Expr, env: Mapping[str, Expr]) -> Expr:
         return env.get(x.name, x) if isinstance(x, Var) else x
 
     return fold(e, leaf, lambda x, a, b: ops[x.op](a, b))
-
-
-def finite(e: Expr) -> bool:
-    """Whether every constant in ``e`` is finite."""
-    return fold(e, lambda x: isinstance(x, Var) or math.isfinite(x.value), lambda x, a, b: a and b)
 
 
 def variables(e: Expr) -> set[str]:

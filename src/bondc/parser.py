@@ -127,6 +127,11 @@ class _Parser:
             out.append(item(*args))
         return out
 
+    def distinct(self, names: list[str], what: str) -> None:
+        """Unless ``names`` are pairwise distinct, an error at the token before this one."""
+        if len(set(names)) != len(names):
+            raise self.error(f"{what} must be pairwise distinct", self.i - 1)
+
     def name(self, what: str = "identifier") -> str:
         text = self.tokens[self.i]
         if _KIND.get(text[:1]) != "name" or text in _KEYWORDS:
@@ -195,8 +200,7 @@ class _Parser:
             self.expect(")")
         self.locations.update(names, () if loc is None else (loc,))
         if self.accept("."):
-            if len(set(names)) != len(names):
-                raise self.error("received locations must be pairwise distinct", self.i - 1)
+            self.distinct(names, "received locations")
             self.sites.add(ident)
             return Prefix(ident, loc, tuple(names), self.spec(cont=True))
         if loc is not None:
@@ -218,10 +222,8 @@ class _Parser:
             rhs = operand()
             try:
                 e = {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[op](e, rhs)
-            except ex.DomainError as err:  # a constant x/0
+            except ex.DomainError as err:
                 raise self.error(str(err), pos) from None
-            if not ex.finite(e):
-                raise self.error(f"folding constants at '{op}' gives a non-finite value", pos)
         return e
 
     def law_factor(self) -> ex.Expr:
@@ -257,6 +259,7 @@ def parse_model(text: str) -> Model:
             if p.accept("("):
                 params = p.sep_list(",", p.name, "location")
                 p.expect(")")
+                p.distinct(params, "species parameters")
             p.locations.update(params)
             p.expect("=")
             body = p.spec()
@@ -271,6 +274,7 @@ def parse_model(text: str) -> Model:
             p.expect(";")
             args = p.sep_list(",", p.name, "site argument")
             p.expect(")")
+            p.distinct(params + args, "law parameters and arguments")
             p.expect("=")
             body = p.law_expr()
             p.expect(";")
@@ -321,21 +325,13 @@ def parse_model(text: str) -> Model:
         law = laws.get(entry.law_name)
         if law is None:
             raise ModelError(f"unknown law '{entry.law_name}'")
-        if law.variadic:
-            if len(entry.law_params) != 1:
-                raise ModelError("law 'MA' takes 1 parameter", code="ARITY")
-        elif len(entry.law_params) != len(law.params):
-            raise ModelError(
-                f"law '{law.name}' takes {len(law.params)} parameter(s), "
-                f"got {len(entry.law_params)}",
-                code="ARITY",
-            )
-        elif len(law.args) != len(entry.pattern):
-            raise ModelError(
-                f"law '{law.name}' expects {len(law.args)} cluster(s), pattern "
-                f"has {len(entry.pattern)}",
-                code="ARITY",
-            )
+        # a law without a body, mass action, takes any number of clusters
+        if len(entry.law_params) != len(law.params):
+            n = f"takes {len(law.params)} parameter(s), got {len(entry.law_params)}"
+            raise ModelError(f"law '{law.name}' {n}", code="ARITY")
+        if law.body is not None and len(law.args) != len(entry.pattern):
+            n = f"expects {len(law.args)} cluster(s), pattern has {len(entry.pattern)}"
+            raise ModelError(f"law '{law.name}' {n}", code="ARITY")
         warnings += (
             f"site '{s}' in affinity pattern never occurs in a species"
             for cluster in entry.pattern

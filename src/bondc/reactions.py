@@ -28,7 +28,7 @@ applied once per entry, and totals are built only for a law that reads them:
 mass action does not.  Repeated clusters contribute the 1/multiplicity!
 symmetry correction: a homodimerization under mass-action k fires at (1/2) k
 [A]^2.  Tuples with equal reactants, products and entry sum into one reaction;
-a non-finite constant in a rate is an error.
+a constant x/0 or non-finite fold in a rate is an error naming its entry.
 """
 
 from __future__ import annotations
@@ -234,8 +234,9 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
         if any(not ms for ms in slot_lists):
             warnings.append(f"affinity entry '{prov}' matches no species")
             continue
-        scale = ex.const(1.0 / math.prod(math.factorial(n) for n in Counter(entry.pattern).values()))
-        if law.variadic:  # mass action weighs each share by itself: its a_j are 1, f is k
+        # integer true division: correctly rounded, and never overflows
+        scale = ex.const(1 / math.prod(math.factorial(n) for n in Counter(entry.pattern).values()))
+        if law.body is None:  # mass action weighs each share by itself: its a_j are 1, f is k
             a_exprs = [ex.ONE] * len(entry.pattern)
         else:
             conc = conc or cluster_concentrations(index)
@@ -243,24 +244,22 @@ def extract_reactions(model: Model, index: PrimeIndex) -> ReactionSystem:
                 ex.Var(named.setdefault(conc[c], f"Σ({'&'.join(c)})")) if len(conc[c]) > 1
                 else total_expr(conc[c]) for c in entry.pattern
             ]
-        try:  # the law's value f(a_1..a_m), once per entry
+        try:  # the law's value f(a_1..a_m), once per entry, then each tuple's rate
             value = law.apply(entry.law_params, a_exprs)
-        except ex.DomainError:  # the law folded a constant x/0
+            for combo in itertools.product(*slot_lists):
+                rate = value
+                for j, mt in enumerate(combo):  # times each share/a_j, 1 for a sole match
+                    share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
+                    rate = ex.mul(rate, ex.div(share, a_exprs[j]))
+                rate = ex.mul(scale, rate)
+                reactants = tuple(sorted(mt.prime for mt in combo))
+                key = (reactants, tuple(sorted(index.products(combo))), prov)
+                rates[key] = ex.add(rates[key], rate) if key in rates else rate
+        except ex.NonFinite:  # a constant overflowed in the law, a product or a sum
+            raise ex.non_finite(prov) from None
+        except ex.DomainError:  # a constant x/0
             raise ex.division_by_zero(prov) from None
 
-        for combo in itertools.product(*slot_lists):
-            rate = value
-            for j, mt in enumerate(combo):  # times each share/a_j, which is 1 for a sole match
-                share = ex.mul(ex.const(mt.mult), ex.Var(index.names[mt.prime]))
-                rate = ex.mul(rate, ex.div(share, a_exprs[j]))
-            rate = ex.mul(scale, rate)
-            reactants = tuple(sorted(mt.prime for mt in combo))
-            key = (reactants, tuple(sorted(index.products(combo))), prov)
-            rates[key] = ex.add(rates[key], rate) if key in rates else rate
-
-    for (_, _, prov), rate in rates.items():
-        if not ex.finite(rate):  # a constant overflowed in the law, a product or a sum
-            raise ex.non_finite(prov)
     reactions = [Reaction(r, p, rate, prov) for (r, p, prov), rate in rates.items()]
     read = set().union(*map(ex.variables, rates.values())) if named else ()
     return ReactionSystem(index, reactions, {t: f for f, t in named.items() if t in read}, warnings)

@@ -181,19 +181,18 @@ class KineticLaw(NamedTuple):
     name: str
     params: tuple[str, ...]
     args: tuple[str, ...]
-    body: Optional[ex.Expr]  # None for the builtin variadic mass-action law
-    variadic: bool = False
+    body: Optional[ex.Expr]  # None for the builtin mass-action law, over any number of clusters
 
     def apply(self, param_values: tuple[float, ...], arg_exprs: list[ex.Expr]) -> ex.Expr:
         """The raw law value f(a_1,...,a_m) as an expression."""
-        if self.variadic:
+        if self.body is None:
             return ex.prod([ex.const(param_values[0]), *arg_exprs])
         env = {p: ex.const(v) for p, v in zip(self.params, param_values)}
         env.update(zip(self.args, arg_exprs))
         return ex.substitute(self.body, env)
 
 
-MASS_ACTION = KineticLaw("MA", ("k",), (), None, variadic=True)
+MASS_ACTION = KineticLaw("MA", ("k",), (), None)
 
 
 class AffinityEntry(NamedTuple):

@@ -838,6 +838,75 @@ def test_non_finite_rate_constant_is_an_error(tmp_path, capsys, command, model):
         assert err == f"error[DOMAIN]: {message} (kinetic law evaluated outside its domain)\n"
 
 
+# a finite rate 1e308*[A], whose net change in [A], 4 times that, is not finite
+OVERFLOWING_NET_CHANGE = (
+    "species A = a.(A|A|A|A|A);\naffinity { a at MA(1e308); }\nmixture { 1 A }\n"
+)
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "json"]], ids=["text", "json"])
+def test_odes_with_a_non_finite_net_change_is_an_error(tmp_path, capsys, options):
+    path = tmp_path / "overflow.bond"
+    path.write_text(OVERFLOWING_NET_CHANGE)
+    code, out, err = run(capsys, "odes", str(path), *options)
+    assert (code, out) == (1, "")
+    assert err == "error[DOMAIN]: folding constants at '*' gives a non-finite value\n"
+
+
+def test_a_non_finite_net_change_leaves_the_rates_finite(tmp_path, capsys):
+    path = tmp_path / "overflow.bond"
+    path.write_text(OVERFLOWING_NET_CHANGE)
+    code, out, err = run(capsys, "crn", str(path))
+    assert (code, err) == (0, "")
+    [reaction] = json.loads(out)["reactions"]
+    assert reaction["products"] == [0] * 5
+    assert reaction["rate"] == {
+        "kind": "mul",
+        "left": {"kind": "const", "value": 1e308},
+        "right": {"kind": "var", "name": "A"},
+    }
+    # the field sums the changes at run time: 4e308 names the rate it holds
+    code, out, err = run(capsys, "simulate", str(path), "--t-end", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[DOMAIN]: non-finite rate for reaction 'a at MA(1e+308)' "
+        "(kinetic law evaluated outside its domain)\n"
+    )
+
+
+@pytest.mark.parametrize("first", ["x", "y"])
+def test_the_first_faulty_affinity_entry_is_named(tmp_path, capsys, first):
+    # x's law overflows, y's divides a constant by 0: whichever comes first in the text is named
+    entries = {"x": "x at F(1e200);", "y": "y at G(2);"}
+    path = tmp_path / "faults.bond"
+    path.write_text(
+        "species X = x.0 + y.0;\nlaw F(k; a) = k * k * a;\nlaw G(k; a) = k / (k - k) * a;\n"
+        f"affinity {{ {entries[first]} {entries['y' if first == 'x' else 'x']} }}\n"
+        "mixture { 1 X }\n"
+    )
+    code, out, err = run(capsys, "crn", str(path))
+    assert (code, out) == (1, "")
+    assert err == {
+        "x": "error[DOMAIN]: non-finite rate for reaction 'x at F(1e+200)' "
+        "(kinetic law evaluated outside its domain)\n",
+        "y": "error[DOMAIN]: rate evaluation failed for reaction 'y at G(2)': division by zero\n",
+    }[first]
+
+
+def test_a_pattern_of_171_repeated_clusters_compiles(tmp_path, capsys):
+    # its symmetry factor 1/171! is below the least normal float, and 171! above the greatest
+    path = tmp_path / "slots.bond"
+    pattern = " || ".join(["a"] * 171)
+    path.write_text(f"species A = a.0;\naffinity {{ {pattern} at MA(1); }}\nmixture {{ 1 A }}\n")
+    code, out, err = run(capsys, "crn", str(path))
+    assert (code, err) == (0, "")
+    rate = json.loads(out)["reactions"][0]["rate"]
+    while rate["kind"] == "mul":
+        rate = rate["left"]
+    assert rate == {"kind": "const", "value": 8.05790039644312e-310}
+    assert 8.05790039644312e-310 == 1 / math.factorial(171)
+
+
 def test_simulate_without_primes(tmp_path, capsys):
     # no mixture: zero primes integrate to an empty trajectory, not a crash
     path = tmp_path / "empty.bond"

@@ -22,7 +22,7 @@ def render_model(m: Model) -> str:
         params = f"({','.join(sd.params)})" if sd.params else ""
         lines.append(f"species {sd.name}{params} = {serialize(sd.body)};")
     for law in m.laws.values():
-        if law.variadic:
+        if law.body is None:
             continue  # builtin
         body = ex.render(law.body)
         lines.append(f"law {law.name}({', '.join(law.params)}; {', '.join(law.args)}) = {body};")
@@ -175,6 +175,26 @@ def test_parse_errors(src, fragment):
             id="distinct-receives",
         ),
         pytest.param(
+            "species X(l, m, l) = x@l.0;",
+            "1:18: species parameters must be pairwise distinct",
+            id="distinct-species-parameters",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k, k; a) = k * a;",
+            "2:14: law parameters and arguments must be pairwise distinct",
+            id="distinct-law-parameters",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; a, a) = k * a;",
+            "2:14: law parameters and arguments must be pairwise distinct",
+            id="distinct-law-arguments",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; k) = k;",
+            "2:11: law parameters and arguments must be pairwise distinct",
+            id="argument-hides-parameter",
+        ),
+        pytest.param(
             "species X = x.0;\n  species X = y.0;",
             "2:3: duplicate species definition 'X'",
             id="duplicate-species",
@@ -232,6 +252,16 @@ def test_parse_errors(src, fragment):
             "species X = x.0;\nlaw F(k; a) = (1e308 + 1e308) * a;",
             "2:22: folding constants at '+' gives a non-finite value",
             id="non-finite-sum",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; a) = -1e308 - 1e308 + a;",
+            "2:22: folding constants at '-' gives a non-finite value",
+            id="non-finite-difference",
+        ),
+        pytest.param(
+            "species X = x.0;\nlaw F(k; a) = 1e308 / 1e-308 * a;",
+            "2:21: folding constants at '/' gives a non-finite value",
+            id="non-finite-quotient",
         ),
         pytest.param(
             "species X = x.0;\nmixture { 1 X, - 2 X }",
@@ -475,7 +505,7 @@ TWO_FAULTS = [
     pytest.param(
         'law F(k; x) = k * x;\nspecies A = a.0;\naffinity { a at MA(1.0, 2.0); a || a at F(1.0); }',
         'ARITY',
-        "law 'MA' takes 1 parameter",
+        "law 'MA' takes 1 parameter(s), got 2",
         id="MA's parameter count before a cluster count",
     ),
     pytest.param(
